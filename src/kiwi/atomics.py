@@ -1,78 +1,92 @@
 """Single-word atomic primitives and memory fences.
 
 CPython guarantees torn-free reads/writes of object attributes and list
-cells, so plain reads are safe; read-modify-write operations (CAS,
-fetch-and-add) are arbitrated with a per-word lock. On a machine-level
-runtime these would be single instructions; the contracts are the same.
+cells, so every word is read plainly, with no lock. Read-modify-write
+operations (CAS, fetch-and-add) take a striped word lock: one lock from a
+fixed table, picked by the owning object's identity. Two words that share
+a stripe are merely serialized against each other; every word still sees
+exactly one winner per CAS. On a machine-level runtime these would be
+single instructions; the contracts are the same.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Generic, TypeVar
+from typing import Any, Generic, TypeVar
 
 T = TypeVar("T")
+
+# Rule: code never takes a stripe while it holds another stripe (no deadlock).
+_WORD_LOCKS = tuple(threading.Lock() for _ in range(64))
+
+
+def word_lock(owner: object) -> threading.Lock:
+    """The stripe that arbitrates every read-modify-write of owner's words.
+    An OrderEntry fills a 64-byte block, so the low six bits of id() are
+    dropped: with fewer, entries would reach only 16 of the 64 stripes."""
+    return _WORD_LOCKS[(id(owner) >> 6) & 63]
+
+
+def cas(owner: object, attr: str, expected: Any, new: Any) -> bool:
+    """Set owner.attr to new iff it currently is, or equals, expected."""
+    with word_lock(owner):
+        cur = getattr(owner, attr)
+        if cur is expected or cur == expected:
+            setattr(owner, attr, new)
+            return True
+        return False
 
 
 class AtomicInt:
     """Integer word edited only by CAS / fetch-and-add; plain reads."""
 
-    __slots__ = ("_value", "_lock")
+    __slots__ = ("_value",)
 
     def __init__(self, value: int = 0) -> None:
         self._value = value
-        self._lock = threading.Lock()
 
     def get(self) -> int:
         return self._value
 
     def set(self, value: int) -> None:
-        with self._lock:
+        with word_lock(self):
             self._value = value
 
     def fetch_add(self, delta: int = 1) -> int:
         """Add delta, return the PRIOR value."""
-        with self._lock:
+        with word_lock(self):
             old = self._value
             self._value = old + delta
             return old
 
     def get_and_set(self, value: int) -> int:
-        with self._lock:
+        with word_lock(self):
             old = self._value
             self._value = value
             return old
 
     def compare_and_set(self, expected: int, new: int) -> bool:
-        with self._lock:
-            if self._value == expected:
-                self._value = new
-                return True
-            return False
+        return cas(self, "_value", expected, new)
 
 
 class AtomicRef(Generic[T]):
-    """Reference word; CAS compares by identity."""
+    """Reference word; CAS compares with `is`, then `==` (identity for
+    objects that define no equality, such as chunks)."""
 
-    __slots__ = ("_value", "_lock")
+    __slots__ = ("_value",)
 
     def __init__(self, value: T = None) -> None:  # type: ignore[assignment]
         self._value = value
-        self._lock = threading.Lock()
 
     def get(self) -> T:
         return self._value
 
     def set(self, value: T) -> None:
-        with self._lock:
+        with word_lock(self):
             self._value = value
 
     def compare_and_set(self, expected: Any, new: T) -> bool:
-        with self._lock:
-            if self._value is expected:
-                self._value = new
-                return True
-            return False
+        return cas(self, "_value", expected, new)
 
 
 # The synchronization contract mandates exactly two fence points: a store
@@ -90,11 +104,3 @@ def store_fence() -> None:
 def full_fence() -> None:
     with _FENCE_LOCK:
         pass
-
-
-def spin_help(action: Callable[[], bool], attempts: int = 1_000_000) -> bool:
-    """Run a CAS-style action until it reports done. Test utility."""
-    for _ in range(attempts):
-        if action():
-            return True
-    return False

@@ -38,42 +38,26 @@ class BoundsCounters:
 
     def on_put_published(self, slot: int, is_tombstone: bool) -> None:
         """Conservative move, strictly before the PPA publish."""
+        if not self.enabled:
+            return
         if is_tombstone:
-            self.on_remove_published(slot)
+            self._lower[slot] -= 1  # assume the key gets removed
+            self._note(slot, "remove-published")
         else:
-            self.on_insert_published(slot)
+            self._upper[slot] += 1  # assume a new key gets added
+            self._note(slot, "insert-published")
 
     def on_put_undone(self, slot: int, is_tombstone: bool) -> None:
         """Undo the conservative move after a frozen-from-NONE retry: the
         sealing CAS proves no other thread ever saw the item."""
+        if not self.enabled:
+            return
         if is_tombstone:
-            self.on_remove_undone(slot)
+            self._lower[slot] += 1
+            self._note(slot, "remove-undone")
         else:
-            self.on_insert_undone(slot)
-
-    def on_remove_published(self, slot: int) -> None:
-        if not self.enabled:
-            return
-        self._lower[slot] -= 1  # assume the key gets removed
-        self._note(slot, "remove-published")
-
-    def on_remove_undone(self, slot: int) -> None:
-        if not self.enabled:
-            return
-        self._lower[slot] += 1
-        self._note(slot, "remove-undone")
-
-    def on_insert_published(self, slot: int) -> None:
-        if not self.enabled:
-            return
-        self._upper[slot] += 1  # assume a new key gets added
-        self._note(slot, "insert-published")
-
-    def on_insert_undone(self, slot: int) -> None:
-        if not self.enabled:
-            return
-        self._upper[slot] -= 1
-        self._note(slot, "insert-undone")
+            self._upper[slot] -= 1
+            self._note(slot, "insert-undone")
 
     # ---------------- settlement (thread that won the list CAS) ----------------
 

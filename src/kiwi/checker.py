@@ -17,7 +17,6 @@ intractable and unnecessary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
 from typing import Any, Optional
 
 from .history import GET, IS_EMPTY, PUT, SCAN, SIZE, History, OpRecord
@@ -188,32 +187,3 @@ def validate_put_only_final_state(history: History, final_items: list[tuple[Any,
         if not any(can_be_last(p) for p in candidates):
             return False
     return True
-
-
-def brute_force_linearizations(history: History) -> list[list[OpRecord]]:
-    """Every real-time-consistent total order (small histories only).
-    Reference oracle for validator and checker tests."""
-    recs = history.records
-    out = []
-    for perm in permutations(recs):
-        ok = True
-        for i, a in enumerate(perm):
-            for b in perm[i + 1 :]:
-                if b.response_ts < a.invoke_ts:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        seen_threads: dict[int, int] = {}
-        sequential = True
-        for rec in perm:
-            prev = seen_threads.get(rec.thread_id)
-            if prev is not None and rec.invoke_ts < prev:
-                sequential = False
-                break
-            seen_threads[rec.thread_id] = rec.invoke_ts
-        if sequential:
-            out.append(list(perm))
-    return out

@@ -31,7 +31,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from .atomics import AtomicInt, AtomicRef, full_fence, store_fence
+from .atomics import AtomicInt, AtomicRef, cas, full_fence, store_fence, word_lock
+from .bounds import BoundsCounters
 
 VERSION_NONE = 0
 END = -1  # end-of-list order index
@@ -71,36 +72,22 @@ class RegistrationError(RuntimeError):
 class OrderEntry:
     """One versioned key slot. key is immutable; the other words CAS-only."""
 
-    __slots__ = ("key", "version", "data_index", "next", "_lock")
+    __slots__ = ("key", "version", "data_index", "next")
 
     def __init__(self, key: Any) -> None:
         self.key = key
         self.version: Any = VERSION_NONE
         self.data_index = 0  # set at allocation, before the entry is shared
         self.next = END
-        self._lock = threading.Lock()
 
     def cas_version(self, expected: Any, new: Any) -> bool:
-        with self._lock:
-            cur = self.version
-            if cur is expected or cur == expected:
-                self.version = new
-                return True
-            return False
+        return cas(self, "version", expected, new)
 
     def cas_data_index(self, expected: int, new: int) -> bool:
-        with self._lock:
-            if self.data_index == expected:
-                self.data_index = new
-                return True
-            return False
+        return cas(self, "data_index", expected, new)
 
     def cas_next(self, expected: int, new: int) -> bool:
-        with self._lock:
-            if self.next == expected:
-                self.next = new
-                return True
-            return False
+        return cas(self, "next", expected, new)
 
     def __repr__(self) -> str:
         return f"OrderEntry(key={self.key!r}, ver={self.version!r}, di={self.data_index}, next={self.next})"
@@ -153,7 +140,6 @@ class Chunk:
         "replacement",
         "next",
         "list_size",
-        "_alloc_lock",
         "_alloc_counter",
         "_frozen_bound",
     )
@@ -172,7 +158,6 @@ class Chunk:
         self.replacement: AtomicRef[Optional[tuple["Chunk", ...]]] = AtomicRef(None)
         self.next: AtomicRef[Optional["Chunk"]] = AtomicRef(None)
         self.list_size = AtomicInt(0)
-        self._alloc_lock = threading.Lock()
         self._alloc_counter = 1
         self._frozen_bound: Optional[int] = None
 
@@ -180,19 +165,17 @@ class Chunk:
     def head(self) -> OrderEntry:
         return self.order[0]  # type: ignore[return-value]
 
-    def covers(self, key: Any) -> bool:
-        return self.min_key <= key < self.range_end
-
     def is_full(self) -> bool:
         return self._alloc_counter > self.capacity
 
     def alloc(self, entry: OrderEntry, is_tombstone: bool) -> Optional[int]:
         """Claim one order+data slot pair; None when full or frozen.
 
-        The cell write happens under the allocation lock so the freeze
-        pass always sees an initialized entry for every handed-out slot.
+        The cell write happens under the chunk's word lock, as does the
+        freeze cut-off, so the freeze pass always sees an initialized entry
+        for every handed-out slot.
         """
-        with self._alloc_lock:
+        with word_lock(self):
             idx = self._alloc_counter
             if idx > self.capacity:
                 return None
@@ -204,7 +187,7 @@ class Chunk:
     def freeze_allocation(self) -> int:
         """Stop future allocations; return the exclusive bound of slots
         actually handed out. Idempotent."""
-        with self._alloc_lock:
+        with word_lock(self):
             if self._frozen_bound is None:
                 self._frozen_bound = min(self._alloc_counter, self.capacity + 1)
                 self._alloc_counter = self.capacity + 1
@@ -301,9 +284,6 @@ class KiwiMap:
         bounds_enabled: bool = False,
         rng: Callable[[], float] = random.random,
     ) -> None:
-        from .bounds import BoundsCounters
-        from .rebalance import RebalancePolicy
-
         if max_threads < 1:
             raise ValueError("max_threads must be >= 1")
         if max_items < 2:
@@ -403,8 +383,6 @@ class KiwiMap:
         slot = self._require_slot()
         is_tomb = value is TOMBSTONE
         bounds = self.bounds
-        from .rebalance import check_rebalance
-
         while True:
             chunk = self.find_chunk(key)
             entry = OrderEntry(key)
@@ -481,8 +459,6 @@ class KiwiMap:
         slot = self._require_slot()
         if min_key > max_key:
             raise ValueError("scan requires min_key <= max_key")
-        from .rebalance import copy_range
-
         # Publish a conservative version BEFORE the increment so rebalance
         # compaction can never drop versions this scan still needs.
         self._psa[slot] = self._gv.get()
@@ -599,9 +575,6 @@ class KiwiMap:
         return min(versions) if versions else _INF
 
     def _rebalance_chunk(self, chunk: Chunk) -> bool:
-        from .rebalance import copy_compact, freeze_chunk, help_frozen_chunk_puts
-
-        won = False
         if chunk.replacement.get() is None:
             freeze_chunk(chunk)
             help_frozen_chunk_puts(self, chunk)
@@ -612,9 +585,9 @@ class KiwiMap:
                 max_threads=self.max_threads,
                 fill_factor=self.policy.fill_factor,
             )
-            won = chunk.replacement.compare_and_set(None, tuple(new_chunks))
+            return replace_chunks(self, chunk, new_chunks)
         self._finish_replacement(chunk)
-        return won
+        return False
 
     def _find_pred(self, chunk: Chunk) -> Optional[Chunk]:
         """Live-list predecessor of chunk, or None if already unreachable."""
@@ -694,3 +667,15 @@ class KiwiMap:
 
     def global_version(self) -> int:
         return self._gv.get()
+
+
+# rebalance imports this module's names at its top, so its own come last.
+from .rebalance import (  # noqa: E402
+    RebalancePolicy,
+    check_rebalance,
+    copy_compact,
+    copy_range,
+    freeze_chunk,
+    help_frozen_chunk_puts,
+    replace_chunks,
+)

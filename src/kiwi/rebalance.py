@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Optional
+from typing import Any, Callable, Optional
 
 from .atomics import store_fence
 from .core import (
@@ -22,13 +22,11 @@ from .core import (
     TOMBSTONE,
     VERSION_NONE,
     Chunk,
+    KiwiMap,
     OrderEntry,
     _prefix_search_before,
     logical_version,
 )
-
-if TYPE_CHECKING:
-    from .core import KiwiMap
 
 
 @dataclass
@@ -80,7 +78,7 @@ def freeze_chunk(chunk: Chunk) -> None:
             entry.cas_version(VERSION_NONE, FROZEN)
 
 
-def help_frozen_chunk_puts(kiwi: "KiwiMap", chunk: Chunk) -> None:
+def help_frozen_chunk_puts(kiwi: KiwiMap, chunk: Chunk) -> None:
     """Insert every Pending entry into the frozen chunk's list and commit
     it. Duplicate helping degrades to an overwrite or no-op through the
     dataIndex rule, so concurrent rebalancers are safe."""
@@ -150,16 +148,14 @@ def copy_compact(
     at most fill_factor x max_items, and never split one key's versions
     across a chunk boundary. Their ranges partition the old range.
     """
-    surviving: list[tuple[Any, list[tuple[int, int, Any]]]] = []
+    surviving: list[tuple[Any, list[tuple[int, Any]]]] = []
     for key, versions in _collect_key_groups(chunk):
         kept = _retained_versions(versions, min_active_scan)
         if kept:
-            surviving.append(
-                (key, [(v, d, chunk.data[d] if d >= 0 else TOMBSTONE) for v, d in kept])
-            )
+            surviving.append((key, [(v, chunk.data[d] if d >= 0 else TOMBSTONE) for v, d in kept]))
 
     target = max(1, int(max_items * fill_factor))
-    pieces: list[list[tuple[Any, list[tuple[int, int, Any]]]]] = [[]]
+    pieces: list[list[tuple[Any, list[tuple[int, Any]]]]] = [[]]
     count = 0
     for group in surviving:
         if count and count + len(group[1]) > target:
@@ -181,11 +177,11 @@ def copy_compact(
     return new_chunks
 
 
-def _populate_presorted(fresh: Chunk, piece: list[tuple[Any, list[tuple[int, int, Any]]]]) -> None:
+def _populate_presorted(fresh: Chunk, piece: list[tuple[Any, list[tuple[int, Any]]]]) -> None:
     slot = 1
     prev = fresh.head
     for key, versions in piece:
-        for ver, _old_di, value in versions:
+        for ver, value in versions:
             entry = OrderEntry(key)
             entry.version = ver
             if value is TOMBSTONE:
@@ -203,7 +199,7 @@ def _populate_presorted(fresh: Chunk, piece: list[tuple[Any, list[tuple[int, int
     fresh._alloc_counter = slot
 
 
-def replace_chunks(kiwi: "KiwiMap", old: Chunk, new_chunks: list[Chunk]) -> bool:
+def replace_chunks(kiwi: KiwiMap, old: Chunk, new_chunks: list[Chunk]) -> bool:
     """Decide and publish a replacement for old. Exactly one caller wins
     the replacement CAS; losers' chunks are discarded unreferenced. The
     publication steps run for winners and losers alike (idempotent)."""

@@ -4,9 +4,11 @@ brute-force oracles kept independent of the code paths they check."""
 from __future__ import annotations
 
 import threading
+from itertools import permutations
 from typing import Any, Iterable
 
 from kiwi.core import END, TOMBSTONE, Chunk, KiwiMap, OrderEntry, logical_version
+from kiwi.history import History, OpRecord
 
 
 def raw_chunk(
@@ -168,3 +170,32 @@ class GateHook:
                 return
         self._arrived[key].set()
         assert gate.wait(10.0), f"gate {key} never released"
+
+
+def brute_force_linearizations(history: History) -> list[list[OpRecord]]:
+    """Every real-time-consistent total order (small histories only).
+    Reference oracle for validator and checker tests."""
+    recs = history.records
+    out = []
+    for perm in permutations(recs):
+        ok = True
+        for i, a in enumerate(perm):
+            for b in perm[i + 1 :]:
+                if b.response_ts < a.invoke_ts:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if not ok:
+            continue
+        seen_threads: dict[int, int] = {}
+        sequential = True
+        for rec in perm:
+            prev = seen_threads.get(rec.thread_id)
+            if prev is not None and rec.invoke_ts < prev:
+                sequential = False
+                break
+            seen_threads[rec.thread_id] = rec.invoke_ts
+        if sequential:
+            out.append(list(perm))
+    return out

@@ -18,7 +18,7 @@ from kiwi import (
     oracle_replay,
     validate_put_only_final_state,
 )
-from kiwi.checker import brute_force_linearizations
+from helpers import brute_force_linearizations
 
 
 def rec(thread, kind, args, result, invoke, response):
