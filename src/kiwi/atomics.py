@@ -59,12 +59,6 @@ class AtomicInt:
             self._value = old + delta
             return old
 
-    def get_and_set(self, value: int) -> int:
-        with word_lock(self):
-            old = self._value
-            self._value = value
-            return old
-
     def compare_and_set(self, expected: int, new: int) -> bool:
         return cas(self, "_value", expected, new)
 

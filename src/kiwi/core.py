@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import random
 import threading
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable, Optional
 
 from .atomics import AtomicInt, AtomicRef, cas, full_fence, store_fence, word_lock
@@ -212,6 +213,7 @@ class Chunk:
 
 _INF = float("inf")
 _NEG_INF = float("-inf")
+_entry_key = attrgetter("key")
 
 
 def find_insertion_location(chunk: Chunk, key: Any, version: int) -> tuple[int, int]:
@@ -236,17 +238,7 @@ def _prefix_search_before(chunk: Chunk, key: Any) -> int:
     """Greatest sorted-prefix index whose key is strictly less than key,
     or the head sentinel. Strictness keeps same-key version ordering to
     the walk."""
-    order = chunk.order
-    lo, hi = 1, chunk.sorted_prefix_len  # inclusive slots
-    best = 0
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        if order[mid].key < key:
-            best = mid
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return best
+    return bisect_left(chunk.order, key, 1, chunk.sorted_prefix_len + 1, key=_entry_key) - 1
 
 
 class InsertOutcome:
@@ -272,8 +264,10 @@ class KiwiMap:
 
     Threads must call register_thread() once before operating; the slot
     indexes the per-chunk PPA and the map PSA. put(key, TOMBSTONE)
-    discards a key. get returns None for absent keys. scan(lo, hi) is an
-    atomic snapshot of the inclusive key range, sorted ascending.
+    discards a key; put raises ValueError for a None value or a NaN key,
+    before it changes anything. get returns None for absent keys.
+    scan(lo, hi) is an atomic snapshot of the inclusive key range, sorted
+    ascending.
     """
 
     def __init__(
@@ -380,6 +374,8 @@ class KiwiMap:
     # ---------------- operations ----------------
 
     def put(self, key: Any, value: Any) -> None:
+        if value is None or key != key:
+            raise ValueError(f"put({key!r}, {value!r}): None values and NaN keys are not storable")
         slot = self._require_slot()
         is_tomb = value is TOMBSTONE
         bounds = self.bounds
@@ -655,13 +651,11 @@ class KiwiMap:
         out = []
         cur: Optional[Chunk] = self._first.get()
         while cur is not None:
-            out.append(cur)
             nxt = cur.next.get()
-            if nxt is not None and nxt.min_key < cur.range_end:
-                # forwarding pointer on a retired chunk; follow it
-                cur = nxt
-                out.pop()
-                continue
+            # A retired chunk forwards into its replacement (nxt.min_key
+            # below its range_end): walk through it, but do not list it.
+            if nxt is None or nxt.min_key >= cur.range_end:
+                out.append(cur)
             cur = nxt
         return out
 

@@ -44,9 +44,6 @@ class OpRecord:
     invoke_ts: int
     response_ts: int
 
-    def overlaps(self, other: "OpRecord") -> bool:
-        return self.invoke_ts < other.response_ts and other.invoke_ts < self.response_ts
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -116,9 +113,6 @@ class History:
             for a, b in zip(recs, recs[1:]):
                 if b.invoke_ts < a.response_ts:
                     raise ValueError(f"thread {thread_id} overlaps its own operations")
-
-    def threads(self) -> list[int]:
-        return sorted({r.thread_id for r in self.records})
 
     def has_overlap(self) -> bool:
         """True when some pair of records from different threads overlaps."""

@@ -50,6 +50,8 @@ class LockedSortedMap:
             time.sleep(self.op_delay_s)
 
     def put(self, key: Any, value: Any) -> None:
+        if value is None or key != key:
+            raise ValueError(f"put({key!r}, {value!r}): None values and NaN keys are not storable")
         with self._lock:
             self._dally()
             if value is TOMBSTONE:

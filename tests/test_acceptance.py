@@ -328,7 +328,6 @@ def test_c10_wait_free_structural_audit():
         "scan": 1,  # chunk-range walk, cursor strictly advances
         "_newest_in_list": 1,  # list walk, bounded by chunk capacity
         "copy_range": 1,  # list walk, bounded by chunk capacity
-        "_prefix_search_before": 1,  # binary search, log-bounded
     }
     for name, fn in wait_free_functions.items():
         tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))

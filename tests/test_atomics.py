@@ -15,7 +15,6 @@ def test_atomic_int_cas():
     assert word.compare_and_set(1, 2)
     assert not word.compare_and_set(1, 3)
     assert word.get() == 2
-    assert word.get_and_set(7) == 2
 
 
 def test_atomic_ref_cas_is_identity_based():
