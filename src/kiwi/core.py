@@ -423,9 +423,11 @@ class KiwiMap:
         full_fence()
         help_version = self._gv.get()
         candidates = self.help_pending_puts(chunk, key, key, help_version)
-        listed = self._newest_in_list(chunk, key)
-        if listed is not None:
-            candidates.append(listed)
+        # Versions sort descending, so the first entry with this key is the
+        # newest; equal-version duplicates cannot exist.
+        nxt = find_insertion_location(chunk, key, _INF)[1]
+        if nxt != END and chunk.order[nxt].key == key:
+            candidates.append(chunk.order[nxt])
         best_rank = None
         best_di = 0
         for entry in candidates:
@@ -436,20 +438,6 @@ class KiwiMap:
         if best_rank is None or best_di < 0:
             return None
         return chunk.data[best_di]
-
-    def _newest_in_list(self, chunk: Chunk, key: Any) -> Optional[OrderEntry]:
-        """First list entry with this key: versions sort descending, so it
-        is the newest; equal-version duplicates cannot exist."""
-        order = chunk.order
-        idx = order[_prefix_search_before(chunk, key)].next
-        while idx != END:
-            e = order[idx]
-            if e.key > key:
-                return None
-            if e.key == key:
-                return e
-            idx = e.next
-        return None
 
     def scan(self, min_key: Any, max_key: Any) -> list[tuple[Any, Any]]:
         slot = self._require_slot()

@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from itertools import groupby
+from typing import Any, Callable, Iterator, Optional
 
 from .atomics import store_fence
 from .core import (
+    _INF,
     END,
     FROZEN,
     TOMBSTONE,
@@ -24,9 +26,12 @@ from .core import (
     Chunk,
     KiwiMap,
     OrderEntry,
-    _prefix_search_before,
+    _entry_key,
+    find_insertion_location,
     logical_version,
 )
+
+_NO_KEY = object()  # equal to no key
 
 
 @dataclass
@@ -95,21 +100,14 @@ def help_frozen_chunk_puts(kiwi: KiwiMap, chunk: Chunk) -> None:
             entry.cas_version(ver, -ver)
 
 
-def _collect_key_groups(chunk: Chunk) -> list[tuple[Any, list[tuple[int, int]]]]:
-    """Walk the frozen list: per key (ascending), its (version desc,
-    data_index) pairs."""
-    groups: list[tuple[Any, list[tuple[int, int]]]] = []
+def _list_entries(chunk: Chunk) -> Iterator[OrderEntry]:
+    """The chunk's list in order: key ascending, version descending."""
     order = chunk.order
     idx = chunk.head.next
     while idx != END:
         entry = order[idx]
-        ver = logical_version(entry.version)
-        if groups and groups[-1][0] == entry.key:
-            groups[-1][1].append((ver, entry.data_index))
-        else:
-            groups.append((entry.key, [(ver, entry.data_index)]))
+        yield entry
         idx = entry.next
-    return groups
 
 
 def _retained_versions(versions: list[tuple[int, int]], min_active_scan: float) -> list[tuple[int, int]]:
@@ -142,61 +140,50 @@ def copy_compact(
     max_threads: int,
     fill_factor: float,
 ) -> list[Chunk]:
-    """Build 1..k fresh chunks from a frozen, fully-helped chunk.
+    """Build 1..k fresh chunks from a frozen, fully-helped chunk in one
+    walk of its list.
 
     New chunks are presorted (sorted_prefix_len == entry count), filled to
     at most fill_factor x max_items, and never split one key's versions
     across a chunk boundary. Their ranges partition the old range.
     """
-    surviving: list[tuple[Any, list[tuple[int, Any]]]] = []
-    for key, versions in _collect_key_groups(chunk):
-        kept = _retained_versions(versions, min_active_scan)
-        if kept:
-            surviving.append((key, [(v, chunk.data[d] if d >= 0 else TOMBSTONE) for v, d in kept]))
-
     target = max(1, int(max_items * fill_factor))
-    pieces: list[list[tuple[Any, list[tuple[int, Any]]]]] = [[]]
-    count = 0
-    for group in surviving:
-        if count and count + len(group[1]) > target:
-            pieces.append([])
-            count = 0
-        pieces[-1].append(group)
-        count += len(group[1])
-
-    new_chunks: list[Chunk] = []
-    for i, piece in enumerate(pieces):
-        min_key = chunk.min_key if i == 0 else piece[0][0]
-        range_end = pieces[i + 1][0][0] if i + 1 < len(pieces) else chunk.range_end
-        fresh = Chunk(min_key, range_end, max_items, max_threads)
-        _populate_presorted(fresh, piece)
-        new_chunks.append(fresh)
-    for i in range(len(new_chunks) - 1):
-        new_chunks[i].next.set(new_chunks[i + 1])
-    new_chunks[-1].next.set(chunk.next.get())
+    fresh = Chunk(chunk.min_key, chunk.range_end, max_items, max_threads)
+    new_chunks = [fresh]
+    for key, group in groupby(_list_entries(chunk), key=_entry_key):
+        kept = _retained_versions([(logical_version(e.version), e.data_index) for e in group], min_active_scan)
+        if not kept:
+            continue
+        if fresh.sorted_prefix_len and fresh.sorted_prefix_len + len(kept) > target:
+            fresh.range_end = key
+            nxt = Chunk(key, chunk.range_end, max_items, max_threads)
+            fresh.next.set(nxt)
+            fresh = nxt
+            new_chunks.append(fresh)
+        for ver, di in kept:
+            _append_presorted(fresh, key, ver, chunk.data[di] if di >= 0 else TOMBSTONE)
+    fresh.next.set(chunk.next.get())
+    for new_chunk in new_chunks:
+        new_chunk.list_size.set(new_chunk.sorted_prefix_len)
     return new_chunks
 
 
-def _populate_presorted(fresh: Chunk, piece: list[tuple[Any, list[tuple[int, Any]]]]) -> None:
-    slot = 1
-    prev = fresh.head
-    for key, versions in piece:
-        for ver, value in versions:
-            entry = OrderEntry(key)
-            entry.version = ver
-            if value is TOMBSTONE:
-                entry.data_index = -slot
-            else:
-                entry.data_index = slot
-                fresh.data[slot] = value
-            fresh.order[slot] = entry
-            prev.next = slot
-            prev = entry
-            slot += 1
-    prev.next = END
-    fresh.sorted_prefix_len = slot - 1
-    fresh.list_size.set(slot - 1)
-    fresh._alloc_counter = slot
+def _append_presorted(fresh: Chunk, key: Any, ver: int, value: Any) -> None:
+    """Append one item after the last entry of a chunk no other thread can
+    see yet; the caller appends in (key asc, version desc) order and sets
+    list_size once the chunk is complete."""
+    slot = fresh._alloc_counter
+    entry = OrderEntry(key)
+    entry.version = ver
+    if value is TOMBSTONE:
+        entry.data_index = -slot
+    else:
+        entry.data_index = slot
+        fresh.data[slot] = value
+    fresh.order[slot - 1].next = slot
+    fresh.order[slot] = entry
+    fresh._alloc_counter = slot + 1
+    fresh.sorted_prefix_len = slot
 
 
 def replace_chunks(kiwi: KiwiMap, old: Chunk, new_chunks: list[Chunk]) -> bool:
@@ -215,27 +202,12 @@ def copy_range(
     scan_version: int,
     ppa_items: Optional[list[OrderEntry]] = None,
 ) -> list[tuple[Any, Any]]:
-    """Single pass over the chunk: for each key in [lo, hi], the newest
-    item with version <= scan_version among list entries and helped PPA
-    items, ranked by (version, |dataIndex|). Tombstone winners suppress
-    their key. Output ascending, unique keys."""
-    order = chunk.order
-    best: dict[Any, tuple[int, int, int]] = {}
-    idx = order[_prefix_search_before(chunk, lo)].next
-    while idx != END:
-        entry = order[idx]
-        key = entry.key
-        if key > hi:
-            break
-        if key >= lo:
-            ver = logical_version(entry.version)
-            if ver <= scan_version:
-                di = entry.data_index
-                rank = (ver, abs(di), di)
-                cur = best.get(key)
-                if cur is None or rank > cur:
-                    best[key] = rank
-        idx = entry.next
+    """One ordered walk of the chunk's list from the first key >= lo: for
+    each key in [lo, hi], the first entry with version <= scan_version
+    (versions sort descending, so it is the newest such), unless a helped
+    PPA item ranks higher by (version, |dataIndex|). Tombstone winners
+    suppress their key. Output ascending, unique keys."""
+    ppa_best: dict[Any, tuple[int, int, int]] = {}
     for entry in ppa_items or ():
         key = entry.key
         if key < lo or key > hi:
@@ -248,11 +220,34 @@ def copy_range(
             continue
         di = entry.data_index
         rank = (ver, abs(di), di)
-        cur = best.get(key)
+        cur = ppa_best.get(key)
         if cur is None or rank > cur:
-            best[key] = rank
-    return [
-        (key, chunk.data[di])
-        for key, (_, _, di) in sorted(best.items())
-        if di >= 0
-    ]
+            ppa_best[key] = rank
+    order = chunk.order
+    data = chunk.data
+    out: list[tuple[Any, Any]] = []
+    taken = _NO_KEY  # the last key whose item was chosen
+    idx = find_insertion_location(chunk, lo, _INF)[1]
+    while idx != END:
+        entry = order[idx]
+        idx = entry.next
+        key = entry.key
+        if key > hi:
+            break
+        if key == taken:
+            continue
+        ver = logical_version(entry.version)
+        if ver > scan_version:
+            continue
+        taken = key
+        di = entry.data_index  # read once; rank and payload must agree
+        if ppa_best:
+            cur = ppa_best.pop(key, None)
+            if cur is not None and cur[:2] > (ver, abs(di)):
+                di = cur[2]
+        if di >= 0:
+            out.append((key, data[di]))
+    if ppa_best:  # keys only PPA items hold: at most one per thread slot
+        out.extend((key, data[di]) for key, (_, _, di) in ppa_best.items() if di >= 0)
+        out.sort()
+    return out

@@ -316,7 +316,7 @@ def test_c10_wait_free_structural_audit():
         "scan": KiwiMap.scan,
         "find_chunk": KiwiMap.find_chunk,
         "help_pending_puts": KiwiMap.help_pending_puts,
-        "_newest_in_list": KiwiMap._newest_in_list,
+        "find_insertion_location": core.find_insertion_location,
         "_min_active_scan_version": KiwiMap._min_active_scan_version,
         "_index_floor": KiwiMap._index_floor,
         "copy_range": rebalance.copy_range,
@@ -326,7 +326,7 @@ def test_c10_wait_free_structural_audit():
     allowed_while_loops = {
         "find_chunk": 1,  # next-link walk, bounded by chunk count
         "scan": 1,  # chunk-range walk, cursor strictly advances
-        "_newest_in_list": 1,  # list walk, bounded by chunk capacity
+        "find_insertion_location": 1,  # list walk, bounded by chunk capacity
         "copy_range": 1,  # list walk, bounded by chunk capacity
     }
     for name, fn in wait_free_functions.items():

@@ -1,0 +1,121 @@
+"""The two ordered list walks of rebalance: copy_compact against an oracle
+of retained versions, and copy_range over lists whose entries still carry
+Pending version words, with PPA items that tie a listed version."""
+
+import random
+
+from kiwi import TOMBSTONE
+from kiwi.core import Chunk
+from kiwi.rebalance import copy_compact, copy_range, freeze_chunk
+
+from helpers import assert_chunk_invariants, brute_force_range, raw_chunk, walk_list
+
+INF = float("inf")
+
+
+def random_listed(rng, n_keys, key_space=40, max_version=9):
+    """Sorted (key, version, value) items: 1-3 versions per key, newest
+    first, about a quarter of them tombstones."""
+    listed = []
+    for key in sorted(rng.sample(range(key_space), n_keys)):
+        for version in sorted(rng.sample(range(1, max_version), rng.randrange(1, 4)), reverse=True):
+            listed.append((key, version, TOMBSTONE if rng.random() < 0.25 else rng.randrange(1000)))
+    return listed
+
+
+def oracle_retained(listed, min_active_scan):
+    """Per key, the (version, value) pairs compaction must keep: every
+    version a scan at or after min_active_scan can still select, i.e. all
+    versions down to the newest one at or below min_active_scan (all of
+    them when none is that old), and nothing for a key whose newest
+    version is a tombstone no active scan predates."""
+    by_key = {}
+    for key, version, value in listed:
+        by_key.setdefault(key, []).append((version, value))
+    retained = []
+    for key, versions in by_key.items():
+        newest_version, newest_value = versions[0]
+        if newest_value is TOMBSTONE and newest_version < min_active_scan:
+            continue
+        old_enough = [v for v, _ in versions if v <= min_active_scan]
+        floor = max(old_enough) if old_enough else -INF
+        retained.extend((key, v, value) for v, value in versions if v >= floor)
+    return retained
+
+
+def test_copy_compact_against_oracle():
+    rng = random.Random(4242)
+    for round_no in range(400):
+        listed = random_listed(rng, rng.randrange(0, 14))
+        chunk, _ = raw_chunk(listed)
+        chunk.min_key, chunk.range_end = -5, 100
+        successor = Chunk(100, INF, 8, 4)
+        chunk.next.set(successor)
+        freeze_chunk(chunk)
+        min_active_scan = rng.choice([1, 2, 3, 4, 5, 6, 7, 8, INF])
+        max_items = rng.randrange(3, 9)
+        fill_factor = rng.choice([0.5, 1.0])
+        target = max(1, int(max_items * fill_factor))
+        context = (round_no, listed, min_active_scan, max_items, fill_factor)
+
+        new_chunks = copy_compact(
+            chunk, min_active_scan, max_items=max_items, max_threads=4, fill_factor=fill_factor
+        )
+
+        copied = []
+        for fresh in new_chunks:
+            entries = walk_list(fresh)
+            bound = fresh.allocated_bound()
+            assert fresh.sorted_prefix_len == fresh.list_size.get() == bound - 1 == len(entries), context
+            assert entries == fresh.order[1:bound], context  # list order is slot order
+            assert_chunk_invariants(fresh)
+            keys = {entry.key for entry in entries}
+            assert len(entries) <= target or len(keys) == 1, context
+            for entry in entries:
+                di = entry.data_index
+                copied.append((entry.key, entry.version, TOMBSTONE if di < 0 else fresh.data[di]))
+        assert copied == oracle_retained(listed, min_active_scan), context
+
+        assert new_chunks[0].min_key == -5 and new_chunks[-1].range_end == 100, context
+        for left, right in zip(new_chunks, new_chunks[1:]):
+            assert left.range_end == right.min_key, context
+            assert left.next.get() is right, context
+            # Greedy fill: a chunk closes only when the next key would pass the target.
+            first_key_versions = sum(1 for entry in walk_list(right) if entry.key == right.min_key)
+            assert left.list_size.get() + first_key_versions > target, context
+        assert new_chunks[-1].next.get() is successor, context
+
+
+def test_copy_range_with_pending_list_entries_against_brute_force_oracle():
+    rng = random.Random(777)
+    for round_no in range(500):
+        listed = random_listed(rng, rng.randrange(1, 8), key_space=16)
+        # PPA items: some tie a listed (key, version) with a later slot,
+        # hence a larger |dataIndex|; the rest are arbitrary.
+        pending = []
+        for _ in range(rng.randrange(0, 4)):
+            if rng.random() < 0.5:
+                key, version, _ = rng.choice(listed)
+            else:
+                key, version = rng.randrange(16), rng.randrange(1, 9)
+            pending.append((key, version, TOMBSTONE if rng.random() < 0.25 else rng.randrange(1000)))
+        chunk, pending_entries = raw_chunk(listed, pending=pending)
+        # Linked but not yet committed: the list entry holds Pending(-v).
+        for idx in range(1, len(listed) + 1):
+            if rng.random() < 0.4:
+                chunk.order[idx].version = -chunk.order[idx].version
+        lo = rng.randrange(-2, 18)
+        hi = lo + rng.randrange(0, 20)
+        scan_version = rng.randrange(1, 10)
+
+        items = [
+            (key, version, chunk.order[idx].data_index, value)
+            for idx, (key, version, value) in enumerate(listed, start=1)
+        ]
+        items += [
+            (key, version, entry.data_index, value)
+            for entry, (key, version, value) in zip(pending_entries, pending)
+        ]
+        expected = brute_force_range(items, lo, hi, scan_version)
+        got = copy_range(chunk, lo, hi, scan_version, pending_entries)
+        assert got == expected, (round_no, listed, pending, lo, hi, scan_version)
