@@ -16,7 +16,7 @@ points and through the composed size()/is_empty() protocols.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Optional
 
 
 class BoundsDisabledError(RuntimeError):
@@ -26,13 +26,12 @@ class BoundsDisabledError(RuntimeError):
 class BoundsCounters:
     """Sharded lower/upper key-count bounds plus the put-lifecycle hooks."""
 
-    __slots__ = ("enabled", "_lower", "_upper", "debug_events")
+    __slots__ = ("enabled", "_lower", "_upper")
 
-    def __init__(self, max_threads: int, enabled: bool, debug: bool = False) -> None:
+    def __init__(self, max_threads: int, enabled: bool) -> None:
         self.enabled = enabled
         self._lower = [0] * max_threads
         self._upper = [0] * max_threads
-        self.debug_events: Optional[list[tuple]] = [] if debug else None
 
     # ---------------- put lifecycle (owner thread only) ----------------
 
@@ -42,10 +41,8 @@ class BoundsCounters:
             return
         if is_tombstone:
             self._lower[slot] -= 1  # assume the key gets removed
-            self._note(slot, "remove-published")
         else:
             self._upper[slot] += 1  # assume a new key gets added
-            self._note(slot, "insert-published")
 
     def on_put_undone(self, slot: int, is_tombstone: bool) -> None:
         """Undo the conservative move after a frozen-from-NONE retry: the
@@ -54,92 +51,39 @@ class BoundsCounters:
             return
         if is_tombstone:
             self._lower[slot] += 1
-            self._note(slot, "remove-undone")
         else:
             self._upper[slot] -= 1
-            self._note(slot, "insert-undone")
 
     # ---------------- settlement (thread that won the list CAS) ----------------
 
-    def update_count_after_overwrite(
-        self,
-        slot: int,
-        *,
-        performed: bool,
-        put_is_tombstone: bool,
-        key: Any,
-        prev_key: Any,
-        prev_next_unchanged: bool,
-        old_data_was_tombstone: bool,
-    ) -> None:
-        """Settle after raising an equal-(key, version) entry's dataIndex.
-
-        prev_key == key proves a higher version of the key precedes the
-        item in the list forever, so the put changed nothing. Otherwise a
-        validated prev.next witness proves the overwritten entry was the
-        key's newest, and its old data decides presence: tombstone meant
-        absent (a tombstone put removed nothing; a value put certainly
-        added), data meant present (a tombstone put certainly removed; a
-        value put added nothing).
-        """
-        if not self.enabled or not performed:
-            return
-        if prev_key == key:
-            if put_is_tombstone:
-                self._lower[slot] += 1  # certainly not actually removed
-                self._note(slot, "overwrite-shadowed-undo")
-            else:
-                self._upper[slot] -= 1  # certainly not actually added
-                self._note(slot, "overwrite-shadowed-undo")
-            return
-        if not prev_next_unchanged:
-            return  # can't distinguish; tolerate the loose bound
-        if old_data_was_tombstone:
-            self._lower[slot] += 1  # tombstone: removed nothing / value: certainly added
-            self._note(slot, "overwrite-absent-settle")
-        else:
-            self._upper[slot] -= 1  # tombstone: certainly removed / value: added nothing
-            self._note(slot, "overwrite-present-settle")
-
     def update_count_after_insert(
-        self,
-        slot: int,
-        *,
-        put_is_tombstone: bool,
-        key: Any,
-        prev_key: Any,
-        next_key_greater: bool,
-        next_data_unchanged: bool,
-        next_data_was_tombstone: bool,
+        self, slot: int, put_is_tombstone: bool, shadowed: bool, absent: Optional[bool]
     ) -> None:
-        """Settle after linking a new entry between prev and next.
+        """Settle the conservative move once the list has spoken.
 
-        The successful CAS guarantees nothing was inserted between them,
-        so: a greater next key proves the key was absent; an equal next
-        key with a validated dataIndex witness exposes the previous
-        newest value (tombstone = absent, data = present).
+        shadowed: a higher version of the key precedes the item forever,
+        so the put changed nothing and its own move is undone, which is
+        the absent case for a tombstone and the present case for a value.
+        absent: whether the key was absent
+        just before the put, or None when the witness failed and the
+        conservative move must stand. An absent key means a tombstone put
+        removed nothing and a value put certainly added one, so the lower
+        bound rises; a present key means a tombstone put certainly removed
+        one and a value put added nothing, so the upper bound falls.
         """
         if not self.enabled:
             return
-        if prev_key == key:
-            if put_is_tombstone:
-                self._lower[slot] += 1  # higher version precedes: removed nothing
-            else:
-                self._upper[slot] -= 1  # higher version precedes: added nothing
-            self._note(slot, "insert-shadowed-undo")
+        if shadowed:
+            absent = put_is_tombstone
+        elif absent is None:
             return
-        if next_key_greater:
-            previously_absent = True
-        elif next_data_unchanged:
-            previously_absent = next_data_was_tombstone
+        if absent:
+            self._lower[slot] += 1
         else:
-            return  # witness invalid; tolerate the loose bound
-        if previously_absent:
-            self._lower[slot] += 1  # tombstone: removed nothing / value: certainly added
-            self._note(slot, "insert-absent-settle")
-        else:
-            self._upper[slot] -= 1  # tombstone: certainly removed / value: added nothing
-            self._note(slot, "insert-present-settle")
+            self._upper[slot] -= 1
+
+    # Same rule under the overwrite name, which perfbench traces as its own span.
+    update_count_after_overwrite = update_count_after_insert
 
     # ---------------- reads ----------------
 
@@ -176,7 +120,3 @@ class BoundsCounters:
     def _require_enabled(self) -> None:
         if not self.enabled:
             raise BoundsDisabledError("size bounds are disabled for this map")
-
-    def _note(self, slot: int, event: str) -> None:
-        if self.debug_events is not None:
-            self.debug_events.append((slot, event))

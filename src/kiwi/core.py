@@ -248,15 +248,13 @@ class InsertOutcome:
     OVERWROTE = "overwrote"
     ALREADY_LINKED = "already-linked"
 
-    __slots__ = ("kind", "performed_cas", "old_data_index")
+    __slots__ = ("kind",)
 
-    def __init__(self, kind: str, performed_cas: bool = False, old_data_index: int = 0) -> None:
+    def __init__(self, kind: str) -> None:
         self.kind = kind
-        self.performed_cas = performed_cas
-        self.old_data_index = old_data_index
 
     def __repr__(self) -> str:
-        return f"InsertOutcome({self.kind}, cas={self.performed_cas})"
+        return f"InsertOutcome({self.kind})"
 
 
 class KiwiMap:
@@ -513,32 +511,32 @@ class KiwiMap:
             if nxt is not None and nxt.key == key and logical_version(nxt.version) == version:
                 result = overwrite_data_index(nxt, entry.data_index)
                 if result.performed:
-                    prev_next_unchanged = prev.next == next_idx
+                    # An unchanged prev.next proves the overwritten entry
+                    # was the key's newest, so its old data says whether
+                    # the key was present.
+                    absent = result.old < 0 if prev.next == next_idx else None
                     bounds.update_count_after_overwrite(
-                        slot,
-                        performed=True,
-                        put_is_tombstone=entry.data_index < 0,
-                        key=key,
-                        prev_key=prev.key,
-                        prev_next_unchanged=prev_next_unchanged,
-                        old_data_was_tombstone=result.old < 0,
+                        slot, entry.data_index < 0, prev.key == key, absent
                     )
-                return InsertOutcome(InsertOutcome.OVERWROTE, result.performed, result.old)
+                return InsertOutcome(InsertOutcome.OVERWROTE)
             next_di_seen = nxt.data_index if (nxt is not None and nxt.key == key) else None
             self._advance_entry_next(chunk, entry, next_idx)
             if entry.next != next_idx:
                 continue  # a competing inserter is closer; re-find
             if prev.cas_next(next_idx, idx):
                 chunk.list_size.fetch_add(1)
-                next_data_unchanged = next_di_seen is not None and nxt.data_index == next_di_seen
+                # The CAS proves nothing was linked between prev and next:
+                # a greater next key means the key was absent; an older
+                # version of it whose dataIndex is unchanged since it was
+                # read exposes the previous newest value.
+                if next_di_seen is None:
+                    absent = True
+                elif nxt.data_index == next_di_seen:
+                    absent = next_di_seen < 0
+                else:
+                    absent = None
                 bounds.update_count_after_insert(
-                    slot,
-                    put_is_tombstone=entry.data_index < 0,
-                    key=key,
-                    prev_key=prev.key,
-                    next_key_greater=next_di_seen is None,
-                    next_data_unchanged=next_data_unchanged,
-                    next_data_was_tombstone=next_di_seen is not None and next_di_seen < 0,
+                    slot, entry.data_index < 0, prev.key == key, absent
                 )
                 return InsertOutcome(InsertOutcome.INSERTED)
 

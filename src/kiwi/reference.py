@@ -28,7 +28,6 @@ class LockedSortedMap:
         max_threads: int = 8,
         bounds_enabled: bool = True,
         op_delay_s: float = 0.0,
-        **_ignored: Any,
     ) -> None:
         self.max_threads = max_threads
         self.bounds_enabled = bounds_enabled

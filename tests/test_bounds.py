@@ -13,8 +13,8 @@ from kiwi.bounds import BoundsCounters
 from helpers import assert_map_invariants, quiescent_items
 
 
-def make_counters(enabled=True, debug=False):
-    return BoundsCounters(max_threads=2, enabled=enabled, debug=debug)
+def make_counters(enabled=True):
+    return BoundsCounters(max_threads=2, enabled=enabled)
 
 
 # ---------------- unit rules ----------------
@@ -30,40 +30,22 @@ def test_publish_moves_are_conservative():
     assert (c.size_lower_bound(), c.size_upper_bound()) == (0, 0)
 
 
-def test_overwrite_not_performed_changes_nothing():
-    c = make_counters()
-    c.update_count_after_overwrite(
-        0, performed=False, put_is_tombstone=True, key=1, prev_key=1,
-        prev_next_unchanged=True, old_data_was_tombstone=False,
-    )
-    assert (c.size_lower_bound(), c.size_upper_bound()) == (0, 0)
-
-
 def test_overwrite_shadowed_by_higher_version_undoes():
     c = make_counters()
     c.on_put_published(0, is_tombstone=True)
-    c.update_count_after_overwrite(
-        0, performed=True, put_is_tombstone=True, key=1, prev_key=1,
-        prev_next_unchanged=False, old_data_was_tombstone=False,
-    )
+    c.update_count_after_overwrite(0, True, True, None)
     assert c.size_lower_bound() == 0  # undone: certainly not removed
 
     c = make_counters()
     c.on_put_published(0, is_tombstone=False)
-    c.update_count_after_overwrite(
-        0, performed=True, put_is_tombstone=False, key=1, prev_key=1,
-        prev_next_unchanged=True, old_data_was_tombstone=False,
-    )
+    c.update_count_after_overwrite(0, False, True, False)
     assert c.size_upper_bound() == 0  # undone: certainly not added
 
 
 def test_overwrite_witness_invalid_tolerates_uncertainty():
     c = make_counters()
     c.on_put_published(0, is_tombstone=True)
-    c.update_count_after_overwrite(
-        0, performed=True, put_is_tombstone=True, key=1, prev_key=0,
-        prev_next_unchanged=False, old_data_was_tombstone=True,
-    )
+    c.update_count_after_overwrite(0, True, False, None)
     assert (c.size_lower_bound(), c.size_upper_bound()) == (-1, 0)  # stays loose
 
 
@@ -71,37 +53,25 @@ def test_overwrite_settles_on_old_data():
     # tombstone over tombstone: nothing removed -> lower undone
     c = make_counters()
     c.on_put_published(0, is_tombstone=True)
-    c.update_count_after_overwrite(
-        0, performed=True, put_is_tombstone=True, key=1, prev_key=0,
-        prev_next_unchanged=True, old_data_was_tombstone=True,
-    )
+    c.update_count_after_overwrite(0, True, False, True)
     assert (c.size_lower_bound(), c.size_upper_bound()) == (0, 0)
 
     # value over tombstone: certainly added -> lower joins upper
     c = make_counters()
     c.on_put_published(0, is_tombstone=False)
-    c.update_count_after_overwrite(
-        0, performed=True, put_is_tombstone=False, key=1, prev_key=0,
-        prev_next_unchanged=True, old_data_was_tombstone=True,
-    )
+    c.update_count_after_overwrite(0, False, False, True)
     assert (c.size_lower_bound(), c.size_upper_bound()) == (1, 1)
 
     # tombstone over value: certainly removed -> upper tightens
     c = make_counters()
     c.on_put_published(0, is_tombstone=True)
-    c.update_count_after_overwrite(
-        0, performed=True, put_is_tombstone=True, key=1, prev_key=0,
-        prev_next_unchanged=True, old_data_was_tombstone=False,
-    )
+    c.update_count_after_overwrite(0, True, False, False)
     assert (c.size_lower_bound(), c.size_upper_bound()) == (-1, -1)
 
     # value over value: nothing added -> upper undone
     c = make_counters()
     c.on_put_published(0, is_tombstone=False)
-    c.update_count_after_overwrite(
-        0, performed=True, put_is_tombstone=False, key=1, prev_key=0,
-        prev_next_unchanged=True, old_data_was_tombstone=False,
-    )
+    c.update_count_after_overwrite(0, False, False, False)
     assert (c.size_lower_bound(), c.size_upper_bound()) == (0, 0)
 
 
@@ -109,55 +79,37 @@ def test_insert_settlement_rule_table():
     # next key greater, tombstone: key was absent, nothing removed
     c = make_counters()
     c.on_put_published(0, is_tombstone=True)
-    c.update_count_after_insert(
-        0, put_is_tombstone=True, key=1, prev_key=0, next_key_greater=True,
-        next_data_unchanged=False, next_data_was_tombstone=False,
-    )
+    c.update_count_after_insert(0, True, False, True)
     assert (c.size_lower_bound(), c.size_upper_bound()) == (0, 0)
 
     # next key greater, value: certainly added
     c = make_counters()
     c.on_put_published(0, is_tombstone=False)
-    c.update_count_after_insert(
-        0, put_is_tombstone=False, key=1, prev_key=0, next_key_greater=True,
-        next_data_unchanged=False, next_data_was_tombstone=False,
-    )
+    c.update_count_after_insert(0, False, False, True)
     assert (c.size_lower_bound(), c.size_upper_bound()) == (1, 1)
 
     # same key below with validated tombstone data: absent
     c = make_counters()
     c.on_put_published(0, is_tombstone=False)
-    c.update_count_after_insert(
-        0, put_is_tombstone=False, key=1, prev_key=0, next_key_greater=False,
-        next_data_unchanged=True, next_data_was_tombstone=True,
-    )
+    c.update_count_after_insert(0, False, False, True)
     assert (c.size_lower_bound(), c.size_upper_bound()) == (1, 1)
 
     # same key below with validated real data: present -> tombstone removes
     c = make_counters()
     c.on_put_published(0, is_tombstone=True)
-    c.update_count_after_insert(
-        0, put_is_tombstone=True, key=1, prev_key=0, next_key_greater=False,
-        next_data_unchanged=True, next_data_was_tombstone=False,
-    )
+    c.update_count_after_insert(0, True, False, False)
     assert (c.size_lower_bound(), c.size_upper_bound()) == (-1, -1)
 
     # higher version of the key precedes: shadowed, undo
     c = make_counters()
     c.on_put_published(0, is_tombstone=True)
-    c.update_count_after_insert(
-        0, put_is_tombstone=True, key=1, prev_key=1, next_key_greater=False,
-        next_data_unchanged=False, next_data_was_tombstone=False,
-    )
+    c.update_count_after_insert(0, True, True, None)
     assert (c.size_lower_bound(), c.size_upper_bound()) == (0, 0)
 
     # witness invalid on same-key next: uncertainty tolerated
     c = make_counters()
     c.on_put_published(0, is_tombstone=True)
-    c.update_count_after_insert(
-        0, put_is_tombstone=True, key=1, prev_key=0, next_key_greater=False,
-        next_data_unchanged=False, next_data_was_tombstone=False,
-    )
+    c.update_count_after_insert(0, True, False, None)
     assert (c.size_lower_bound(), c.size_upper_bound()) == (-1, 0)
 
 
@@ -197,18 +149,63 @@ def test_quiescent_exactness_distinct_inserts():
     assert m.size() == 100
 
 
-def test_reads_never_touch_counters():
+def test_inserts_over_older_versions_keep_bounds_exact():
+    """Scans advance the global version, so later puts of a key insert a
+    new version above an older one; the settlement then reads that older
+    version's data (tombstone or value) as the witness of presence."""
+    for seed in range(20):
+        m = KiwiMap(
+            max_threads=2,
+            max_items=32,
+            bounds_enabled=True,
+            rebalance_policy=RebalancePolicy(rebalance_prob_perc=0),
+        )
+        m.register_thread()
+        rng = random.Random(seed)
+        oracle = {}
+        for step in range(300):
+            if rng.random() < 0.3:
+                m.scan(0, 11)
+            key = rng.randrange(12)
+            if rng.random() < 0.45:
+                m.put(key, TOMBSTONE)
+                oracle.pop(key, None)
+            else:
+                oracle[key] = step
+                m.put(key, step)
+            assert m.size_lower_bound() == len(oracle) == m.size_upper_bound(), (seed, step)
+
+
+_COUNTER_HOOKS = (
+    "on_put_published", "on_put_undone", "update_count_after_insert", "update_count_after_overwrite",
+)
+
+
+def record_hook_calls(monkeypatch):
+    """Wrap every counter-moving BoundsCounters hook; returns the list of
+    hook names called, in call order (list.append is atomic per call)."""
+    calls = []
+    for name in _COUNTER_HOOKS:
+        def wrapper(self, *args, _name=name, _hook=getattr(BoundsCounters, name), **kwargs):
+            calls.append(_name)
+            return _hook(self, *args, **kwargs)
+
+        monkeypatch.setattr(BoundsCounters, name, wrapper)
+    return calls
+
+
+def test_reads_never_touch_counters(monkeypatch):
+    calls = record_hook_calls(monkeypatch)
     m = KiwiMap(max_threads=2, bounds_enabled=True)
-    m.bounds.debug_events = []
     m.register_thread()
     m.put(1, 10)
-    events_after_put = len(m.bounds.debug_events)
+    calls_after_put = len(calls)
     for _ in range(20):
         m.get(1)
         m.scan(0, 5)
         m.size_lower_bound()
         m.is_empty()
-    assert len(m.bounds.debug_events) == events_after_put
+    assert len(calls) == calls_after_put
 
 
 def test_bracketing_under_concurrent_churn():
@@ -283,11 +280,11 @@ def test_conservative_direction_with_parked_puts():
             assert m.size_lower_bound() == expected == m.size_upper_bound()
 
 
-def test_retry_paths_pair_undo_with_redo():
+def test_retry_paths_pair_undo_with_redo(monkeypatch):
     """Forced freezes make puts retry; every conservative move must be
     netted by exactly one undo or settlement, so quiescent sums bracket."""
+    calls = record_hook_calls(monkeypatch)
     m = KiwiMap(max_threads=3, max_items=16, bounds_enabled=True)
-    m.bounds.debug_events = []
     m.register_thread()
     stop = threading.Event()
 
@@ -310,9 +307,8 @@ def test_retry_paths_pair_undo_with_redo():
             oracle_keys.add(key)
     stop.set()
     t.join(10.0)
-    events = m.bounds.debug_events
-    published = sum(1 for _, e in events if e.endswith("-published"))
-    undone = sum(1 for _, e in events if e.endswith("-undone"))
+    published = calls.count("on_put_published")
+    undone = calls.count("on_put_undone")
     assert undone <= published
     true_size = len(quiescent_items(m))
     assert m.size_lower_bound() <= true_size <= m.size_upper_bound()

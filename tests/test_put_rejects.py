@@ -1,7 +1,8 @@
 """put refuses what it could not store faithfully: a None value (the
 history format's tombstone, which get and items() would disagree on)
 and a NaN key (accepted, then never visible again). The refusal leaves
-no trace in the map or its size bounds."""
+no trace in the map or its size bounds. The coarse-lock map likewise
+refuses a constructor keyword it does not know."""
 
 import pytest
 
@@ -39,3 +40,9 @@ def test_put_rejects_nan_key(target):
         target.put(nan, 5)
     assert_untouched(target, nan)
 
+
+
+def test_locked_map_rejects_unknown_keyword():
+    # A misspelled or kiwi-only option must not be silently dropped.
+    with pytest.raises(TypeError):
+        LockedSortedMap(max_items=4)
