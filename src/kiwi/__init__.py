@@ -32,7 +32,7 @@ from .core import (
 )
 from .fuzz import FuzzConfig, generate_ops, record_locked_oracle_run, record_run
 from .history import History, HistoryFormatError, OpRecord, load_history, save_history
-from .rebalance import RebalancePolicy, check_rebalance, copy_range
+from .rebalance import check_rebalance, copy_range
 from .reference import LockedSortedMap
 
 __version__ = "0.1.0"
@@ -55,7 +55,6 @@ __all__ = [
     "NOT_LINEARIZABLE",
     "OpRecord",
     "OrderEntry",
-    "RebalancePolicy",
     "RegistrationError",
     "TOMBSTONE",
     "WORKLOADS",

@@ -1,10 +1,12 @@
 """Single-word atomic primitives and memory fences.
 
-CPython guarantees torn-free reads/writes of object attributes and list
-cells, so every word is read plainly, with no lock. Read-modify-write
-operations (CAS, fetch-and-add) take a striped word lock: one lock from a
-fixed table, picked by the owning object's identity. Two words that share
-a stripe are merely serialized against each other; every word still sees
+One rule covers every shared word: a read is a plain attribute load, and
+every read-modify-write goes through `cas`, through `AtomicInt.fetch_add`
+or `set`, or is a store made under `word_lock(owner)`. CPython guarantees
+torn-free reads and writes of object attributes, so reads take no lock.
+Each read-modify-write takes a striped word lock: one lock from a fixed
+table, picked by the owning object's identity. Two words that share a
+stripe are merely serialized against each other; every word still sees
 exactly one winner per CAS. On a machine-level runtime these would be
 single instructions; the contracts are the same.
 """
@@ -12,9 +14,7 @@ single instructions; the contracts are the same.
 from __future__ import annotations
 
 import threading
-from typing import Any, Generic, TypeVar
-
-T = TypeVar("T")
+from typing import Any
 
 # Rule: code never takes a stripe while it holds another stripe (no deadlock).
 _WORD_LOCKS = tuple(threading.Lock() for _ in range(64))
@@ -28,7 +28,8 @@ def word_lock(owner: object) -> threading.Lock:
 
 
 def cas(owner: object, attr: str, expected: Any, new: Any) -> bool:
-    """Set owner.attr to new iff it currently is, or equals, expected."""
+    """Set owner.attr to new iff it currently is, or equals, expected.
+    Objects that define no equality, such as chunks, compare by identity."""
     with word_lock(owner):
         cur = getattr(owner, attr)
         if cur is expected or cur == expected:
@@ -38,7 +39,7 @@ def cas(owner: object, attr: str, expected: Any, new: Any) -> bool:
 
 
 class AtomicInt:
-    """Integer word edited only by CAS / fetch-and-add; plain reads."""
+    """Integer counter changed only by fetch-and-add or set; plain reads."""
 
     __slots__ = ("_value",)
 
@@ -58,29 +59,6 @@ class AtomicInt:
             old = self._value
             self._value = old + delta
             return old
-
-    def compare_and_set(self, expected: int, new: int) -> bool:
-        return cas(self, "_value", expected, new)
-
-
-class AtomicRef(Generic[T]):
-    """Reference word; CAS compares with `is`, then `==` (identity for
-    objects that define no equality, such as chunks)."""
-
-    __slots__ = ("_value",)
-
-    def __init__(self, value: T = None) -> None:  # type: ignore[assignment]
-        self._value = value
-
-    def get(self) -> T:
-        return self._value
-
-    def set(self, value: T) -> None:
-        with word_lock(self):
-            self._value = value
-
-    def compare_and_set(self, expected: Any, new: T) -> bool:
-        return cas(self, "_value", expected, new)
 
 
 # The synchronization contract mandates exactly two fence points: a store

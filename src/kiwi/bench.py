@@ -87,9 +87,6 @@ class MeasurementResult:
         values = self.per_kind_raw[kind]
         return statistics.stdev(values) if len(values) > 1 else 0.0
 
-    def total_mean(self) -> float:
-        return sum(self.mean(kind) for kind in self.per_kind_raw)
-
     def rows(self) -> list[dict]:
         return [
             {

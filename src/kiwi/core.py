@@ -28,11 +28,10 @@ from __future__ import annotations
 import random
 import threading
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Callable, Optional
 
-from .atomics import AtomicInt, AtomicRef, cas, full_fence, store_fence, word_lock
+from .atomics import AtomicInt, cas, full_fence, store_fence, word_lock
 from .bounds import BoundsCounters
 
 VERSION_NONE = 0
@@ -99,23 +98,17 @@ def logical_version(word: Any) -> int:
     return -word if word < 0 else word
 
 
-@dataclass
-class OverwriteResult:
-    performed: bool
-    old: int
-
-
-def overwrite_data_index(entry: OrderEntry, new_data_index: int) -> OverwriteResult:
+def overwrite_data_index(entry: OrderEntry, new_data_index: int) -> Optional[int]:
     """Raise entry.data_index to new_data_index while it is newer (larger
-    magnitude). Reports whether THIS call's CAS succeeded and what it
-    replaced; on a lost race nothing was changed by this call."""
+    magnitude). Returns the word THIS call's CAS replaced, or None when
+    the call changed nothing (the entry already held a newer word)."""
     new_mag = abs(new_data_index)
     while True:
         old = entry.data_index
         if new_mag <= abs(old):
-            return OverwriteResult(False, old)
+            return None
         if entry.cas_data_index(old, new_data_index):
-            return OverwriteResult(True, old)
+            return old
 
 
 _CHUNK_BIRTHS = AtomicInt(0)
@@ -156,8 +149,8 @@ class Chunk:
         self.ppa: list[Optional[int]] = [None] * max_threads
         self.sorted_prefix_len = 0
         self.frozen = False
-        self.replacement: AtomicRef[Optional[tuple["Chunk", ...]]] = AtomicRef(None)
-        self.next: AtomicRef[Optional["Chunk"]] = AtomicRef(None)
+        self.replacement: Optional[tuple["Chunk", ...]] = None
+        self.next: Optional["Chunk"] = None
         self.list_size = AtomicInt(0)
         self._alloc_counter = 1
         self._frozen_bound: Optional[int] = None
@@ -272,7 +265,6 @@ class KiwiMap:
         self,
         max_threads: int = 8,
         max_items: int = 4500,
-        rebalance_policy: "RebalancePolicy | None" = None,
         bounds_enabled: bool = False,
         rng: Callable[[], float] = random.random,
     ) -> None:
@@ -282,14 +274,13 @@ class KiwiMap:
             raise ValueError("max_items must be >= 2")
         self.max_threads = max_threads
         self.max_items = max_items
-        self.policy = rebalance_policy if rebalance_policy is not None else RebalancePolicy()
         self.bounds = BoundsCounters(max_threads, bounds_enabled)
         self._rng = rng
         self._gv = AtomicInt(1)
         self._psa: list[Optional[int]] = [None] * max_threads
         first = Chunk(_NEG_INF, _INF, max_items, max_threads)
-        self._first: AtomicRef[Chunk] = AtomicRef(first)
-        self._index: AtomicRef[tuple[tuple, tuple]] = AtomicRef(((_NEG_INF,), (first,)))
+        self._first = first
+        self._index: tuple[tuple, tuple] = ((_NEG_INF,), (first,))
         self._tls = threading.local()
         self._registered = 0
         self._reg_lock = threading.Lock()
@@ -328,7 +319,7 @@ class KiwiMap:
     # ---------------- chunk location ----------------
 
     def _index_floor(self, key: Any) -> Chunk:
-        keys, chunks = self._index.get()
+        keys, chunks = self._index
         i = bisect_right(keys, key) - 1
         return chunks[i]
 
@@ -337,10 +328,10 @@ class KiwiMap:
         accelerator; correctness comes from the next-walk (retired chunks
         forward their next pointer into the replacement list)."""
         cur = self._index_floor(key)
-        nxt = cur.next.get()
+        nxt = cur.next
         while nxt is not None and nxt.min_key <= key:
             cur = nxt
-            nxt = cur.next.get()
+            nxt = cur.next
         return cur
 
     # ---------------- helping ----------------
@@ -391,16 +382,14 @@ class KiwiMap:
             chunk.ppa[slot] = idx
             store_fence()
             self._pause(POST_PUBLISH)
-            if chunk.frozen and entry.cas_version(VERSION_NONE, FROZEN):
-                # Sealed it ourselves from NONE: provably unseen, safe undo.
-                bounds.on_put_undone(slot, is_tomb)
-                chunk.ppa[slot] = None
-                self._rebalance_chunk(chunk)
-                continue
-            self._pause(PRE_VERSION_CAS)
-            entry.cas_version(VERSION_NONE, -self._gv.get())
+            if chunk.frozen:
+                entry.cas_version(VERSION_NONE, FROZEN)
+            else:
+                self._pause(PRE_VERSION_CAS)
+                entry.cas_version(VERSION_NONE, -self._gv.get())
             ver = entry.version
             if ver is FROZEN:
+                # FROZEN replaces only NONE, so no reader saw it: safe undo.
                 bounds.on_put_undone(slot, is_tomb)
                 chunk.ppa[slot] = None
                 self._rebalance_chunk(chunk)
@@ -411,7 +400,7 @@ class KiwiMap:
                 entry.cas_version(ver, -ver)
             # ver > 0: a rebalancer already inserted and committed it.
             chunk.ppa[slot] = None
-            if check_rebalance(chunk, self.policy, self._rng):
+            if check_rebalance(chunk, self._rng):
                 self._rebalance_chunk(chunk)
             return
 
@@ -509,12 +498,12 @@ class KiwiMap:
                 return InsertOutcome(InsertOutcome.ALREADY_LINKED)
             nxt = order[next_idx] if next_idx != END else None
             if nxt is not None and nxt.key == key and logical_version(nxt.version) == version:
-                result = overwrite_data_index(nxt, entry.data_index)
-                if result.performed:
+                old = overwrite_data_index(nxt, entry.data_index)
+                if old is not None:
                     # An unchanged prev.next proves the overwritten entry
                     # was the key's newest, so its old data says whether
                     # the key was present.
-                    absent = result.old < 0 if prev.next == next_idx else None
+                    absent = old < 0 if prev.next == next_idx else None
                     bounds.update_count_after_overwrite(
                         slot, entry.data_index < 0, prev.key == key, absent
                     )
@@ -557,7 +546,7 @@ class KiwiMap:
         return min(versions) if versions else _INF
 
     def _rebalance_chunk(self, chunk: Chunk) -> bool:
-        if chunk.replacement.get() is None:
+        if chunk.replacement is None:
             freeze_chunk(chunk)
             help_frozen_chunk_puts(self, chunk)
             new_chunks = copy_compact(
@@ -565,7 +554,6 @@ class KiwiMap:
                 self._min_active_scan_version(),
                 max_items=self.max_items,
                 max_threads=self.max_threads,
-                fill_factor=self.policy.fill_factor,
             )
             return replace_chunks(self, chunk, new_chunks)
         self._finish_replacement(chunk)
@@ -573,11 +561,11 @@ class KiwiMap:
 
     def _find_pred(self, chunk: Chunk) -> Optional[Chunk]:
         """Live-list predecessor of chunk, or None if already unreachable."""
-        cur = self._first.get()
+        cur = self._first
         if cur is chunk:
             return None
         while cur is not None:
-            nxt = cur.next.get()
+            nxt = cur.next
             if nxt is chunk:
                 return cur
             if nxt is None or nxt.min_key > chunk.min_key:
@@ -588,26 +576,28 @@ class KiwiMap:
     def _finish_replacement(self, old: Chunk) -> None:
         """Publish a decided replacement: splice, forward, index. Idempotent
         and callable by any thread, so a stalled winner never blocks puts."""
-        new_chunks = old.replacement.get()
+        new_chunks = old.replacement
         if new_chunks is None:
             return
         first = new_chunks[0]
-        if self._first.get() is old:
-            self._first.compare_and_set(old, first)
+        if self._first is old:
+            cas(self, "_first", old, first)
         while True:
             pred = self._find_pred(old)
             if pred is None:
                 break
-            if pred.next.compare_and_set(old, first):
+            if cas(pred, "next", old, first):
                 break
-        # Forward retired chunk into the new list for in-flight readers.
-        if old.next.get() is not first:
-            old.next.set(first)
+        # Forward retired chunk into the new list for in-flight readers;
+        # under the word's stripe, so a concurrent cas on it stays atomic.
+        if old.next is not first:
+            with word_lock(old):
+                old.next = first
         self._index_replace(old, new_chunks)
 
     def _index_replace(self, old: Chunk, new_chunks: tuple[Chunk, ...]) -> None:
         while True:
-            snapshot = self._index.get()
+            snapshot = self._index
             keys, chunks = snapshot
             mapping = dict(zip(keys, chunks))
             if mapping.get(old.min_key) is old:
@@ -622,22 +612,17 @@ class KiwiMap:
             new_snapshot = (tuple(k for k, _ in ordered), tuple(c for _, c in ordered))
             if new_snapshot == snapshot:
                 return
-            if self._index.compare_and_set(snapshot, new_snapshot):
+            if cas(self, "_index", snapshot, new_snapshot):
                 return
-
-    def force_rebalance(self, key: Any) -> bool:
-        """Deterministically rebalance the chunk covering key. Test hook."""
-        chunk = self.find_chunk(key)
-        return self._rebalance_chunk(chunk)
 
     # ---------------- introspection (quiescent diagnostics) ----------------
 
     def chunks(self) -> list[Chunk]:
         """Live chunk list (quiescent use: invariant checks, tests)."""
         out = []
-        cur: Optional[Chunk] = self._first.get()
+        cur: Optional[Chunk] = self._first
         while cur is not None:
-            nxt = cur.next.get()
+            nxt = cur.next
             # A retired chunk forwards into its replacement (nxt.min_key
             # below its range_end): walk through it, but do not list it.
             if nxt is None or nxt.min_key >= cur.range_end:
@@ -645,13 +630,9 @@ class KiwiMap:
             cur = nxt
         return out
 
-    def global_version(self) -> int:
-        return self._gv.get()
-
 
 # rebalance imports this module's names at its top, so its own come last.
 from .rebalance import (  # noqa: E402
-    RebalancePolicy,
     check_rebalance,
     copy_compact,
     copy_range,

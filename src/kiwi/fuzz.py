@@ -16,21 +16,19 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from .core import PAUSE_POINTS, TOMBSTONE, KiwiMap
+from .core import TOMBSTONE, KiwiMap
 from .history import GET, IS_EMPTY, PUT, SCAN, SIZE, History, OpRecord
 from .reference import LockedSortedMap
 
 # op-mix weights: (put, delete, get, scan, size, is_empty)
 DEFAULT_MIX = {PUT: 4, "delete": 3, GET: 4, SCAN: 1}
-SIZE_MIX = {PUT: 3, "delete": 3, GET: 2, SIZE: 1, IS_EMPTY: 1}
 
 
 @dataclass
 class FuzzConfig:
     """Recipe for one recorded run.
 
-    delay_prob/delay_max_s apply independently at each sensitive point;
-    points lists which lifecycle points get delays (default: all four).
+    delay_prob/delay_max_s apply independently at each sensitive point.
     Short histories with two or three threads are the useful regime
     longer ones are slow to check and hard to read when they fail.
     """
@@ -42,7 +40,6 @@ class FuzzConfig:
     mix: dict = field(default_factory=lambda: dict(DEFAULT_MIX))
     delay_prob: float = 0.4
     delay_max_s: float = 0.0008
-    points: tuple = PAUSE_POINTS
     max_items: int = 4500
     bounds_enabled: bool = False
     scan_span: int = 4
@@ -52,12 +49,6 @@ class FuzzConfig:
             raise ValueError("threads must be >= 1")
         if self.key_range < 1:
             raise ValueError("key_range must be >= 1")
-
-    def with_size_ops(self) -> "FuzzConfig":
-        cfg = FuzzConfig(**{**self.__dict__})
-        cfg.mix = dict(SIZE_MIX)
-        cfg.bounds_enabled = True
-        return cfg
 
 
 def generate_ops(config: FuzzConfig, thread_id: int) -> list[tuple]:
@@ -133,8 +124,6 @@ def record_run_with_map(
     tls = threading.local()
 
     def pause(point: str) -> None:
-        if point not in config.points:
-            return
         rng = delay_rngs[tls.tid]
         if rng.random() < config.delay_prob:
             time.sleep(rng.uniform(0, config.delay_max_s))
@@ -192,7 +181,6 @@ def record_run_with_map(
             "mix": {str(k): v for k, v in config.mix.items()},
             "delay_prob": config.delay_prob,
             "delay_max_s": config.delay_max_s,
-            "points": list(config.points),
         },
     )
     history.validate()

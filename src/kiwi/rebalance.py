@@ -11,12 +11,10 @@ re-runnable by anyone so a stalled winner never blocks writers.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from itertools import groupby
 from typing import Any, Callable, Iterator, Optional
 
-from .atomics import store_fence
+from .atomics import cas, store_fence
 from .core import (
     _INF,
     END,
@@ -33,35 +31,20 @@ from .core import (
 
 _NO_KEY = object()  # equal to no key
 
-
-@dataclass
-class RebalancePolicy:
-    """When a put should reorganize a chunk.
-
-    Trigger when the chunk is full, or with probability
-    rebalance_prob_perc / 100 when the presorted prefix covers less than
-    1/sorted_rebalance_ratio of the linked list. fill_factor controls how
-    full freshly compacted chunks are built.
-    """
-
-    rebalance_prob_perc: int = 2
-    sorted_rebalance_ratio: float = 1.8
-    fill_factor: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.rebalance_prob_perc <= 100:
-            raise ValueError("rebalance_prob_perc must be in [0, 100]")
-        if self.sorted_rebalance_ratio <= 1:
-            raise ValueError("sorted_rebalance_ratio must be > 1")
-        if not 0 < self.fill_factor <= 1:
-            raise ValueError("fill_factor must be in (0, 1]")
+# When a put reorganizes its chunk: always when the chunk is full, else
+# with probability REBALANCE_PROB_PERC / 100 when the presorted prefix
+# covers less than 1 / SORTED_REBALANCE_RATIO of the linked list.
+# Compaction fills fresh chunks to FILL_FACTOR x capacity.
+REBALANCE_PROB_PERC = 2
+SORTED_REBALANCE_RATIO = 1.8
+FILL_FACTOR = 0.5
 
 
-def check_rebalance(chunk: Chunk, policy: RebalancePolicy, rand: Callable[[], float] = random.random) -> bool:
+def check_rebalance(chunk: Chunk, rand: Callable[[], float]) -> bool:
     if chunk.is_full():
         return True
-    if chunk.sorted_prefix_len * policy.sorted_rebalance_ratio < chunk.list_size.get():
-        return rand() * 100.0 < policy.rebalance_prob_perc
+    if chunk.sorted_prefix_len * SORTED_REBALANCE_RATIO < chunk.list_size.get():
+        return rand() * 100.0 < REBALANCE_PROB_PERC
     return False
 
 
@@ -138,16 +121,15 @@ def copy_compact(
     *,
     max_items: int,
     max_threads: int,
-    fill_factor: float,
 ) -> list[Chunk]:
     """Build 1..k fresh chunks from a frozen, fully-helped chunk in one
     walk of its list.
 
     New chunks are presorted (sorted_prefix_len == entry count), filled to
-    at most fill_factor x max_items, and never split one key's versions
+    at most FILL_FACTOR x max_items, and never split one key's versions
     across a chunk boundary. Their ranges partition the old range.
     """
-    target = max(1, int(max_items * fill_factor))
+    target = max(1, int(max_items * FILL_FACTOR))
     fresh = Chunk(chunk.min_key, chunk.range_end, max_items, max_threads)
     new_chunks = [fresh]
     for key, group in groupby(_list_entries(chunk), key=_entry_key):
@@ -157,12 +139,12 @@ def copy_compact(
         if fresh.sorted_prefix_len and fresh.sorted_prefix_len + len(kept) > target:
             fresh.range_end = key
             nxt = Chunk(key, chunk.range_end, max_items, max_threads)
-            fresh.next.set(nxt)
+            fresh.next = nxt
             fresh = nxt
             new_chunks.append(fresh)
         for ver, di in kept:
             _append_presorted(fresh, key, ver, chunk.data[di] if di >= 0 else TOMBSTONE)
-    fresh.next.set(chunk.next.get())
+    fresh.next = chunk.next
     for new_chunk in new_chunks:
         new_chunk.list_size.set(new_chunk.sorted_prefix_len)
     return new_chunks
@@ -190,7 +172,7 @@ def replace_chunks(kiwi: KiwiMap, old: Chunk, new_chunks: list[Chunk]) -> bool:
     """Decide and publish a replacement for old. Exactly one caller wins
     the replacement CAS; losers' chunks are discarded unreferenced. The
     publication steps run for winners and losers alike (idempotent)."""
-    won = old.replacement.compare_and_set(None, tuple(new_chunks))
+    won = cas(old, "replacement", None, tuple(new_chunks))
     kiwi._finish_replacement(old)
     return won
 

@@ -2,7 +2,10 @@
 
 Same operation surface as the concurrent map (register_thread, put with
 tombstones, get, scan, size bounds when enabled) with one global lock, so
-every recorded history it produces is linearizable by construction.
+every recorded history it produces is linearizable by construction. It
+raises the concurrent map's errors too: RegistrationError past
+max_threads registrations, BoundsDisabledError for size queries on a map
+built with bounds off.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ import time
 from bisect import bisect_left, bisect_right, insort
 from typing import Any, Optional
 
-from .core import TOMBSTONE
+from .bounds import BoundsDisabledError
+from .core import TOMBSTONE, RegistrationError
 
 
 class LockedSortedMap:
@@ -40,6 +44,8 @@ class LockedSortedMap:
 
     def register_thread(self) -> int:
         with self._reg_lock:
+            if self._registered >= self.max_threads:
+                raise RegistrationError(f"registration capacity exceeded ({self.max_threads} slots)")
             slot = self._registered
             self._registered += 1
             return slot
@@ -81,17 +87,19 @@ class LockedSortedMap:
             return [(k, self._data[k]) for k in self._keys]
 
     def size(self) -> Optional[int]:
-        with self._lock:
-            return len(self._data)
+        return self._size()
 
     def is_empty(self) -> Optional[bool]:
-        with self._lock:
-            return not self._data
+        return self._size() == 0
 
     def size_lower_bound(self) -> int:
-        with self._lock:
-            return len(self._data)
+        return self._size()
 
     def size_upper_bound(self) -> int:
+        return self._size()
+
+    def _size(self) -> int:
+        if not self.bounds_enabled:
+            raise BoundsDisabledError("size bounds are disabled for this map")
         with self._lock:
             return len(self._data)

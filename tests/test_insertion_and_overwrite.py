@@ -63,25 +63,23 @@ def test_prefix_binary_search_matches_walk():
 def test_overwrite_raises_uncontended():
     entry = OrderEntry(5)
     entry.data_index = 3
-    result = overwrite_data_index(entry, 7)
-    assert result.performed and result.old == 3
+    assert overwrite_data_index(entry, 7) == 3  # the word its CAS replaced
     assert entry.data_index == 7
 
 
 def test_overwrite_refuses_smaller_magnitude():
     entry = OrderEntry(5)
     entry.data_index = 7
-    result = overwrite_data_index(entry, 3)
-    assert not result.performed and result.old == 7
+    assert overwrite_data_index(entry, 3) is None
     assert entry.data_index == 7
 
 
 def test_overwrite_tombstone_beats_older_data_by_magnitude():
     entry = OrderEntry(5)
     entry.data_index = 2
-    assert overwrite_data_index(entry, -4).performed  # |−4| > |2|
+    assert overwrite_data_index(entry, -4) == 2  # |−4| > |2|
     assert entry.data_index == -4
-    assert not overwrite_data_index(entry, 3).performed  # |3| < |−4|
+    assert overwrite_data_index(entry, 3) is None  # |3| < |−4|
 
 
 def test_overwrite_race_converges_to_max_magnitude():
@@ -97,7 +95,7 @@ def test_overwrite_race_converges_to_max_magnitude():
                 observations.append(entry.data_index)
 
         def racer(new):
-            performed.append((new, overwrite_data_index(entry, new).performed))
+            performed.append((new, overwrite_data_index(entry, new) is not None))
 
         obs = threading.Thread(target=observer)
         obs.start()

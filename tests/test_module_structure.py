@@ -1,14 +1,18 @@
 """Module-structure audits: core and rebalance import each other once, at
 module level, so no function pays for an import statement on each call,
-and each module still imports first in a fresh interpreter."""
+and each module still imports first in a fresh interpreter. A budget test
+pins the map's construction knobs, the fuzz recipe's fields and the
+package exports, so adding one has to edit it openly."""
 
 import ast
+import dataclasses
 import inspect
 import subprocess
 import sys
 
 import pytest
 
+import kiwi
 from kiwi import core, rebalance
 
 
@@ -25,3 +29,23 @@ def test_no_function_imports(module):
 def test_module_imports_in_a_fresh_interpreter(name):
     proc = subprocess.run([sys.executable, "-c", f"import {name}"], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_knob_and_export_budget():
+    assert list(inspect.signature(kiwi.KiwiMap.__init__).parameters) == [
+        "self", "max_threads", "max_items", "bounds_enabled", "rng",
+    ]
+    assert [field.name for field in dataclasses.fields(kiwi.FuzzConfig)] == [
+        "threads", "ops_per_thread", "key_range", "seed", "mix",
+        "delay_prob", "delay_max_s", "max_items", "bounds_enabled", "scan_span",
+    ]
+    assert kiwi.__all__ == [
+        "BoundsCounters", "BoundsDisabledError", "CheckResult", "EXHAUSTED", "FROZEN",
+        "FuzzConfig", "History", "HistoryFormatError", "IMPLS", "InsertOutcome", "KiwiMap",
+        "LINEARIZABLE", "LockedSortedMap", "MeasurementResult", "NOT_LINEARIZABLE", "OpRecord",
+        "OrderEntry", "RegistrationError", "TOMBSTONE", "WORKLOADS", "WorkloadConfig",
+        "check_linearizable", "check_rebalance", "copy_range", "emit_results", "generate_ops",
+        "load_history", "oracle_apply", "oracle_replay", "overwrite_data_index",
+        "record_locked_oracle_run", "record_run", "run_workload", "save_history",
+        "steady_state_init_size", "validate_put_only_final_state",
+    ]

@@ -6,7 +6,7 @@ import random
 
 from kiwi import TOMBSTONE
 from kiwi.core import Chunk
-from kiwi.rebalance import copy_compact, copy_range, freeze_chunk
+from kiwi.rebalance import FILL_FACTOR, copy_compact, copy_range, freeze_chunk
 
 from helpers import assert_chunk_invariants, brute_force_range, raw_chunk, walk_list
 
@@ -50,17 +50,14 @@ def test_copy_compact_against_oracle():
         chunk, _ = raw_chunk(listed)
         chunk.min_key, chunk.range_end = -5, 100
         successor = Chunk(100, INF, 8, 4)
-        chunk.next.set(successor)
+        chunk.next = successor
         freeze_chunk(chunk)
         min_active_scan = rng.choice([1, 2, 3, 4, 5, 6, 7, 8, INF])
-        max_items = rng.randrange(3, 9)
-        fill_factor = rng.choice([0.5, 1.0])
-        target = max(1, int(max_items * fill_factor))
-        context = (round_no, listed, min_active_scan, max_items, fill_factor)
+        max_items = rng.randrange(3, 17)
+        target = max(1, int(max_items * FILL_FACTOR))
+        context = (round_no, listed, min_active_scan, max_items)
 
-        new_chunks = copy_compact(
-            chunk, min_active_scan, max_items=max_items, max_threads=4, fill_factor=fill_factor
-        )
+        new_chunks = copy_compact(chunk, min_active_scan, max_items=max_items, max_threads=4)
 
         copied = []
         for fresh in new_chunks:
@@ -79,11 +76,11 @@ def test_copy_compact_against_oracle():
         assert new_chunks[0].min_key == -5 and new_chunks[-1].range_end == 100, context
         for left, right in zip(new_chunks, new_chunks[1:]):
             assert left.range_end == right.min_key, context
-            assert left.next.get() is right, context
+            assert left.next is right, context
             # Greedy fill: a chunk closes only when the next key would pass the target.
             first_key_versions = sum(1 for entry in walk_list(right) if entry.key == right.min_key)
             assert left.list_size.get() + first_key_versions > target, context
-        assert new_chunks[-1].next.get() is successor, context
+        assert new_chunks[-1].next is successor, context
 
 
 def test_copy_range_with_pending_list_entries_against_brute_force_oracle():

@@ -8,7 +8,7 @@ import pytest
 from kiwi import KiwiMap, TOMBSTONE
 from kiwi.core import _prefix_search_before
 
-from helpers import raw_chunk
+from helpers import force_rebalance, raw_chunk
 
 
 def oracle(chunk, key):
@@ -59,7 +59,7 @@ def test_prefix_search_matches_oracle_after_rebalance():
         for k in rng.sample(keys, len(keys)):
             m.put(k, k)
     for k in keys:
-        m.force_rebalance(k)
+        force_rebalance(m, k)
     chunks = m.chunks()
     assert any(c.sorted_prefix_len > 1 for c in chunks)
     for chunk in chunks:

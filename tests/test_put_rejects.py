@@ -2,11 +2,13 @@
 history format's tombstone, which get and items() would disagree on)
 and a NaN key (accepted, then never visible again). The refusal leaves
 no trace in the map or its size bounds. The coarse-lock map likewise
-refuses a constructor keyword it does not know."""
+refuses a constructor keyword it does not know, and raises the concurrent
+map's errors for a registration past capacity and for a size query with
+bounds off."""
 
 import pytest
 
-from kiwi import KiwiMap, LockedSortedMap
+from kiwi import BoundsDisabledError, KiwiMap, LockedSortedMap, RegistrationError
 
 MAPS = {
     "kiwi": lambda: KiwiMap(max_threads=2, bounds_enabled=True),
@@ -46,3 +48,20 @@ def test_locked_map_rejects_unknown_keyword():
     # A misspelled or kiwi-only option must not be silently dropped.
     with pytest.raises(TypeError):
         LockedSortedMap(max_items=4)
+
+
+def test_locked_map_refuses_registration_past_capacity():
+    m = LockedSortedMap(max_threads=1)
+    m.register_thread()
+    with pytest.raises(RegistrationError, match="capacity"):
+        m.register_thread()
+
+
+def test_locked_map_size_queries_raise_when_bounds_are_off():
+    m = LockedSortedMap(max_threads=1, bounds_enabled=False)
+    m.register_thread()
+    m.put(1, 10)
+    for query in (m.size_lower_bound, m.size_upper_bound, m.size, m.is_empty):
+        with pytest.raises(BoundsDisabledError):
+            query()
+    assert m.items() == [(1, 10)]

@@ -4,9 +4,7 @@ copy, all checked against brute-force oracles where results are derived."""
 import random
 import threading
 
-import pytest
-
-from kiwi import KiwiMap, RebalancePolicy, TOMBSTONE, check_rebalance, copy_range
+from kiwi import KiwiMap, TOMBSTONE, check_rebalance, copy_range
 from kiwi.core import FROZEN, VERSION_NONE
 from kiwi.rebalance import (
     copy_compact,
@@ -19,6 +17,8 @@ from helpers import (
     assert_chunk_invariants,
     assert_map_invariants,
     brute_force_range,
+    force_rebalance,
+    global_version,
     quiescent_items,
     raw_chunk,
     walk_list,
@@ -27,40 +27,27 @@ from helpers import (
 INF = float("inf")
 
 
-# ---------------- policy ----------------
-
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        RebalancePolicy(rebalance_prob_perc=101)
-    with pytest.raises(ValueError):
-        RebalancePolicy(sorted_rebalance_ratio=1.0)
-    with pytest.raises(ValueError):
-        RebalancePolicy(fill_factor=0.0)
-    policy = RebalancePolicy()
-    assert policy.rebalance_prob_perc == 2
-    assert policy.sorted_rebalance_ratio == 1.8
-    assert policy.fill_factor == 0.5
-
+# ---------------- rebalance trigger ----------------
 
 def test_check_rebalance_full_chunk_always_triggers():
     chunk, _ = raw_chunk([(k, 1, k) for k in range(4)], capacity=4)
     assert chunk.is_full()
-    assert check_rebalance(chunk, RebalancePolicy(), rand=lambda: 0.99)
+    assert check_rebalance(chunk, rand=lambda: 0.99)
 
 
 def test_check_rebalance_prefix_rule_blocks_draw():
     # prefix 100 covers a 150-long list at ratio 1.8: 180 >= 150, no draw
     chunk, _ = raw_chunk([(k, 1, k) for k in range(150)], capacity=1000)
     chunk.sorted_prefix_len = 100
-    assert not check_rebalance(chunk, RebalancePolicy(), rand=lambda: 0.0)
+    assert not check_rebalance(chunk, rand=lambda: 0.0)
 
 
 def test_check_rebalance_prefix_rule_allows_draw():
     # prefix 100 vs list 190: 180 < 190, Bernoulli decides
     chunk, _ = raw_chunk([(k, 1, k) for k in range(190)], capacity=1000)
     chunk.sorted_prefix_len = 100
-    assert check_rebalance(chunk, RebalancePolicy(), rand=lambda: 0.0)
-    assert not check_rebalance(chunk, RebalancePolicy(), rand=lambda: 0.99)
+    assert check_rebalance(chunk, rand=lambda: 0.0)
+    assert not check_rebalance(chunk, rand=lambda: 0.99)
 
 
 # ---------------- freeze ----------------
@@ -140,7 +127,7 @@ def test_concurrent_rebalancers_insert_pending_once():
 
 def test_copy_compact_keeps_only_newest_without_scans():
     chunk, _ = raw_chunk([(7, 3, 33), (7, 2, 22), (7, 1, 11)])
-    (new,) = copy_compact(chunk, INF, max_items=64, max_threads=2, fill_factor=0.5)
+    (new,) = copy_compact(chunk, INF, max_items=64, max_threads=2)
     entries = walk_list(new)
     assert [(e.key, e.version) for e in entries] == [(7, 3)]
     assert new.data[entries[0].data_index] == 33
@@ -149,7 +136,7 @@ def test_copy_compact_keeps_only_newest_without_scans():
 
 def test_copy_compact_retains_versions_for_active_scan():
     chunk, _ = raw_chunk([(7, 3, 33), (7, 2, 22), (7, 1, 11)])
-    (new,) = copy_compact(chunk, 2, max_items=64, max_threads=2, fill_factor=0.5)
+    (new,) = copy_compact(chunk, 2, max_items=64, max_threads=2)
     assert [(e.key, e.version) for e in walk_list(new)] == [(7, 3), (7, 2)]
     # the retained version is exactly what a scan pinned at 2 reads
     assert copy_range(new, 0, 100, 2) == [(7, 22)]
@@ -159,20 +146,20 @@ def test_copy_compact_keeps_floor_version_below_min_active_scan():
     # a scan pinned at 5 must still see the version-1 value even though
     # 1 < 5: it is the newest version at or below the pin
     chunk, _ = raw_chunk([(7, 7, 77), (7, 1, 11)])
-    (new,) = copy_compact(chunk, 5, max_items=64, max_threads=2, fill_factor=0.5)
+    (new,) = copy_compact(chunk, 5, max_items=64, max_threads=2)
     assert [(e.key, e.version) for e in walk_list(new)] == [(7, 7), (7, 1)]
     assert copy_range(new, 0, 100, 5) == [(7, 11)]
 
 
 def test_copy_compact_purges_newest_tombstone_without_scans():
     chunk, _ = raw_chunk([(3, 2, TOMBSTONE), (3, 1, 10), (8, 1, 80)])
-    (new,) = copy_compact(chunk, INF, max_items=64, max_threads=2, fill_factor=0.5)
+    (new,) = copy_compact(chunk, INF, max_items=64, max_threads=2)
     assert [e.key for e in walk_list(new)] == [8]
 
 
 def test_copy_compact_keeps_tombstone_needed_by_scan():
     chunk, _ = raw_chunk([(3, 4, TOMBSTONE), (3, 1, 10)])
-    (new,) = copy_compact(chunk, 2, max_items=64, max_threads=2, fill_factor=0.5)
+    (new,) = copy_compact(chunk, 2, max_items=64, max_threads=2)
     pairs = [(e.key, e.version) for e in walk_list(new)]
     assert pairs == [(3, 4), (3, 1)]
     assert copy_range(new, 0, 100, 2) == [(3, 10)]  # old scan sees old data
@@ -181,13 +168,13 @@ def test_copy_compact_keeps_tombstone_needed_by_scan():
 
 def test_copy_compact_splits_and_partitions_range():
     chunk, _ = raw_chunk([(k, 1, k * 10) for k in range(40)], capacity=64)
-    new_chunks = copy_compact(chunk, INF, max_items=16, max_threads=2, fill_factor=0.5)
+    new_chunks = copy_compact(chunk, INF, max_items=16, max_threads=2)
     assert len(new_chunks) == 5  # 40 entries, 8 per chunk
     assert new_chunks[0].min_key == chunk.min_key
     assert new_chunks[-1].range_end == chunk.range_end
     for a, b in zip(new_chunks, new_chunks[1:]):
         assert a.range_end == b.min_key
-        assert a.next.get() is b
+        assert a.next is b
     for c in new_chunks:
         assert_chunk_invariants(c)
         assert c.sorted_prefix_len == len(walk_list(c))
@@ -197,7 +184,7 @@ def test_copy_compact_never_splits_a_key_across_chunks():
     chunk, _ = raw_chunk(
         [(k, v, k * 100 + v) for k in range(10) for v in (3, 2, 1)], capacity=64
     )
-    new_chunks = copy_compact(chunk, 1, max_items=8, max_threads=2, fill_factor=0.5)
+    new_chunks = copy_compact(chunk, 1, max_items=8, max_threads=2)
     assert len(new_chunks) > 1
     homes: dict[int, int] = {}
     for i, c in enumerate(new_chunks):
@@ -209,7 +196,7 @@ def test_copy_compact_never_splits_a_key_across_chunks():
 
 def test_copy_compact_empty_chunk_keeps_range():
     chunk, _ = raw_chunk([(3, 2, TOMBSTONE)])
-    (new,) = copy_compact(chunk, INF, max_items=16, max_threads=2, fill_factor=0.5)
+    (new,) = copy_compact(chunk, INF, max_items=16, max_threads=2)
     assert new.min_key == chunk.min_key
     assert new.range_end == chunk.range_end
     assert walk_list(new) == []
@@ -225,10 +212,10 @@ def test_replace_chunks_uncontended_and_routing():
     old = m.find_chunk(5)
     freeze_chunk(old)
     help_frozen_chunk_puts(m, old)
-    new_chunks = copy_compact(old, INF, max_items=64, max_threads=2, fill_factor=0.5)
+    new_chunks = copy_compact(old, INF, max_items=64, max_threads=2)
     assert replace_chunks(m, old, new_chunks)
     assert m.find_chunk(5) is new_chunks[0]
-    assert old.next.get() is new_chunks[0]  # forwarding for in-flight readers
+    assert old.next is new_chunks[0]  # forwarding for in-flight readers
     assert dict(m.items()) == {k: k for k in range(10)}
 
 
@@ -246,7 +233,7 @@ def test_replace_chunks_single_winner_under_race():
 
         def racer():
             m.register_thread()
-            mine = copy_compact(old, INF, max_items=64, max_threads=4, fill_factor=0.5)
+            mine = copy_compact(old, INF, max_items=64, max_threads=4)
             barrier.wait()
             wins.append(replace_chunks(m, old, mine))
 
@@ -277,10 +264,10 @@ def test_reader_mid_scan_survives_replacement():
     expected = plain.scan(0, 30)
 
     m = build()
-    scan_version = m.global_version()
+    scan_version = global_version(m)
     m._psa[1] = scan_version  # an in-flight scan pinned before the rebalance
     for k in (0, 19):
-        m.force_rebalance(k)
+        force_rebalance(m, k)
     m._psa[1] = None
     assert m.scan(0, 30) == expected
     assert_map_invariants(m)
@@ -303,7 +290,7 @@ def test_data_preservation_under_forced_rebalances():
     before = quiescent_items(m)
     assert before == oracle
     for chunk in list(m.chunks()):
-        m.force_rebalance(chunk.min_key if chunk.min_key != -INF else 0)
+        force_rebalance(m, chunk.min_key if chunk.min_key != -INF else 0)
     assert quiescent_items(m) == oracle
     assert dict(m.items()) == oracle
     assert_map_invariants(m)

@@ -5,13 +5,13 @@ objects share a stripe."""
 import sys
 import threading
 
-from kiwi.atomics import AtomicInt, AtomicRef, word_lock
+from kiwi.atomics import AtomicInt, cas, word_lock
 from kiwi.core import Chunk, OrderEntry
 
 
 def test_words_own_no_lock():
     lock_types = (type(threading.Lock()), type(threading.RLock()))
-    for obj in (OrderEntry(1), AtomicInt(0), AtomicRef(None), Chunk(0, 10, 4, 2)):
+    for obj in (OrderEntry(1), AtomicInt(0), Chunk(0, 10, 4, 2)):
         assert not hasattr(obj, "__dict__"), type(obj).__name__
         slots = [name for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ())]
         owned = [getattr(obj, name) for name in slots if hasattr(obj, name)]
@@ -19,8 +19,8 @@ def test_words_own_no_lock():
 
 
 def test_cas_loops_exact_on_a_shared_stripe():
-    """CAS-loop increments through AtomicInt and OrderEntry on two objects
-    that share one stripe lose no update."""
+    """CAS-loop increments of an AtomicInt's word and an OrderEntry's word,
+    on two objects that share one stripe, lose no update."""
     counters = [AtomicInt(0) for _ in range(256)]
     entries = {word_lock(e): e for e in (OrderEntry("k") for _ in range(256))}
     counter = next(c for c in counters if word_lock(c) in entries)
@@ -31,7 +31,7 @@ def test_cas_loops_exact_on_a_shared_stripe():
         for _ in range(per_thread):
             while True:
                 seen = counter.get()
-                if counter.compare_and_set(seen, seen + 1):
+                if cas(counter, "_value", seen, seen + 1):
                     break
             while True:
                 seen = entry.data_index
