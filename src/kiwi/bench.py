@@ -78,7 +78,6 @@ class MeasurementResult:
     threads: int
     # op_kind -> list of per-iteration throughputs (retained iterations)
     per_kind_raw: dict = field(default_factory=dict)
-    dropped_iteration: Optional[int] = None
 
     def mean(self, kind: str) -> float:
         return statistics.fmean(self.per_kind_raw[kind])
@@ -232,8 +231,6 @@ def run_iteration(cfg: WorkloadConfig, impl: str, iteration: int, bounds_debug: 
 
 
 def run_workload(cfg: WorkloadConfig, impl: str, bounds_debug: bool = False) -> MeasurementResult:
-    if impl not in IMPLS:
-        raise ValueError(f"unknown impl {impl!r}; choose from {IMPLS}")
     if cfg.warmup_seconds > 0:
         _warmup(cfg, impl)
     per_iteration: list[dict] = [
@@ -243,14 +240,12 @@ def run_workload(cfg: WorkloadConfig, impl: str, bounds_debug: bool = False) -> 
     _, dropped = drop_most_suspicious(totals)
     retained = [rates for i, rates in enumerate(per_iteration) if i != dropped]
     kinds = sorted({kind for rates in retained for kind in rates})
-    result = MeasurementResult(
+    return MeasurementResult(
         workload=cfg.name,
         impl=impl,
         threads=cfg.threads,
         per_kind_raw={kind: [rates.get(kind, 0.0) for rates in retained] for kind in kinds},
-        dropped_iteration=dropped,
     )
-    return result
 
 
 def _warmup(cfg: WorkloadConfig, impl: str) -> None:
@@ -260,7 +255,6 @@ def _warmup(cfg: WorkloadConfig, impl: str) -> None:
     rng = random.Random(cfg.seed ^ 0xC0FFEE)
     deadline = time.monotonic() + cfg.warmup_seconds
     key_range = max(2, min(cfg.key_range_max, 4096))
-    n = 0
     while time.monotonic() < deadline:
         key = rng.randrange(key_range)
         roll = rng.random()
@@ -272,7 +266,6 @@ def _warmup(cfg: WorkloadConfig, impl: str) -> None:
             target.get(key)
         else:
             target.scan(key, key + 64)
-        n += 1
 
 
 def emit_results(results: list[MeasurementResult], path: str) -> None:

@@ -42,7 +42,6 @@ POST_ALLOCATE = "post-allocate"
 POST_PUBLISH = "post-publish"
 PRE_VERSION_CAS = "pre-version-cas"
 PRE_LIST_CAS = "pre-list-cas"
-PAUSE_POINTS = (POST_ALLOCATE, POST_PUBLISH, PRE_VERSION_CAS, PRE_LIST_CAS)
 
 
 class _Tombstone:
@@ -135,7 +134,6 @@ class Chunk:
         "next",
         "list_size",
         "_alloc_counter",
-        "_frozen_bound",
     )
 
     def __init__(self, min_key: Any, range_end: Any, capacity: int, max_threads: int) -> None:
@@ -153,45 +151,30 @@ class Chunk:
         self.next: Optional["Chunk"] = None
         self.list_size = AtomicInt(0)
         self._alloc_counter = 1
-        self._frozen_bound: Optional[int] = None
-
-    @property
-    def head(self) -> OrderEntry:
-        return self.order[0]  # type: ignore[return-value]
 
     def is_full(self) -> bool:
-        return self._alloc_counter > self.capacity
+        return self.frozen or self._alloc_counter > self.capacity
 
     def alloc(self, entry: OrderEntry, is_tombstone: bool) -> Optional[int]:
         """Claim one order+data slot pair; None when full or frozen.
 
-        The cell write happens under the chunk's word lock, as does the
-        freeze cut-off, so the freeze pass always sees an initialized entry
-        for every handed-out slot.
+        Freezing is one flag, set under this chunk's word lock, and alloc
+        reads it under the same lock, so no slot is handed out once it is
+        set. The cell write happens under the lock too, so the freeze pass
+        sees an initialized entry for every handed-out slot.
         """
         with word_lock(self):
             idx = self._alloc_counter
-            if idx > self.capacity:
+            if self.frozen or idx > self.capacity:
                 return None
             self._alloc_counter = idx + 1
             entry.data_index = -idx if is_tombstone else idx
             self.order[idx] = entry
             return idx
 
-    def freeze_allocation(self) -> int:
-        """Stop future allocations; return the exclusive bound of slots
-        actually handed out. Idempotent."""
-        with word_lock(self):
-            if self._frozen_bound is None:
-                self._frozen_bound = min(self._alloc_counter, self.capacity + 1)
-                self._alloc_counter = self.capacity + 1
-            return self._frozen_bound
-
     def allocated_bound(self) -> int:
-        """Exclusive bound of initialized slots (freeze-aware)."""
-        if self._frozen_bound is not None:
-            return self._frozen_bound
-        return min(self._alloc_counter, self.capacity + 1)
+        """Exclusive bound of initialized slots; fixed once frozen."""
+        return self._alloc_counter
 
     def order_key(self, idx: int) -> tuple:
         """Total order of list positions: (key asc, version desc); END is +∞."""
@@ -345,9 +328,7 @@ class KiwiMap:
         for idx in chunk.ppa:
             if idx is None:
                 continue
-            entry = order[idx]
-            if entry is None:
-                continue
+            entry = order[idx]  # alloc wrote it before the put published idx
             key = entry.key
             if key < lo or key > hi:
                 continue
@@ -560,25 +541,23 @@ class KiwiMap:
         return False
 
     def _find_pred(self, chunk: Chunk) -> Optional[Chunk]:
-        """Live-list predecessor of chunk, or None if already unreachable."""
+        """Live-list predecessor of chunk, or None if already unreachable.
+        The caller has moved _first off chunk, and a retired chunk never
+        becomes _first again, so the walk starts past it."""
         cur = self._first
-        if cur is chunk:
-            return None
-        while cur is not None:
+        while True:
             nxt = cur.next
             if nxt is chunk:
                 return cur
             if nxt is None or nxt.min_key > chunk.min_key:
                 return None
             cur = nxt
-        return None
 
     def _finish_replacement(self, old: Chunk) -> None:
         """Publish a decided replacement: splice, forward, index. Idempotent
-        and callable by any thread, so a stalled winner never blocks puts."""
+        and callable by any thread, so a stalled winner never blocks puts.
+        Callers pass a chunk whose replacement is already decided."""
         new_chunks = old.replacement
-        if new_chunks is None:
-            return
         first = new_chunks[0]
         if self._first is old:
             cas(self, "_first", old, first)

@@ -1,12 +1,13 @@
 """Chunk freeze, pending-put helping, compaction, and range copy.
 
 Rebalance of a chunk proceeds in idempotent stages any thread may run:
-freeze (flag + allocation cut-off + sealing unversioned entries), help
-(insert every Pending entry into the frozen list and commit it), compact
-(copy surviving versions into fresh half-filled chunks), then a single
-replacement CAS decides the winner whose chunks get spliced in. Losers
-discard their copies; publication (splice, next-forwarding, index) is
-re-runnable by anyone so a stalled winner never blocks writers.
+freeze (one flag, which is also the allocation cut-off, then sealing
+unversioned entries), help (insert every Pending entry into the frozen
+list and commit it), compact (copy surviving versions into fresh
+half-filled chunks), then a single replacement CAS decides the winner
+whose chunks get spliced in. Losers discard their copies; publication
+(splice, next-forwarding, index) is re-runnable by anyone so a stalled
+winner never blocks writers.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from itertools import groupby
 from typing import Any, Callable, Iterator, Optional
 
-from .atomics import cas, store_fence
+from .atomics import cas, store_fence, word_lock
 from .core import (
     _INF,
     END,
@@ -51,14 +52,17 @@ def check_rebalance(chunk: Chunk, rand: Callable[[], float]) -> bool:
 def freeze_chunk(chunk: Chunk) -> None:
     """Seal the chunk: no new allocations, no new versions. Idempotent.
 
-    The allocation cut-off returns the exact bound of handed-out slots
-    (cell writes happen under the same lock), so the sealing pass covers
-    every entry that could still be unversioned. After this pass no entry
-    can move NONE->Pending, which makes the helping pass complete.
+    Freezing is one flag, set under the chunk's word lock. Chunk.alloc
+    reads it under that lock, so it is also the allocation cut-off: once
+    it is set the allocation counter is the exact bound of handed-out
+    slots (cell writes happen under the same lock), and the sealing pass
+    covers every entry that could still be unversioned. After this pass no
+    entry can move NONE->Pending, which makes the helping pass complete.
     """
-    chunk.frozen = True
+    with word_lock(chunk):
+        chunk.frozen = True
     store_fence()
-    bound = chunk.freeze_allocation()
+    bound = chunk.allocated_bound()
     order = chunk.order
     for idx in range(1, bound):
         entry = order[idx]
@@ -76,9 +80,7 @@ def help_frozen_chunk_puts(kiwi: KiwiMap, chunk: Chunk) -> None:
     for idx in range(1, bound):
         entry = order[idx]
         ver = entry.version
-        if ver is FROZEN or ver == VERSION_NONE:
-            continue
-        if ver < 0:
+        if ver is not FROZEN and ver < 0:
             kiwi.add_to_linked_list(chunk, idx, slot)
             entry.cas_version(ver, -ver)
 
@@ -86,7 +88,7 @@ def help_frozen_chunk_puts(kiwi: KiwiMap, chunk: Chunk) -> None:
 def _list_entries(chunk: Chunk) -> Iterator[OrderEntry]:
     """The chunk's list in order: key ascending, version descending."""
     order = chunk.order
-    idx = chunk.head.next
+    idx = order[0].next
     while idx != END:
         entry = order[idx]
         yield entry
@@ -187,17 +189,15 @@ def copy_range(
     """One ordered walk of the chunk's list from the first key >= lo: for
     each key in [lo, hi], the first entry with version <= scan_version
     (versions sort descending, so it is the newest such), unless a helped
-    PPA item ranks higher by (version, |dataIndex|). Tombstone winners
-    suppress their key. Output ascending, unique keys."""
+    PPA item ranks higher by (version, |dataIndex|); PPA items are
+    versioned entries, as help_pending_puts returns them. Tombstone
+    winners suppress their key. Output ascending, unique keys."""
     ppa_best: dict[Any, tuple[int, int, int]] = {}
     for entry in ppa_items or ():
         key = entry.key
         if key < lo or key > hi:
             continue
-        word = entry.version
-        if word is FROZEN or word == VERSION_NONE:
-            continue
-        ver = logical_version(word)
+        ver = logical_version(entry.version)
         if ver > scan_version:
             continue
         di = entry.data_index

@@ -3,9 +3,9 @@
 Same operation surface as the concurrent map (register_thread, put with
 tombstones, get, scan, size bounds when enabled) with one global lock, so
 every recorded history it produces is linearizable by construction. It
-raises the concurrent map's errors too: RegistrationError past
-max_threads registrations, BoundsDisabledError for size queries on a map
-built with bounds off.
+raises the concurrent map's errors too: RegistrationError on a second
+registration from one thread or past max_threads registrations, and
+BoundsDisabledError for size queries on a map built with bounds off.
 """
 
 from __future__ import annotations
@@ -41,14 +41,18 @@ class LockedSortedMap:
         self._keys: list[Any] = []
         self._registered = 0
         self._reg_lock = threading.Lock()
+        self._tls = threading.local()
 
     def register_thread(self) -> int:
+        if getattr(self._tls, "slot", None) is not None:
+            raise RegistrationError("thread already registered")
         with self._reg_lock:
             if self._registered >= self.max_threads:
                 raise RegistrationError(f"registration capacity exceeded ({self.max_threads} slots)")
             slot = self._registered
             self._registered += 1
-            return slot
+        self._tls.slot = slot
+        return slot
 
     def _dally(self) -> None:
         if self.op_delay_s:

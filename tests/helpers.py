@@ -50,7 +50,7 @@ def raw_chunk(
     entries."""
     chunk = Chunk(float("-inf"), float("inf"), capacity, max_threads)
     slot = 1
-    prev = chunk.head
+    prev = chunk.order[0]
     for key, version, value in listed:
         entry = OrderEntry(key)
         entry.version = version
@@ -84,7 +84,7 @@ def raw_chunk(
 
 def walk_list(chunk: Chunk) -> list[OrderEntry]:
     out = []
-    idx = chunk.head.next
+    idx = chunk.order[0].next
     seen = set()
     while idx != END:
         assert idx not in seen, f"cycle through order index {idx}"

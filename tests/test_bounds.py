@@ -10,7 +10,7 @@ import pytest
 from kiwi import BoundsDisabledError, KiwiMap, TOMBSTONE
 from kiwi import core
 from kiwi.bounds import BoundsCounters
-from kiwi.core import FROZEN, POST_PUBLISH
+from kiwi.core import FROZEN, POST_ALLOCATE, POST_PUBLISH, PRE_LIST_CAS, PRE_VERSION_CAS
 
 from helpers import GateHook, assert_map_invariants, force_rebalance, quiescent_items, walk_list
 
@@ -174,6 +174,49 @@ def test_inserts_over_older_versions_keep_bounds_exact():
             assert m.size_lower_bound() == len(oracle) == m.size_upper_bound(), (seed, step)
 
 
+def test_insert_whose_older_version_is_overwritten_meanwhile_stays_loose(monkeypatch):
+    """An insert above an older version reads that version's dataIndex as
+    its witness. A same-version tombstone overwrite that lands between the
+    read and the insert's list CAS raises that dataIndex, so the witness
+    is void: the insert settles nothing, and the bounds bracket the size
+    loosely instead of claiming the value was already present."""
+    m = KiwiMap(max_threads=2, bounds_enabled=True, rng=lambda: 1.0)
+    m.register_thread()
+    m.put(7, 70)  # committed at the current global version
+    hook = GateHook()
+    hook.gate("tombstone", PRE_LIST_CAS)
+    m.set_pause_hook(hook)
+
+    def tombstone():
+        m.register_thread()
+        m.put(7, TOMBSTONE)  # same version as the committed entry
+
+    b = threading.Thread(target=tombstone, name="tombstone", daemon=True)
+    b.start()
+    hook.wait_arrived("tombstone", PRE_LIST_CAS)
+    m.scan(0, 10)  # the value put below gets a newer version
+    real_advance = KiwiMap._advance_entry_next
+    released = []
+
+    def advance_after_overwrite(chunk, entry, candidate):
+        if not released:
+            # The value put has read the older entry's dataIndex; let the
+            # tombstone overwrite that entry before the value put links.
+            released.append(True)
+            hook.release("tombstone", PRE_LIST_CAS)
+            b.join(5.0)
+            assert not b.is_alive()
+        real_advance(chunk, entry, candidate)
+
+    monkeypatch.setattr(KiwiMap, "_advance_entry_next", staticmethod(advance_after_overwrite))
+    m.put(7, 71)
+    assert released
+    assert m.get(7) == 71
+    assert m.size_lower_bound() == 0
+    assert m.size_upper_bound() == 1
+    assert_map_invariants(m)
+
+
 _COUNTER_HOOKS = (
     "on_put_published", "on_put_undone", "update_count_after_insert", "update_count_after_overwrite",
 )
@@ -240,10 +283,9 @@ def test_conservative_direction_with_parked_puts():
     counts as removed in the lower bound; a parked insert already counts
     as added in the upper bound. Before publish, nothing moves."""
     import threading as _threading
-    from kiwi.core import PAUSE_POINTS, POST_ALLOCATE
     from helpers import GateHook
 
-    for point in PAUSE_POINTS:
+    for point in (POST_ALLOCATE, POST_PUBLISH, PRE_VERSION_CAS, PRE_LIST_CAS):
         for tombstone in (True, False):
             m = KiwiMap(max_threads=4, bounds_enabled=True)
             m.register_thread()

@@ -3,8 +3,8 @@ and the locked-oracle calibration runs."""
 
 import pytest
 
-from kiwi import FuzzConfig, check_linearizable, generate_ops, record_locked_oracle_run, record_run
-from kiwi.core import PAUSE_POINTS
+from kiwi import FuzzConfig, KiwiMap, check_linearizable, generate_ops, record_locked_oracle_run, record_run
+from kiwi.core import POST_ALLOCATE, POST_PUBLISH, PRE_LIST_CAS, PRE_VERSION_CAS
 from kiwi.history import PUT
 
 from helpers import with_size_ops
@@ -46,8 +46,15 @@ def test_different_threads_get_different_streams():
     assert generate_ops(cfg, 0) != generate_ops(cfg, 1)
 
 
-def test_default_delay_profile_covers_all_sensitive_points():
-    assert len(PAUSE_POINTS) == 4
+def test_put_passes_every_pause_point_in_lifecycle_order():
+    # The fuzz delay hook fires wherever put calls it; one put must reach
+    # all four sensitive points, each once, in lifecycle order.
+    m = KiwiMap(max_threads=1)
+    m.register_thread()
+    points = []
+    m.set_pause_hook(points.append)
+    m.put(1, 10)
+    assert points == [POST_ALLOCATE, POST_PUBLISH, PRE_VERSION_CAS, PRE_LIST_CAS]
 
 
 def test_size_mix_records_size_ops():

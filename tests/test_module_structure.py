@@ -1,8 +1,8 @@
 """Module-structure audits: core and rebalance import each other once, at
 module level, so no function pays for an import statement on each call,
 and each module still imports first in a fresh interpreter. A budget test
-pins the map's construction knobs, the fuzz recipe's fields and the
-package exports, so adding one has to edit it openly."""
+pins the map's construction knobs, a chunk's slots, the fuzz recipe's
+fields and the package exports, so adding one has to edit it openly."""
 
 import ast
 import dataclasses
@@ -35,6 +35,10 @@ def test_knob_and_export_budget():
     assert list(inspect.signature(kiwi.KiwiMap.__init__).parameters) == [
         "self", "max_threads", "max_items", "bounds_enabled", "rng",
     ]
+    assert core.Chunk.__slots__ == (
+        "min_key", "range_end", "capacity", "birth", "order", "data", "ppa",
+        "sorted_prefix_len", "frozen", "replacement", "next", "list_size", "_alloc_counter",
+    )
     assert [field.name for field in dataclasses.fields(kiwi.FuzzConfig)] == [
         "threads", "ops_per_thread", "key_range", "seed", "mix",
         "delay_prob", "delay_max_s", "max_items", "bounds_enabled", "scan_span",

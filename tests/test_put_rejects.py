@@ -3,8 +3,10 @@ history format's tombstone, which get and items() would disagree on)
 and a NaN key (accepted, then never visible again). The refusal leaves
 no trace in the map or its size bounds. The coarse-lock map likewise
 refuses a constructor keyword it does not know, and raises the concurrent
-map's errors for a registration past capacity and for a size query with
-bounds off."""
+map's errors for a second registration from one thread, for a
+registration past capacity and for a size query with bounds off."""
+
+import threading
 
 import pytest
 
@@ -53,7 +55,26 @@ def test_locked_map_rejects_unknown_keyword():
 def test_locked_map_refuses_registration_past_capacity():
     m = LockedSortedMap(max_threads=1)
     m.register_thread()
-    with pytest.raises(RegistrationError, match="capacity"):
+    errors = []
+
+    def second():
+        try:
+            m.register_thread()
+        except RegistrationError as exc:
+            errors.append(exc)
+
+    t = threading.Thread(target=second)
+    t.start()
+    t.join(5.0)
+    assert not t.is_alive()
+    assert len(errors) == 1 and "capacity" in str(errors[0])
+
+
+@pytest.mark.parametrize("make", [KiwiMap, LockedSortedMap], ids=["kiwi", "locked"])
+def test_second_registration_on_one_thread_is_refused(make):
+    m = make(max_threads=2)
+    assert m.register_thread() == 0
+    with pytest.raises(RegistrationError, match="already registered"):
         m.register_thread()
 
 

@@ -76,11 +76,18 @@ def test_freeze_seals_unversioned_entries():
 
 
 def test_frozen_chunk_rejects_allocation():
-    chunk, _ = raw_chunk([])
-    freeze_chunk(chunk)
+    # The flag is the whole cut-off: with free slots left and no seal pass
+    # run, alloc refuses, and the bound of handed-out slots stays put.
+    chunk, _ = raw_chunk([(1, 1, 10)], capacity=8)
     from kiwi.core import OrderEntry
 
-    assert chunk.alloc(OrderEntry(1), False) is None
+    chunk.frozen = True
+    assert chunk.is_full()
+    assert chunk.alloc(OrderEntry(5), False) is None
+    assert chunk.allocated_bound() == 2
+    freeze_chunk(chunk)
+    assert chunk.alloc(OrderEntry(6), True) is None
+    assert chunk.allocated_bound() == 2
 
 
 # ---------------- helping ----------------
