@@ -1,12 +1,37 @@
 """Linearizability checking against a sequential ordered-map oracle.
 
-check_linearizable runs the classic backtracking search: repeatedly pick
-an operation that is minimal (no remaining operation's response precedes
-its invocation), apply it to the oracle, and recurse; a history is
-linearizable iff some order consumes every record. Candidate order is
-invocation time, which finds witnesses quickly on mostly-sequential
-histories. A visited-state memo prunes re-explored frontiers and a node
-budget makes worst-case exponential searches terminate deterministically.
+check_linearizable runs the Wing & Gong search with a memo of visited
+states (Lowe, "Testing for linearizability", CCPE 2017). A state is how
+many operations of each thread are linearized, plus the oracle model they
+leave. Its candidates are its minimal heads: each thread's next operation
+that no remaining operation precedes in real time (no remaining response
+comes before its invocation). A history is linearizable iff some order
+of candidates consumes every record.
+
+- Reads first. The non-mutating heads (get, scan, size, is_empty) are
+  tried first, in invocation order. The first that holds in the model is
+  linearized at once, and the search does not branch on its siblings.
+  This keeps the verdict. The read leaves the model as it is, and being
+  minimal and its thread's head, it may precede every remaining
+  operation. So any order that completes the history from this state can
+  be rewritten to take the read first, and every other operation still
+  sees the same models.
+- Otherwise the search branches on the minimal puts, in invocation
+  order. A read that does not hold here cannot be linearized here, so
+  only puts are branches. Puts never take the shortcut: a put changes
+  the model, so committing one could rule out the order a witness needs.
+- Heads with equal invocation times are tried in thread-id order, so
+  nodes_used is deterministic.
+- The memo key is exact: (*positions, frozenset(model.items())), rebuilt
+  only after a put. A hash-only key could collide and turn a linearizable
+  history into a false NOT_LINEARIZABLE. A state met again is a dead end:
+  positions only grow, so its search already finished and failed.
+- A node is one oracle_apply call (the search calls it through this
+  module's global). node_budget caps the nodes, so worst-case exponential
+  searches end deterministically with EXHAUSTED.
+- The search is iterative: an explicit stack holds one frame per state on
+  the path that branches on its puts. History length is not bounded by
+  the recursion limit, and a check leaves no reference cycles behind.
 
 For put-only histories (no results to contradict), linearizability of a
 drained final state reduces to a per-key rule checked directly by
@@ -24,6 +49,8 @@ from .history import GET, IS_EMPTY, PUT, SCAN, SIZE, History, OpRecord
 LINEARIZABLE = "linearizable"
 NOT_LINEARIZABLE = "not-linearizable"
 EXHAUSTED = "exhausted"
+
+_INF = float("inf")
 
 
 def oracle_apply(model: dict, op: OpRecord) -> tuple[bool, dict]:
@@ -80,62 +107,83 @@ def check_linearizable(history: History, node_budget: int = 500_000) -> CheckRes
     """Decide a recorded history. Only timestamps order operations, so
     file record order never affects the outcome."""
     history.validate()
-    queues: dict[int, list[OpRecord]] = {}
+    by_thread: dict[int, list[OpRecord]] = {}
     for rec in sorted(history.records, key=lambda r: r.invoke_ts):
-        queues.setdefault(rec.thread_id, []).append(rec)
-    threads = sorted(queues)
-    positions = {t: 0 for t in threads}
+        by_thread.setdefault(rec.thread_id, []).append(rec)
+    lanes = [by_thread[t] for t in sorted(by_thread)]
+    # Per-lane timestamps; the +inf sentinel stands for a finished lane.
+    invokes = [[rec.invoke_ts for rec in lane] + [_INF] for lane in lanes]
+    responses = [[rec.response_ts for rec in lane] + [_INF] for lane in lanes]
+    lane_ids = range(len(lanes))
     total = len(history.records)
 
+    positions = [0] * len(lanes)
     chosen: list[OpRecord] = []
     best_prefix: list[OpRecord] = []
     model: dict = {}
-    nodes = 0
+    model_key: frozenset = frozenset()
     seen: set = set()
-
-    def frontier_key() -> tuple:
-        return (tuple(positions[t] for t in threads), frozenset(model.items()))
-
-    def dfs() -> Optional[bool]:
-        """True = linearized, False = dead end, None = budget exhausted."""
-        nonlocal nodes, model, best_prefix
+    # One frame per state on the path that branches on its puts: (lanes of
+    # the minimal puts left to try, last one first; its model; len(chosen);
+    # positions).
+    stack: list[tuple] = []
+    nodes = 0
+    status = EXHAUSTED
+    while True:
         if len(chosen) == total:
-            return True
-        key = frontier_key()
-        if key in seen:
-            return False
-        seen.add(key)
-        heads = [queues[t][positions[t]] for t in threads if positions[t] < len(queues[t])]
-        min_response = min(h.response_ts for h in heads)
-        for head in sorted(heads, key=lambda r: r.invoke_ts):
-            if head.invoke_ts > min_response:
-                continue  # some remaining op precedes it in real time
-            nodes += 1
+            return CheckResult(LINEARIZABLE, nodes, linearization=chosen)
+        key = (*positions, model_key)
+        if key not in seen:
+            seen.add(key)
+            min_response = min([responses[i][positions[i]] for i in lane_ids])
+            heads = sorted(
+                [(invokes[i][positions[i]], i) for i in lane_ids if invokes[i][positions[i]] <= min_response]
+            )
+            puts = []
+            read_lane = None
+            for _, lane in heads:
+                head = lanes[lane][positions[lane]]
+                if head.kind == PUT:
+                    puts.append(lane)
+                    continue
+                nodes += 1
+                if nodes > node_budget:
+                    break
+                if oracle_apply(model, head)[0]:
+                    read_lane = lane
+                    break
             if nodes > node_budget:
-                return None
-            ok, next_model = oracle_apply(model, head)
-            if not ok:
+                break
+            if read_lane is not None:
+                chosen.append(lanes[read_lane][positions[read_lane]])
+                positions[read_lane] += 1
                 continue
-            saved = model
-            model = next_model
-            positions[head.thread_id] += 1
-            chosen.append(head)
-            if len(chosen) > len(best_prefix):
-                best_prefix = list(chosen)
-            result = dfs()
-            if result is not False:
-                return result
-            chosen.pop()
-            positions[head.thread_id] -= 1
-            model = saved
-        return False
-
-    outcome = dfs()
-    if outcome is True:
-        return CheckResult(LINEARIZABLE, nodes, linearization=list(chosen))
-    if outcome is None:
-        return CheckResult(EXHAUSTED, nodes, witness=list(best_prefix))
-    return CheckResult(NOT_LINEARIZABLE, nodes, witness=list(best_prefix))
+            if puts:
+                stack.append((puts[::-1], model, len(chosen), tuple(positions)))
+        # Apply the next untried put of the deepest frame, backtracking past
+        # frames that have none left.
+        while stack and not stack[-1][0]:
+            stack.pop()
+        if not stack:
+            status = NOT_LINEARIZABLE
+            break
+        nodes += 1
+        if nodes > node_budget:
+            break
+        untried, model, depth, parent_positions = stack[-1]
+        lane = untried.pop()
+        if len(chosen) > len(best_prefix):
+            best_prefix = chosen[:]
+        del chosen[depth:]
+        positions = list(parent_positions)
+        head = lanes[lane][positions[lane]]
+        model = oracle_apply(model, head)[1]
+        model_key = frozenset(model.items())
+        chosen.append(head)
+        positions[lane] += 1
+    if len(chosen) > len(best_prefix):
+        best_prefix = chosen
+    return CheckResult(status, nodes, witness=list(best_prefix))
 
 
 # ---------------- put-only histories ----------------
