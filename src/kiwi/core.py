@@ -2,11 +2,14 @@
 
 Layout: a linked list of fixed-capacity chunks, each covering a key range
 [min_key, range_end). A chunk holds an order array (versioned key slots
-forming a sorted linked list with a presorted prefix for binary search),
-a data array of immutable value cells, and a pending-puts array (PPA)
-with one slot per registered thread. A map-wide global version counter
-(incremented only by scans) defines snapshot boundaries; a pending-scans
-array (PSA) tells rebalance which old versions in-flight scans still need.
+forming a sorted linked list with a presorted prefix), a key array
+parallel to it (the prefix search bisects it directly), a data array of
+immutable value cells, and a pending-puts array (PPA) with one slot per
+registered thread. The order, key and data arrays grow by one append per
+allocated slot, so a chunk pays for the slots it uses, not its capacity.
+A map-wide global version counter (incremented only by scans) defines
+snapshot boundaries; a pending-scans array (PSA) tells rebalance which
+old versions in-flight scans still need.
 
 Progress: put is lock-free (retries only through rebalance); get and scan
 are wait-free: their loops are bounded by chunk capacity and chunk count.
@@ -28,7 +31,6 @@ from __future__ import annotations
 import random
 import threading
 from bisect import bisect_left, bisect_right
-from operator import attrgetter
 from typing import Any, Callable, Optional
 
 from .atomics import AtomicInt, cas, full_fence, store_fence, word_lock
@@ -118,6 +120,10 @@ class Chunk:
 
     Slot 0 of the order array is a permanent head sentinel, so allocation
     slots run 1..capacity and every insert CAS has a real predecessor.
+    order, keys and data are parallel lists indexed by slot: keys[i] is
+    order[i].key (None for the head), and data[i] holds the value a put
+    stores there (None until then, and for tombstones). They grow by one
+    append per allocation, so their length is allocated_bound().
     """
 
     __slots__ = (
@@ -126,6 +132,7 @@ class Chunk:
         "capacity",
         "birth",
         "order",
+        "keys",
         "data",
         "ppa",
         "sorted_prefix_len",
@@ -141,9 +148,9 @@ class Chunk:
         self.range_end = range_end
         self.birth = _CHUNK_BIRTHS.fetch_add(1)
         self.capacity = capacity
-        head = OrderEntry(None)
-        self.order: list[Optional[OrderEntry]] = [head] + [None] * capacity
-        self.data: list[Any] = [None] * (capacity + 1)
+        self.order: list[OrderEntry] = [OrderEntry(None)]
+        self.keys: list[Any] = [None]
+        self.data: list[Any] = [None]
         self.ppa: list[Optional[int]] = [None] * max_threads
         self.sorted_prefix_len = 0
         self.frozen = False
@@ -160,8 +167,10 @@ class Chunk:
 
         Freezing is one flag, set under this chunk's word lock, and alloc
         reads it under the same lock, so no slot is handed out once it is
-        set. The cell write happens under the lock too, so the freeze pass
-        sees an initialized entry for every handed-out slot.
+        set. The appends happen under the lock too, before the caller can
+        publish idx, so the freeze pass and every reader of a published
+        index see an initialized entry and key. The data cell is a None
+        placeholder that put fills.
         """
         with word_lock(self):
             idx = self._alloc_counter
@@ -169,7 +178,9 @@ class Chunk:
                 return None
             self._alloc_counter = idx + 1
             entry.data_index = -idx if is_tombstone else idx
-            self.order[idx] = entry
+            self.order.append(entry)
+            self.keys.append(entry.key)
+            self.data.append(None)
             return idx
 
     def allocated_bound(self) -> int:
@@ -189,7 +200,6 @@ class Chunk:
 
 _INF = float("inf")
 _NEG_INF = float("-inf")
-_entry_key = attrgetter("key")
 
 
 def find_insertion_location(chunk: Chunk, key: Any, version: int) -> tuple[int, int]:
@@ -203,7 +213,10 @@ def find_insertion_location(chunk: Chunk, key: Any, version: int) -> tuple[int, 
     nxt = order[prev].next
     while nxt != END:
         e = order[nxt]
-        if e.key > key or (e.key == key and logical_version(e.version) <= version):
+        if e.key > key:
+            break
+        # get and scan pass version +inf: the first entry of the key stops.
+        if e.key == key and (version == _INF or logical_version(e.version) <= version):
             break
         prev = nxt
         nxt = e.next
@@ -214,7 +227,7 @@ def _prefix_search_before(chunk: Chunk, key: Any) -> int:
     """Greatest sorted-prefix index whose key is strictly less than key,
     or the head sentinel. Strictness keeps same-key version ordering to
     the walk."""
-    return bisect_left(chunk.order, key, 1, chunk.sorted_prefix_len + 1, key=_entry_key) - 1
+    return bisect_left(chunk.keys, key, 1, chunk.sorted_prefix_len + 1) - 1
 
 
 class InsertOutcome:
@@ -237,11 +250,11 @@ class KiwiMap:
     """Concurrent sorted map of int keys to int values.
 
     Threads must call register_thread() once before operating; the slot
-    indexes the per-chunk PPA and the map PSA. put(key, TOMBSTONE)
-    discards a key; put raises ValueError for a None value or a NaN key,
-    before it changes anything. get returns None for absent keys.
-    scan(lo, hi) is an atomic snapshot of the inclusive key range, sorted
-    ascending.
+    indexes the per-chunk PPA and the map PSA, and unregister_thread()
+    gives it back for a later thread. put(key, TOMBSTONE) discards a key;
+    put raises ValueError for a None value or a NaN key, before it
+    changes anything. get returns None for absent keys. scan(lo, hi) is
+    an atomic snapshot of the inclusive key range, sorted ascending.
     """
 
     def __init__(
@@ -265,7 +278,7 @@ class KiwiMap:
         self._first = first
         self._index: tuple[tuple, tuple] = ((_NEG_INF,), (first,))
         self._tls = threading.local()
-        self._registered = 0
+        self._free_slots = list(range(max_threads - 1, -1, -1))  # pop() gives the lowest
         self._reg_lock = threading.Lock()
         self._pause_hook: Optional[Callable[[str], None]] = None
 
@@ -275,14 +288,23 @@ class KiwiMap:
         if getattr(self._tls, "slot", None) is not None:
             raise RegistrationError("thread already registered")
         with self._reg_lock:
-            if self._registered >= self.max_threads:
+            if not self._free_slots:
                 raise RegistrationError(
                     f"registration capacity exceeded ({self.max_threads} slots)"
                 )
-            slot = self._registered
-            self._registered += 1
+            slot = self._free_slots.pop()
         self._tls.slot = slot
         return slot
+
+    def unregister_thread(self) -> None:
+        """Give the calling thread's slot back for a later thread to reuse.
+        Every put clears its PPA cell and every scan its PSA cell before
+        returning, so the slot carries nothing over; its bounds counters
+        keep adding to the same sums."""
+        slot = self._require_slot()
+        self._tls.slot = None
+        with self._reg_lock:
+            self._free_slots.append(slot)
 
     def _require_slot(self) -> int:
         slot = getattr(self._tls, "slot", None)
@@ -394,7 +416,10 @@ class KiwiMap:
         # Versions sort descending, so the first entry with this key is the
         # newest; equal-version duplicates cannot exist.
         nxt = find_insertion_location(chunk, key, _INF)[1]
-        if nxt != END and chunk.order[nxt].key == key:
+        if nxt != END and chunk.keys[nxt] == key:
+            if not candidates:  # nothing pending to rank against
+                di = chunk.order[nxt].data_index
+                return None if di < 0 else chunk.data[di]
             candidates.append(chunk.order[nxt])
         best_rank = None
         best_di = 0
@@ -512,11 +537,14 @@ class KiwiMap:
 
     @staticmethod
     def _advance_entry_next(chunk: Chunk, entry: OrderEntry, candidate: int) -> None:
-        cand_key = chunk.order_key(candidate)
+        cand_key = None  # built only once there is a current next to beat
         while True:
             cur = entry.next
-            if cur != END and chunk.order_key(cur) <= cand_key:
-                return
+            if cur != END:
+                if cand_key is None:
+                    cand_key = chunk.order_key(candidate)
+                if chunk.order_key(cur) <= cand_key:
+                    return
             if entry.cas_next(cur, candidate):
                 return
 

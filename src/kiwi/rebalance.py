@@ -13,6 +13,7 @@ winner never blocks writers.
 from __future__ import annotations
 
 from itertools import groupby
+from operator import attrgetter
 from typing import Any, Callable, Iterator, Optional
 
 from .atomics import cas, store_fence, word_lock
@@ -25,12 +26,12 @@ from .core import (
     Chunk,
     KiwiMap,
     OrderEntry,
-    _entry_key,
     find_insertion_location,
     logical_version,
 )
 
 _NO_KEY = object()  # equal to no key
+_entry_key = attrgetter("key")
 
 # When a put reorganizes its chunk: always when the chunk is full, else
 # with probability REBALANCE_PROB_PERC / 100 when the presorted prefix
@@ -161,11 +162,13 @@ def _append_presorted(fresh: Chunk, key: Any, ver: int, value: Any) -> None:
     entry.version = ver
     if value is TOMBSTONE:
         entry.data_index = -slot
+        fresh.data.append(None)
     else:
         entry.data_index = slot
-        fresh.data[slot] = value
+        fresh.data.append(value)
     fresh.order[slot - 1].next = slot
-    fresh.order[slot] = entry
+    fresh.order.append(entry)
+    fresh.keys.append(key)
     fresh._alloc_counter = slot + 1
     fresh.sorted_prefix_len = slot
 

@@ -1,11 +1,13 @@
 """Coarse-lock sorted map: the scaling baseline and the known-good oracle.
 
-Same operation surface as the concurrent map (register_thread, put with
-tombstones, get, scan, size bounds when enabled) with one global lock, so
-every recorded history it produces is linearizable by construction. It
-raises the concurrent map's errors too: RegistrationError on a second
-registration from one thread or past max_threads registrations, and
-BoundsDisabledError for size queries on a map built with bounds off.
+Same operation surface as the concurrent map (register_thread and
+unregister_thread, put with tombstones, get, scan, size bounds when
+enabled) with one global lock, so every recorded history it produces is
+linearizable by construction. It raises the concurrent map's errors too:
+RegistrationError on a second registration from one thread, past
+max_threads registrations or on releasing a slot the thread does not
+hold, and BoundsDisabledError for size queries on a map built with
+bounds off.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ class LockedSortedMap:
         self._lock = threading.Lock()
         self._data: dict[Any, Any] = {}
         self._keys: list[Any] = []
-        self._registered = 0
+        self._free_slots = list(range(max_threads - 1, -1, -1))  # pop() gives the lowest
         self._reg_lock = threading.Lock()
         self._tls = threading.local()
 
@@ -47,12 +49,20 @@ class LockedSortedMap:
         if getattr(self._tls, "slot", None) is not None:
             raise RegistrationError("thread already registered")
         with self._reg_lock:
-            if self._registered >= self.max_threads:
+            if not self._free_slots:
                 raise RegistrationError(f"registration capacity exceeded ({self.max_threads} slots)")
-            slot = self._registered
-            self._registered += 1
+            slot = self._free_slots.pop()
         self._tls.slot = slot
         return slot
+
+    def unregister_thread(self) -> None:
+        """Give the calling thread's slot back for a later thread to reuse."""
+        slot = getattr(self._tls, "slot", None)
+        if slot is None:
+            raise RegistrationError("calling thread is not registered")
+        self._tls.slot = None
+        with self._reg_lock:
+            self._free_slots.append(slot)
 
     def _dally(self) -> None:
         if self.op_delay_s:

@@ -49,36 +49,27 @@ def raw_chunk(
     published to the PPA and helped. Returns the chunk and the pending
     entries."""
     chunk = Chunk(float("-inf"), float("inf"), capacity, max_threads)
-    slot = 1
-    prev = chunk.order[0]
-    for key, version, value in listed:
+
+    def append(key, version, value):
+        slot = len(chunk.order)
         entry = OrderEntry(key)
         entry.version = version
-        if value is TOMBSTONE:
-            entry.data_index = -slot
-        else:
-            entry.data_index = slot
-            chunk.data[slot] = value
-        chunk.order[slot] = entry
-        prev.next = slot
-        prev = entry
-        slot += 1
+        entry.data_index = -slot if value is TOMBSTONE else slot
+        chunk.order.append(entry)
+        chunk.keys.append(key)
+        chunk.data.append(None if value is TOMBSTONE else value)
+        return entry
+
+    prev = chunk.order[0]
+    for key, version, value in listed:
+        prev.next = len(chunk.order)
+        prev = append(key, version, value)
     prev.next = END
-    chunk.sorted_prefix_len = slot - 1
-    chunk.list_size.set(slot - 1)
-    pending_entries = []
-    for key, version, value in pending:
-        entry = OrderEntry(key)
-        entry.version = -version  # pending encoding
-        if value is TOMBSTONE:
-            entry.data_index = -slot
-        else:
-            entry.data_index = slot
-            chunk.data[slot] = value
-        chunk.order[slot] = entry
-        pending_entries.append(entry)
-        slot += 1
-    chunk._alloc_counter = slot
+    chunk.sorted_prefix_len = len(chunk.order) - 1
+    chunk.list_size.set(chunk.sorted_prefix_len)
+    # pending entries carry the pending (negative) version encoding
+    pending_entries = [append(key, -version, value) for key, version, value in pending]
+    chunk._alloc_counter = len(chunk.order)
     return chunk, pending_entries
 
 
@@ -97,7 +88,12 @@ def walk_list(chunk: Chunk) -> list[OrderEntry]:
 
 def assert_chunk_invariants(chunk: Chunk) -> None:
     """List strictly sorted by (key asc, version desc, |dataIndex| desc),
-    no duplicate (key, version), keys inside the chunk range."""
+    no duplicate (key, version), keys inside the chunk range; the order,
+    key and data arrays run parallel over exactly the allocated slots."""
+    bound = chunk.allocated_bound()
+    assert len(chunk.order) == len(chunk.keys) == len(chunk.data) == bound
+    for i in range(1, bound):
+        assert chunk.keys[i] is chunk.order[i].key, f"slot {i} key array out of step"
     entries = walk_list(chunk)
     ranks = [(e.key, -logical_version(e.version), -abs(e.data_index)) for e in entries]
     assert ranks == sorted(ranks), f"list out of order: {ranks}"

@@ -5,8 +5,12 @@ inside the scan's own interval."""
 import threading
 import time
 
-from kiwi import FROZEN, KiwiMap, OpRecord
-from kiwi.core import VERSION_NONE, OrderEntry, logical_version
+import pytest
+
+from kiwi import FROZEN, TOMBSTONE, KiwiMap, OpRecord
+from kiwi.core import PRE_LIST_CAS, VERSION_NONE, OrderEntry, logical_version
+
+from helpers import GateHook, assert_map_invariants
 
 
 def test_help_empty_ppa_returns_nothing():
@@ -62,6 +66,41 @@ def test_help_returns_already_versioned_entries_unchanged():
     helped = m.help_pending_puts(chunk, 0, 10, 12)
     assert helped == [entry]
     assert logical_version(entry.version) == 3
+
+
+@pytest.mark.parametrize("value", [2, TOMBSTONE], ids=["value", "tombstone"])
+@pytest.mark.parametrize("newer_version", [False, True], ids=["same-version", "newer-version"])
+def test_get_prefers_a_put_parked_before_its_list_cas(value, newer_version):
+    """A put parked at PRE_LIST_CAS over a key the list already holds is
+    versioned but not linked: get finds it only through the PPA, and it
+    must outrank the list's entry, by version or (at an equal version) by
+    its larger dataIndex magnitude."""
+    m = KiwiMap(max_threads=2, rng=lambda: 1.0)
+    m.register_thread()
+    m.put(5, 1)  # in the list, committed
+    if newer_version:
+        m.scan(0, 10)  # the parked put gets a newer version
+    hook = GateHook()
+    hook.gate("parked", PRE_LIST_CAS)
+    m.set_pause_hook(hook)
+
+    def parked():
+        m.register_thread()
+        m.put(5, value)
+
+    t = threading.Thread(target=parked, name="parked", daemon=True)
+    t.start()
+    hook.wait_arrived("parked", PRE_LIST_CAS)
+    expected = None if value is TOMBSTONE else value
+    try:
+        assert m.get(5) == expected
+        assert m.scan(5, 5) == ([] if expected is None else [(5, expected)])
+    finally:
+        hook.release("parked", PRE_LIST_CAS)
+        t.join(5.0)
+    assert not t.is_alive()
+    assert m.get(5) == expected
+    assert_map_invariants(m)
 
 
 def test_scan_results_track_a_racing_writers_interval():

@@ -36,7 +36,7 @@ def test_knob_and_export_budget():
         "self", "max_threads", "max_items", "bounds_enabled", "rng",
     ]
     assert core.Chunk.__slots__ == (
-        "min_key", "range_end", "capacity", "birth", "order", "data", "ppa",
+        "min_key", "range_end", "capacity", "birth", "order", "keys", "data", "ppa",
         "sorted_prefix_len", "frozen", "replacement", "next", "list_size", "_alloc_counter",
     )
     assert [field.name for field in dataclasses.fields(kiwi.FuzzConfig)] == [

@@ -4,8 +4,10 @@ and a NaN key (accepted, then never visible again). The refusal leaves
 no trace in the map or its size bounds. The coarse-lock map likewise
 refuses a constructor keyword it does not know, and raises the concurrent
 map's errors for a second registration from one thread, for a
-registration past capacity and for a size query with bounds off."""
+registration past capacity and for a size query with bounds off. On
+both maps a released registration slot serves the next thread."""
 
+import sys
 import threading
 
 import pytest
@@ -86,3 +88,87 @@ def test_locked_map_size_queries_raise_when_bounds_are_off():
         with pytest.raises(BoundsDisabledError):
             query()
     assert m.items() == [(1, 10)]
+
+
+@pytest.mark.parametrize("make", [KiwiMap, LockedSortedMap], ids=["kiwi", "locked"])
+def test_released_slots_serve_threads_that_run_one_after_another(make):
+    # A thread pool's workers come and go: on a two-slot map whose first
+    # slot stays taken, three workers in turn register, put, scan and
+    # release, so each must get the slot the one before it gave back.
+    m = make(max_threads=2)
+    m.register_thread()
+    slots, errors = [], []
+
+    def worker(key):
+        try:
+            slots.append(m.register_thread())
+            m.put(key, key * 10)
+            m.scan(0, 10)
+            m.unregister_thread()
+        except RegistrationError as exc:
+            errors.append(exc)
+
+    for key in range(3):
+        if isinstance(m, KiwiMap):
+            # The released slot leaves no pending put or pending scan behind.
+            assert m._psa[1] is None
+            assert all(chunk.ppa[1] is None for chunk in m.chunks())
+        t = threading.Thread(target=worker, args=(key,))
+        t.start()
+        t.join(5.0)
+        assert not t.is_alive()
+    assert errors == []
+    assert slots == [1, 1, 1]
+    assert m.items() == [(0, 0), (1, 10), (2, 20)]
+
+
+@pytest.mark.parametrize("make", [KiwiMap, LockedSortedMap], ids=["kiwi", "locked"])
+def test_unregister_requires_a_registered_thread(make):
+    m = make(max_threads=1)
+    with pytest.raises(RegistrationError, match="not registered"):
+        m.unregister_thread()
+    assert m.register_thread() == 0
+    m.unregister_thread()
+    with pytest.raises(RegistrationError, match="not registered"):
+        m.unregister_thread()
+    assert m.register_thread() == 0  # the same thread may register again
+
+
+@pytest.mark.parametrize("make", [KiwiMap, LockedSortedMap], ids=["kiwi", "locked"])
+def test_racing_register_and_release_never_share_a_slot(make):
+    # More workers than slots and cores, at a short switch interval: a
+    # refused registration is fine, two live holders of one slot are not.
+    m = make(max_threads=2)
+    held, errors, guard = set(), [], threading.Lock()
+    registered = [0]
+
+    def worker():
+        for _ in range(200):
+            try:
+                slot = m.register_thread()
+            except RegistrationError:
+                continue
+            with guard:
+                if slot in held:
+                    errors.append(slot)
+                held.add(slot)
+                registered[0] += 1
+            m.get(slot)  # a window in which another thread may register
+            with guard:
+                held.discard(slot)
+            m.unregister_thread()
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(20.0)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert registered[0] > 0
+    assert sorted(m._free_slots) == [0, 1]  # every slot came back
