@@ -9,6 +9,15 @@ table, picked by the owning object's identity. Two words that share a
 stripe are merely serialized against each other; every word still sees
 exactly one winner per CAS. On a machine-level runtime these would be
 single instructions; the contracts are the same.
+
+Hot lock sections (`cas`, `AtomicInt.fetch_add`, `Chunk.alloc`) take
+their stripe with `acquire()` and give it back in `try/finally`, and the
+fences are a bare acquire and release. A `with lock:` statement does the
+same work through the context-manager protocol: on CPython 3.11 (timeit,
+three runs on a 2-vCPU guest) it cost 460-560 ns per empty section
+against 250-285 ns for acquire/release, and 955-1090 ns per `cas` against
+730-820 ns. A put takes seven such sections. The `finally` still frees
+the stripe when the body raises.
 """
 
 from __future__ import annotations
@@ -31,12 +40,16 @@ def cas(owner: object, attr: str, expected: Any, new: Any) -> bool:
     """Set owner.attr to new iff it currently is, or equals, expected.
     Objects that define no equality, such as chunks, compare by identity.
     The stripe is word_lock(owner), indexed inline to save a call."""
-    with _WORD_LOCKS[(id(owner) >> 6) & 63]:
+    lock = _WORD_LOCKS[(id(owner) >> 6) & 63]
+    lock.acquire()
+    try:
         cur = getattr(owner, attr)
         if cur is expected or cur == expected:
             setattr(owner, attr, new)
             return True
         return False
+    finally:
+        lock.release()
 
 
 class AtomicInt:
@@ -56,10 +69,14 @@ class AtomicInt:
 
     def fetch_add(self, delta: int = 1) -> int:
         """Add delta, return the PRIOR value."""
-        with word_lock(self):
+        lock = word_lock(self)
+        lock.acquire()
+        try:
             old = self._value
             self._value = old + delta
-            return old
+        finally:
+            lock.release()
+        return old
 
 
 # The synchronization contract mandates exactly two fence points: a store
@@ -70,10 +87,10 @@ _FENCE_LOCK = threading.Lock()
 
 
 def store_fence() -> None:
-    with _FENCE_LOCK:
-        pass
+    _FENCE_LOCK.acquire()
+    _FENCE_LOCK.release()
 
 
 def full_fence() -> None:
-    with _FENCE_LOCK:
-        pass
+    _FENCE_LOCK.acquire()
+    _FENCE_LOCK.release()

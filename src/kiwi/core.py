@@ -75,10 +75,10 @@ class OrderEntry:
 
     __slots__ = ("key", "version", "data_index", "next")
 
-    def __init__(self, key: Any) -> None:
+    def __init__(self, key: Any, version: Any = VERSION_NONE, data_index: int = 0) -> None:
         self.key = key
-        self.version: Any = VERSION_NONE
-        self.data_index = 0  # set at allocation, before the entry is shared
+        self.version = version
+        self.data_index = data_index  # a put's entry gets its own in Chunk.alloc
         self.next = END
 
     def cas_version(self, expected: Any, new: Any) -> bool:
@@ -140,7 +140,6 @@ class Chunk:
         "replacement",
         "next",
         "list_size",
-        "_alloc_counter",
     )
 
     def __init__(self, min_key: Any, range_end: Any, capacity: int, max_threads: int) -> None:
@@ -157,10 +156,9 @@ class Chunk:
         self.replacement: Optional[tuple["Chunk", ...]] = None
         self.next: Optional["Chunk"] = None
         self.list_size = AtomicInt(0)
-        self._alloc_counter = 1
 
     def is_full(self) -> bool:
-        return self.frozen or self._alloc_counter > self.capacity
+        return self.frozen or len(self.order) > self.capacity
 
     def alloc(self, entry: OrderEntry, is_tombstone: bool) -> Optional[int]:
         """Claim one order+data slot pair; None when full or frozen.
@@ -172,20 +170,23 @@ class Chunk:
         index see an initialized entry and key. The data cell is a None
         placeholder that put fills.
         """
-        with word_lock(self):
-            idx = self._alloc_counter
+        lock = word_lock(self)
+        lock.acquire()
+        try:
+            idx = len(self.order)
             if self.frozen or idx > self.capacity:
                 return None
-            self._alloc_counter = idx + 1
             entry.data_index = -idx if is_tombstone else idx
             self.order.append(entry)
             self.keys.append(entry.key)
             self.data.append(None)
             return idx
+        finally:
+            lock.release()
 
     def allocated_bound(self) -> int:
         """Exclusive bound of initialized slots; fixed once frozen."""
-        return self._alloc_counter
+        return len(self.order)
 
     def order_key(self, idx: int) -> tuple:
         """Total order of list positions: (key asc, version desc); END is +∞."""
@@ -195,7 +196,7 @@ class Chunk:
         return (e.key, -logical_version(e.version))
 
     def __repr__(self) -> str:
-        return f"Chunk([{self.min_key!r}, {self.range_end!r}), n={self._alloc_counter - 1}, frozen={self.frozen})"
+        return f"Chunk([{self.min_key!r}, {self.range_end!r}), n={len(self.order) - 1}, frozen={self.frozen})"
 
 
 _INF = float("inf")
@@ -244,6 +245,12 @@ class InsertOutcome:
 
     def __repr__(self) -> str:
         return f"InsertOutcome({self.kind})"
+
+
+# add_to_linked_list returns one of these; an outcome carries no other state.
+_INSERTED = InsertOutcome(InsertOutcome.INSERTED)
+_OVERWROTE = InsertOutcome(InsertOutcome.OVERWROTE)
+_ALREADY_LINKED = InsertOutcome(InsertOutcome.ALREADY_LINKED)
 
 
 class KiwiMap:
@@ -501,7 +508,7 @@ class KiwiMap:
             prev_idx, next_idx = find_insertion_location(chunk, key, version)
             prev = order[prev_idx]
             if next_idx == idx:
-                return InsertOutcome(InsertOutcome.ALREADY_LINKED)
+                return _ALREADY_LINKED
             nxt = order[next_idx] if next_idx != END else None
             if nxt is not None and nxt.key == key and logical_version(nxt.version) == version:
                 old = overwrite_data_index(nxt, entry.data_index)
@@ -513,7 +520,7 @@ class KiwiMap:
                     bounds.update_count_after_overwrite(
                         slot, entry.data_index < 0, prev.key == key, absent
                     )
-                return InsertOutcome(InsertOutcome.OVERWROTE)
+                return _OVERWROTE
             next_di_seen = nxt.data_index if (nxt is not None and nxt.key == key) else None
             self._advance_entry_next(chunk, entry, next_idx)
             if entry.next != next_idx:
@@ -533,7 +540,7 @@ class KiwiMap:
                 bounds.update_count_after_insert(
                     slot, entry.data_index < 0, prev.key == key, absent
                 )
-                return InsertOutcome(InsertOutcome.INSERTED)
+                return _INSERTED
 
     @staticmethod
     def _advance_entry_next(chunk: Chunk, entry: OrderEntry, candidate: int) -> None:

@@ -12,16 +12,13 @@ winner never blocks writers.
 
 from __future__ import annotations
 
-from itertools import groupby
-from operator import attrgetter
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Optional
 
 from .atomics import cas, store_fence, word_lock
 from .core import (
     _INF,
     END,
     FROZEN,
-    TOMBSTONE,
     VERSION_NONE,
     Chunk,
     KiwiMap,
@@ -31,7 +28,6 @@ from .core import (
 )
 
 _NO_KEY = object()  # equal to no key
-_entry_key = attrgetter("key")
 
 # When a put reorganizes its chunk: always when the chunk is full, else
 # with probability REBALANCE_PROB_PERC / 100 when the presorted prefix
@@ -55,18 +51,15 @@ def freeze_chunk(chunk: Chunk) -> None:
 
     Freezing is one flag, set under the chunk's word lock. Chunk.alloc
     reads it under that lock, so it is also the allocation cut-off: once
-    it is set the allocation counter is the exact bound of handed-out
-    slots (cell writes happen under the same lock), and the sealing pass
+    it is set allocated_bound() is the exact bound of handed-out slots
+    (the order appends happen under the same lock), and the sealing pass
     covers every entry that could still be unversioned. After this pass no
     entry can move NONE->Pending, which makes the helping pass complete.
     """
     with word_lock(chunk):
         chunk.frozen = True
     store_fence()
-    bound = chunk.allocated_bound()
-    order = chunk.order
-    for idx in range(1, bound):
-        entry = order[idx]
+    for entry in chunk.order[1 : chunk.allocated_bound()]:
         if entry.version == VERSION_NONE:
             entry.cas_version(VERSION_NONE, FROZEN)
 
@@ -76,46 +69,11 @@ def help_frozen_chunk_puts(kiwi: KiwiMap, chunk: Chunk) -> None:
     it. Duplicate helping degrades to an overwrite or no-op through the
     dataIndex rule, so concurrent rebalancers are safe."""
     slot = kiwi._require_slot()
-    bound = chunk.allocated_bound()
-    order = chunk.order
-    for idx in range(1, bound):
-        entry = order[idx]
+    for idx, entry in enumerate(chunk.order[1 : chunk.allocated_bound()], 1):
         ver = entry.version
         if ver is not FROZEN and ver < 0:
             kiwi.add_to_linked_list(chunk, idx, slot)
             entry.cas_version(ver, -ver)
-
-
-def _list_entries(chunk: Chunk) -> Iterator[OrderEntry]:
-    """The chunk's list in order: key ascending, version descending."""
-    order = chunk.order
-    idx = order[0].next
-    while idx != END:
-        entry = order[idx]
-        yield entry
-        idx = entry.next
-
-
-def _retained_versions(versions: list[tuple[int, int]], min_active_scan: float) -> list[tuple[int, int]]:
-    """Versions a compacted chunk must keep for one key.
-
-    Keep the newest, plus everything an in-flight scan could still select:
-    all versions at or above the floor, where the floor is the newest
-    version <= min_active_scan (a scan at version s >= min_active_scan may
-    select any version in [floor, s]). A key whose newest version is a
-    tombstone older than every active scan is dropped entirely.
-    """
-    newest_ver, newest_di = versions[0]
-    if newest_di < 0 and newest_ver < min_active_scan:
-        return []
-    floor = None
-    for ver, _ in versions:
-        if ver <= min_active_scan:
-            floor = ver
-            break
-    if floor is None:
-        return list(versions)
-    return [(v, d) for v, d in versions if v >= floor]
 
 
 def copy_compact(
@@ -126,51 +84,88 @@ def copy_compact(
     max_threads: int,
 ) -> list[Chunk]:
     """Build 1..k fresh chunks from a frozen, fully-helped chunk in one
-    walk of its list.
+    walk of its list, reading each entry once.
 
-    New chunks are presorted (sorted_prefix_len == entry count), filled to
-    at most FILL_FACTOR x max_items, and never split one key's versions
-    across a chunk boundary. Their ranges partition the old range.
+    Per key, the walk keeps every version an in-flight scan could still
+    select: the newest, then older ones while the last one kept is above
+    min_active_scan (a scan at version s >= min_active_scan may select any
+    version from the newest one <= min_active_scan up to s). A key whose
+    newest version is a tombstone older than every active scan is dropped.
+
+    New chunks are presorted (sorted_prefix_len == entry count), filled
+    greedily to at most FILL_FACTOR x max_items, and never split one key's
+    versions across a chunk boundary. Their ranges partition the old range.
     """
     target = max(1, int(max_items * FILL_FACTOR))
+    order = chunk.order
+    data = chunk.data
     fresh = Chunk(chunk.min_key, chunk.range_end, max_items, max_threads)
     new_chunks = [fresh]
-    for key, group in groupby(_list_entries(chunk), key=_entry_key):
-        kept = _retained_versions([(logical_version(e.version), e.data_index) for e in group], min_active_scan)
-        if not kept:
+    fresh_order, fresh_keys, fresh_data = fresh.order, fresh.keys, fresh.data
+    last = fresh_order[0]  # the entry the next one appended links after
+    slot = start = 1  # the next free slot; the current key's first slot
+    key = _NO_KEY
+    keep = False  # whether the current key's next older version is kept
+    idx = order[0].next
+    while idx != END:
+        entry = order[idx]
+        idx = entry.next
+        ver = entry.version
+        ver = -ver if ver < 0 else ver
+        di = entry.data_index
+        if entry.key != key:  # the key's newest version
+            key = entry.key
+            if di < 0 and ver < min_active_scan:
+                keep = False
+                continue
+            start = slot
+        elif not keep:
             continue
-        if fresh.sorted_prefix_len and fresh.sorted_prefix_len + len(kept) > target:
-            fresh.range_end = key
-            nxt = Chunk(key, chunk.range_end, max_items, max_threads)
-            fresh.next = nxt
-            fresh = nxt
+        keep = ver > min_active_scan
+        if slot > target and start > 1:
+            # The key overflows a chunk it shares: it opens the next one.
+            fresh = _split_before(fresh, start, key, max_items, max_threads)
             new_chunks.append(fresh)
-        for ver, di in kept:
-            _append_presorted(fresh, key, ver, chunk.data[di] if di >= 0 else TOMBSTONE)
+            fresh_order, fresh_keys, fresh_data = fresh.order, fresh.keys, fresh.data
+            last = fresh_order[-1]
+            slot = len(fresh_order)
+            start = 1
+        if di >= 0:
+            fresh_data.append(data[di])
+            di = slot
+        else:
+            fresh_data.append(None)
+            di = -slot
+        last.next = slot
+        last = OrderEntry(key, ver, di)
+        fresh_order.append(last)
+        fresh_keys.append(key)
+        slot += 1
     fresh.next = chunk.next
     for new_chunk in new_chunks:
+        new_chunk.sorted_prefix_len = len(new_chunk.order) - 1
         new_chunk.list_size.set(new_chunk.sorted_prefix_len)
     return new_chunks
 
 
-def _append_presorted(fresh: Chunk, key: Any, ver: int, value: Any) -> None:
-    """Append one item after the last entry of a chunk no other thread can
-    see yet; the caller appends in (key asc, version desc) order and sets
-    list_size once the chunk is complete."""
-    slot = fresh._alloc_counter
-    entry = OrderEntry(key)
-    entry.version = ver
-    if value is TOMBSTONE:
-        entry.data_index = -slot
-        fresh.data.append(None)
-    else:
-        entry.data_index = slot
-        fresh.data.append(value)
-    fresh.order[slot - 1].next = slot
-    fresh.order.append(entry)
-    fresh.keys.append(key)
-    fresh._alloc_counter = slot + 1
-    fresh.sorted_prefix_len = slot
+def _split_before(fresh: Chunk, start: int, key: Any, max_items: int, max_threads: int) -> Chunk:
+    """End an unpublished presorted chunk before slot start, where key
+    begins, and return the chunk that follows it from key on, holding the
+    versions of key already at slots start.., renumbered from slot 1."""
+    nxt = Chunk(key, fresh.range_end, max_items, max_threads)
+    fresh.range_end = key
+    fresh.next = nxt
+    nxt.order += fresh.order[start:]
+    nxt.keys += fresh.keys[start:]
+    nxt.data += fresh.data[start:]
+    del fresh.order[start:], fresh.keys[start:], fresh.data[start:]
+    fresh.order[-1].next = END
+    order = nxt.order
+    for slot in range(1, len(order)):
+        entry = order[slot]
+        entry.data_index = slot if entry.data_index >= 0 else -slot
+        order[slot - 1].next = slot
+    return nxt
 
 
 def replace_chunks(kiwi: KiwiMap, old: Chunk, new_chunks: list[Chunk]) -> bool:

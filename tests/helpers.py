@@ -69,7 +69,6 @@ def raw_chunk(
     chunk.list_size.set(chunk.sorted_prefix_len)
     # pending entries carry the pending (negative) version encoding
     pending_entries = [append(key, -version, value) for key, version, value in pending]
-    chunk._alloc_counter = len(chunk.order)
     return chunk, pending_entries
 
 

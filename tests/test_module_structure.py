@@ -37,7 +37,7 @@ def test_knob_and_export_budget():
     ]
     assert core.Chunk.__slots__ == (
         "min_key", "range_end", "capacity", "birth", "order", "keys", "data", "ppa",
-        "sorted_prefix_len", "frozen", "replacement", "next", "list_size", "_alloc_counter",
+        "sorted_prefix_len", "frozen", "replacement", "next", "list_size",
     )
     assert [field.name for field in dataclasses.fields(kiwi.FuzzConfig)] == [
         "threads", "ops_per_thread", "key_range", "seed", "mix",

@@ -1,12 +1,13 @@
 """The two ordered list walks of rebalance: copy_compact against an oracle
-of retained versions, and copy_range over lists whose entries still carry
+of retained versions, on hand-built chunks and on the chunks of a real
+map, and copy_range over lists whose entries still carry
 Pending version words, with PPA items that tie a listed version."""
 
 import random
 
-from kiwi import TOMBSTONE
-from kiwi.core import Chunk
-from kiwi.rebalance import FILL_FACTOR, copy_compact, copy_range, freeze_chunk
+from kiwi import TOMBSTONE, KiwiMap
+from kiwi.core import Chunk, logical_version
+from kiwi.rebalance import FILL_FACTOR, copy_compact, copy_range, freeze_chunk, help_frozen_chunk_puts
 
 from helpers import assert_chunk_invariants, brute_force_range, raw_chunk, walk_list
 
@@ -81,6 +82,60 @@ def test_copy_compact_against_oracle():
             first_key_versions = sum(1 for entry in walk_list(right) if entry.key == right.min_key)
             assert left.list_size.get() + first_key_versions > target, context
         assert new_chunks[-1].next is successor, context
+
+
+
+def compacted_items(new_chunks):
+    """(key, version, value) of every entry, chunk by chunk, in list order."""
+    copied = []
+    for fresh in new_chunks:
+        assert_chunk_invariants(fresh)
+        for entry in walk_list(fresh):
+            di = entry.data_index
+            copied.append((entry.key, entry.version, TOMBSTONE if di < 0 else fresh.data[di]))
+    return copied
+
+
+def test_copy_compact_of_real_chunks_against_oracle():
+    """Chunks a map built itself: scans between puts give keys several
+    versions, and 40% of puts are tombstones. Each chunk is frozen and
+    helped as a rebalance would, then compacted at versions drawn from its
+    own list and at +inf."""
+    rng = random.Random(9090)
+    kiwi = KiwiMap(max_threads=2, max_items=256, rng=random.Random(9090).random)
+    kiwi.register_thread()
+    try:
+        for _ in range(6000):
+            key = rng.randrange(1500)
+            kiwi.put(key, TOMBSTONE if rng.random() < 0.4 else rng.randrange(1000))
+            if rng.random() < 0.2:
+                kiwi.scan(key, key + 20)
+        chunks = kiwi.chunks()
+        splits = 0
+        multi_version_keys = 0
+        for chunk in chunks:
+            freeze_chunk(chunk)
+            help_frozen_chunk_puts(kiwi, chunk)
+            listed = []
+            for entry in walk_list(chunk):
+                di = entry.data_index
+                listed.append((entry.key, logical_version(entry.version), TOMBSTONE if di < 0 else chunk.data[di]))
+            multi_version_keys += len(listed) - len({key for key, _, _ in listed})
+            versions = sorted({version for _, version, _ in listed})
+            for min_active_scan in rng.sample(versions, min(3, len(versions))) + [INF]:
+                context = (chunk, min_active_scan)
+                new_chunks = copy_compact(chunk, min_active_scan, max_items=256, max_threads=2)
+                assert compacted_items(new_chunks) == oracle_retained(listed, min_active_scan), context
+                assert new_chunks[0].min_key == chunk.min_key, context
+                assert new_chunks[-1].range_end == chunk.range_end, context
+                for left, right in zip(new_chunks, new_chunks[1:]):
+                    assert left.range_end == right.min_key and left.next is right, context
+                assert new_chunks[-1].next is chunk.next, context
+                splits += len(new_chunks) > 1
+    finally:
+        kiwi.unregister_thread()
+    assert len(chunks) > 1 and multi_version_keys > 0
+    assert splits > 0
 
 
 def test_copy_range_with_pending_list_entries_against_brute_force_oracle():

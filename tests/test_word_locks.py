@@ -1,9 +1,12 @@
 """Striped word locks: words, entries and chunks borrow a stripe from one
-shared table instead of owning a lock, and CAS stays exact when two
-objects share a stripe."""
+shared table instead of owning a lock, CAS stays exact when two objects
+share a stripe, and a lock section whose body raises still frees its
+stripe (else the next put that hashes there would block forever)."""
 
 import sys
 import threading
+
+import pytest
 
 from kiwi.atomics import AtomicInt, cas, word_lock
 from kiwi.core import Chunk, OrderEntry
@@ -51,3 +54,23 @@ def test_cas_loops_exact_on_a_shared_stripe():
     assert not any(t.is_alive() for t in threads)
     assert counter.get() == 4 * per_thread
     assert entry.data_index == 4 * per_thread
+
+
+def assert_stripe_free(owner):
+    lock = word_lock(owner)
+    assert lock.acquire(blocking=False), "the stripe is still held"
+    lock.release()
+
+
+def test_a_cas_that_raises_frees_its_stripe():
+    entry = OrderEntry.__new__(OrderEntry)  # its slots are left unset
+    with pytest.raises(AttributeError):
+        cas(entry, "version", 0, 1)
+    assert_stripe_free(entry)
+
+
+def test_a_fetch_add_that_raises_frees_its_stripe():
+    counter = AtomicInt(0)
+    with pytest.raises(TypeError):
+        counter.fetch_add("x")
+    assert_stripe_free(counter)
