@@ -21,18 +21,9 @@ from .checker import (
     oracle_replay,
     validate_put_only_final_state,
 )
-from .core import (
-    FROZEN,
-    TOMBSTONE,
-    InsertOutcome,
-    KiwiMap,
-    OrderEntry,
-    RegistrationError,
-    overwrite_data_index,
-)
+from .core import TOMBSTONE, KiwiMap, RegistrationError
 from .fuzz import FuzzConfig, generate_ops, record_locked_oracle_run, record_run
 from .history import History, HistoryFormatError, OpRecord, load_history, save_history
-from .rebalance import check_rebalance, copy_range
 from .reference import LockedSortedMap
 
 __version__ = "0.1.0"
@@ -42,32 +33,26 @@ __all__ = [
     "BoundsDisabledError",
     "CheckResult",
     "EXHAUSTED",
-    "FROZEN",
     "FuzzConfig",
     "History",
     "HistoryFormatError",
     "IMPLS",
-    "InsertOutcome",
     "KiwiMap",
     "LINEARIZABLE",
     "LockedSortedMap",
     "MeasurementResult",
     "NOT_LINEARIZABLE",
     "OpRecord",
-    "OrderEntry",
     "RegistrationError",
     "TOMBSTONE",
     "WORKLOADS",
     "WorkloadConfig",
     "check_linearizable",
-    "check_rebalance",
-    "copy_range",
     "emit_results",
     "generate_ops",
     "load_history",
     "oracle_apply",
     "oracle_replay",
-    "overwrite_data_index",
     "record_locked_oracle_run",
     "record_run",
     "run_workload",

@@ -112,9 +112,6 @@ def overwrite_data_index(entry: OrderEntry, new_data_index: int) -> Optional[int
             return old
 
 
-_CHUNK_BIRTHS = AtomicInt(0)
-
-
 class Chunk:
     """Fixed-capacity segment covering [min_key, range_end).
 
@@ -130,7 +127,6 @@ class Chunk:
         "min_key",
         "range_end",
         "capacity",
-        "birth",
         "order",
         "keys",
         "data",
@@ -145,7 +141,6 @@ class Chunk:
     def __init__(self, min_key: Any, range_end: Any, capacity: int, max_threads: int) -> None:
         self.min_key = min_key
         self.range_end = range_end
-        self.birth = _CHUNK_BIRTHS.fetch_add(1)
         self.capacity = capacity
         self.order: list[OrderEntry] = [OrderEntry(None)]
         self.keys: list[Any] = [None]
@@ -253,15 +248,52 @@ _OVERWROTE = InsertOutcome(InsertOutcome.OVERWROTE)
 _ALREADY_LINKED = InsertOutcome(InsertOutcome.ALREADY_LINKED)
 
 
-class KiwiMap:
+class ThreadRegistry:
+    """Per-map thread slots: register_thread() gives the calling thread the
+    lowest free slot in range(max_threads), unregister_thread() gives it
+    back for a later thread to reuse."""
+
+    def __init__(self, max_threads: int) -> None:
+        self.max_threads = max_threads
+        self._tls = threading.local()
+        self._free_slots = list(range(max_threads - 1, -1, -1))  # pop() gives the lowest
+        self._reg_lock = threading.Lock()
+
+    def register_thread(self) -> int:
+        if getattr(self._tls, "slot", None) is not None:
+            raise RegistrationError("thread already registered")
+        with self._reg_lock:
+            if not self._free_slots:
+                raise RegistrationError(f"registration capacity exceeded ({self.max_threads} slots)")
+            slot = self._free_slots.pop()
+        self._tls.slot = slot
+        return slot
+
+    def unregister_thread(self) -> None:
+        slot = self._require_slot()
+        self._tls.slot = None
+        with self._reg_lock:
+            self._free_slots.append(slot)
+
+    def _require_slot(self) -> int:
+        slot = getattr(self._tls, "slot", None)
+        if slot is None:
+            raise RegistrationError("calling thread is not registered")
+        return slot
+
+
+class KiwiMap(ThreadRegistry):
     """Concurrent sorted map of int keys to int values.
 
     Threads must call register_thread() once before operating; the slot
-    indexes the per-chunk PPA and the map PSA, and unregister_thread()
-    gives it back for a later thread. put(key, TOMBSTONE) discards a key;
-    put raises ValueError for a None value or a NaN key, before it
-    changes anything. get returns None for absent keys. scan(lo, hi) is
-    an atomic snapshot of the inclusive key range, sorted ascending.
+    indexes the per-chunk PPA and the map PSA. Every put clears its PPA
+    cell and every scan its PSA cell before returning, so a slot given
+    back by unregister_thread() carries nothing over to its next thread;
+    its bounds counters keep adding to the same sums. put(key, TOMBSTONE)
+    discards a key; put raises ValueError for a None value or a NaN key,
+    before it changes anything. get returns None for absent keys.
+    scan(lo, hi) is an atomic snapshot of the inclusive key range, sorted
+    ascending.
     """
 
     def __init__(
@@ -275,7 +307,7 @@ class KiwiMap:
             raise ValueError("max_threads must be >= 1")
         if max_items < 2:
             raise ValueError("max_items must be >= 2")
-        self.max_threads = max_threads
+        super().__init__(max_threads)
         self.max_items = max_items
         self.bounds = BoundsCounters(max_threads, bounds_enabled)
         self._rng = rng
@@ -284,40 +316,7 @@ class KiwiMap:
         first = Chunk(_NEG_INF, _INF, max_items, max_threads)
         self._first = first
         self._index: tuple[tuple, tuple] = ((_NEG_INF,), (first,))
-        self._tls = threading.local()
-        self._free_slots = list(range(max_threads - 1, -1, -1))  # pop() gives the lowest
-        self._reg_lock = threading.Lock()
         self._pause_hook: Optional[Callable[[str], None]] = None
-
-    # ---------------- thread registry ----------------
-
-    def register_thread(self) -> int:
-        if getattr(self._tls, "slot", None) is not None:
-            raise RegistrationError("thread already registered")
-        with self._reg_lock:
-            if not self._free_slots:
-                raise RegistrationError(
-                    f"registration capacity exceeded ({self.max_threads} slots)"
-                )
-            slot = self._free_slots.pop()
-        self._tls.slot = slot
-        return slot
-
-    def unregister_thread(self) -> None:
-        """Give the calling thread's slot back for a later thread to reuse.
-        Every put clears its PPA cell and every scan its PSA cell before
-        returning, so the slot carries nothing over; its bounds counters
-        keep adding to the same sums."""
-        slot = self._require_slot()
-        self._tls.slot = None
-        with self._reg_lock:
-            self._free_slots.append(slot)
-
-    def _require_slot(self) -> int:
-        slot = getattr(self._tls, "slot", None)
-        if slot is None:
-            raise RegistrationError("calling thread is not registered")
-        return slot
 
     def set_pause_hook(self, hook: Optional[Callable[[str], None]]) -> None:
         """Install a callback invoked at put's sensitive lifecycle points."""
@@ -418,26 +417,17 @@ class KiwiMap:
         self._require_slot()
         chunk = self.find_chunk(key)
         full_fence()
-        help_version = self._gv.get()
-        candidates = self.help_pending_puts(chunk, key, key, help_version)
+        candidates = self.help_pending_puts(chunk, key, key, self._gv.get())
+        if candidates:  # rank them against the list as a scan would
+            found = copy_range(chunk, key, key, _INF, candidates)
+            return found[0][1] if found else None
         # Versions sort descending, so the first entry with this key is the
         # newest; equal-version duplicates cannot exist.
         nxt = find_insertion_location(chunk, key, _INF)[1]
         if nxt != END and chunk.keys[nxt] == key:
-            if not candidates:  # nothing pending to rank against
-                di = chunk.order[nxt].data_index
-                return None if di < 0 else chunk.data[di]
-            candidates.append(chunk.order[nxt])
-        best_rank = None
-        best_di = 0
-        for entry in candidates:
-            di = entry.data_index  # read once; rank and payload must agree
-            rank = (logical_version(entry.version), abs(di))
-            if best_rank is None or rank > best_rank:
-                best_rank, best_di = rank, di
-        if best_rank is None or best_di < 0:
-            return None
-        return chunk.data[best_di]
+            di = chunk.order[nxt].data_index
+            return None if di < 0 else chunk.data[di]
+        return None
 
     def scan(self, min_key: Any, max_key: Any) -> list[tuple[Any, Any]]:
         slot = self._require_slot()
@@ -607,32 +597,27 @@ class KiwiMap:
         if old.next is not first:
             with word_lock(old):
                 old.next = first
-        self._index_replace(old, new_chunks)
+        self._index_replace()
 
-    def _index_replace(self, old: Chunk, new_chunks: tuple[Chunk, ...]) -> None:
+    def _index_replace(self) -> None:
+        """Rebuild the index from the live list. Every publisher calls this
+        after its own splice and forward, and a CAS lost to another rebuild
+        walks again, so the last rebuild to land reflects every finished
+        splice and a late helper's rebuild cannot reinstall a retired chunk."""
         while True:
             snapshot = self._index
-            keys, chunks = snapshot
-            mapping = dict(zip(keys, chunks))
-            if mapping.get(old.min_key) is old:
-                del mapping[old.min_key]
-            for nc in new_chunks:
-                # Birth stamps keep a late helper from clobbering an index
-                # entry that a newer replacement already installed.
-                existing = mapping.get(nc.min_key)
-                if existing is None or existing.birth < nc.birth:
-                    mapping[nc.min_key] = nc
-            ordered = sorted(mapping.items())
-            new_snapshot = (tuple(k for k, _ in ordered), tuple(c for _, c in ordered))
-            if new_snapshot == snapshot:
+            chunks = tuple(self.chunks())
+            if chunks == snapshot[1]:
                 return
-            if cas(self, "_index", snapshot, new_snapshot):
+            if cas(self, "_index", snapshot, (tuple(c.min_key for c in chunks), chunks)):
                 return
 
-    # ---------------- introspection (quiescent diagnostics) ----------------
+    # ---------------- introspection ----------------
 
     def chunks(self) -> list[Chunk]:
-        """Live chunk list (quiescent use: invariant checks, tests)."""
+        """Live chunk list, in ascending min_key order. Safe under
+        concurrent rebalance: each listed chunk was reachable and not yet
+        forwarded when the walk passed it."""
         out = []
         cur: Optional[Chunk] = self._first
         while cur is not None:

@@ -18,10 +18,10 @@ from bisect import bisect_left, bisect_right, insort
 from typing import Any, Optional
 
 from .bounds import BoundsDisabledError
-from .core import TOMBSTONE, RegistrationError
+from .core import TOMBSTONE, ThreadRegistry
 
 
-class LockedSortedMap:
+class LockedSortedMap(ThreadRegistry):
     """Single-lock ordered map with the benchmark/fuzz interface.
 
     op_delay_s > 0 stretches each operation inside the critical section;
@@ -35,34 +35,12 @@ class LockedSortedMap:
         bounds_enabled: bool = True,
         op_delay_s: float = 0.0,
     ) -> None:
-        self.max_threads = max_threads
+        super().__init__(max_threads)
         self.bounds_enabled = bounds_enabled
         self.op_delay_s = op_delay_s
         self._lock = threading.Lock()
         self._data: dict[Any, Any] = {}
         self._keys: list[Any] = []
-        self._free_slots = list(range(max_threads - 1, -1, -1))  # pop() gives the lowest
-        self._reg_lock = threading.Lock()
-        self._tls = threading.local()
-
-    def register_thread(self) -> int:
-        if getattr(self._tls, "slot", None) is not None:
-            raise RegistrationError("thread already registered")
-        with self._reg_lock:
-            if not self._free_slots:
-                raise RegistrationError(f"registration capacity exceeded ({self.max_threads} slots)")
-            slot = self._free_slots.pop()
-        self._tls.slot = slot
-        return slot
-
-    def unregister_thread(self) -> None:
-        """Give the calling thread's slot back for a later thread to reuse."""
-        slot = getattr(self._tls, "slot", None)
-        if slot is None:
-            raise RegistrationError("calling thread is not registered")
-        self._tls.slot = None
-        with self._reg_lock:
-            self._free_slots.append(slot)
 
     def _dally(self) -> None:
         if self.op_delay_s:

@@ -7,8 +7,8 @@ import time
 
 import pytest
 
-from kiwi import FROZEN, TOMBSTONE, KiwiMap, OpRecord
-from kiwi.core import PRE_LIST_CAS, VERSION_NONE, OrderEntry, logical_version
+from kiwi import TOMBSTONE, KiwiMap, OpRecord
+from kiwi.core import FROZEN, PRE_LIST_CAS, VERSION_NONE, OrderEntry, logical_version
 
 from helpers import GateHook, assert_map_invariants
 
@@ -68,16 +68,27 @@ def test_help_returns_already_versioned_entries_unchanged():
     assert logical_version(entry.version) == 3
 
 
-@pytest.mark.parametrize("value", [2, TOMBSTONE], ids=["value", "tombstone"])
-@pytest.mark.parametrize("newer_version", [False, True], ids=["same-version", "newer-version"])
-def test_get_prefers_a_put_parked_before_its_list_cas(value, newer_version):
+@pytest.mark.parametrize(
+    "value, newer_version, listed",
+    [
+        pytest.param(2, False, True, id="same-version-value"),
+        pytest.param(TOMBSTONE, False, True, id="same-version-tombstone"),
+        pytest.param(2, True, True, id="newer-version-value"),
+        pytest.param(TOMBSTONE, True, True, id="newer-version-tombstone"),
+        pytest.param(2, False, False, id="unlisted-value"),
+        pytest.param(TOMBSTONE, False, False, id="unlisted-tombstone"),
+    ],
+)
+def test_get_prefers_a_put_parked_before_its_list_cas(value, newer_version, listed):
     """A put parked at PRE_LIST_CAS over a key the list already holds is
     versioned but not linked: get finds it only through the PPA, and it
     must outrank the list's entry, by version or (at an equal version) by
-    its larger dataIndex magnitude."""
+    its larger dataIndex magnitude. Unlisted, the parked put is the key's
+    only item, and get must find it with nothing in the list."""
     m = KiwiMap(max_threads=2, rng=lambda: 1.0)
     m.register_thread()
-    m.put(5, 1)  # in the list, committed
+    if listed:
+        m.put(5, 1)  # in the list, committed
     if newer_version:
         m.scan(0, 10)  # the parked put gets a newer version
     hook = GateHook()

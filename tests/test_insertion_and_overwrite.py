@@ -3,8 +3,8 @@ their behavior under racing threads."""
 
 import threading
 
-from kiwi import TOMBSTONE, overwrite_data_index
-from kiwi.core import END, OrderEntry, find_insertion_location
+from kiwi import TOMBSTONE
+from kiwi.core import END, OrderEntry, find_insertion_location, overwrite_data_index
 
 from helpers import raw_chunk, walk_list
 

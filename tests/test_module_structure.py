@@ -36,7 +36,7 @@ def test_knob_and_export_budget():
         "self", "max_threads", "max_items", "bounds_enabled", "rng",
     ]
     assert core.Chunk.__slots__ == (
-        "min_key", "range_end", "capacity", "birth", "order", "keys", "data", "ppa",
+        "min_key", "range_end", "capacity", "order", "keys", "data", "ppa",
         "sorted_prefix_len", "frozen", "replacement", "next", "list_size",
     )
     assert [field.name for field in dataclasses.fields(kiwi.FuzzConfig)] == [
@@ -44,12 +44,12 @@ def test_knob_and_export_budget():
         "delay_prob", "delay_max_s", "max_items", "bounds_enabled", "scan_span",
     ]
     assert kiwi.__all__ == [
-        "BoundsCounters", "BoundsDisabledError", "CheckResult", "EXHAUSTED", "FROZEN",
-        "FuzzConfig", "History", "HistoryFormatError", "IMPLS", "InsertOutcome", "KiwiMap",
+        "BoundsCounters", "BoundsDisabledError", "CheckResult", "EXHAUSTED",
+        "FuzzConfig", "History", "HistoryFormatError", "IMPLS", "KiwiMap",
         "LINEARIZABLE", "LockedSortedMap", "MeasurementResult", "NOT_LINEARIZABLE", "OpRecord",
-        "OrderEntry", "RegistrationError", "TOMBSTONE", "WORKLOADS", "WorkloadConfig",
-        "check_linearizable", "check_rebalance", "copy_range", "emit_results", "generate_ops",
-        "load_history", "oracle_apply", "oracle_replay", "overwrite_data_index",
+        "RegistrationError", "TOMBSTONE", "WORKLOADS", "WorkloadConfig",
+        "check_linearizable", "emit_results", "generate_ops",
+        "load_history", "oracle_apply", "oracle_replay",
         "record_locked_oracle_run", "record_run", "run_workload", "save_history",
         "steady_state_init_size", "validate_put_only_final_state",
     ]

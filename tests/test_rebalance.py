@@ -2,12 +2,15 @@
 copy, all checked against brute-force oracles where results are derived."""
 
 import random
+import sys
 import threading
 
-from kiwi import KiwiMap, TOMBSTONE, check_rebalance, copy_range
+from kiwi import KiwiMap, TOMBSTONE
 from kiwi.core import FROZEN, VERSION_NONE
 from kiwi.rebalance import (
+    check_rebalance,
     copy_compact,
+    copy_range,
     freeze_chunk,
     help_frozen_chunk_puts,
     replace_chunks,
@@ -301,6 +304,69 @@ def test_data_preservation_under_forced_rebalances():
     assert quiescent_items(m) == oracle
     assert dict(m.items()) == oracle
     assert_map_invariants(m)
+
+
+# ---------------- chunk index ----------------
+
+def assert_index_follows_list(m):
+    chunks = m.chunks()
+    assert m._index == (tuple(c.min_key for c in chunks), tuple(chunks))
+    assert all(c.replacement is None for c in m._index[1])
+
+
+def test_index_equals_live_list_after_concurrent_churn():
+    m = KiwiMap(max_threads=3, max_items=16)
+    barrier = threading.Barrier(3)
+
+    def churn(seed):
+        rng = random.Random(seed)
+        m.register_thread()
+        barrier.wait()
+        for _ in range(3000):
+            k = rng.randrange(200)
+            draw = rng.random()
+            if draw < 0.5:
+                m.put(k, k)
+            elif draw < 0.8:
+                m.put(k, TOMBSTONE)
+            else:
+                m.scan(k, k + 20)
+        m.unregister_thread()
+
+    threads = [threading.Thread(target=churn, args=(seed,)) for seed in (11, 12, 13)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30.0)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(m.chunks()) > 2
+    assert_index_follows_list(m)
+    m.register_thread()
+    assert_map_invariants(m)
+
+
+def test_late_helper_leaves_the_index_on_the_live_list():
+    """A helper that republishes P's replacement after the chunk replacing
+    P was itself replaced must not put a retired chunk back in the index."""
+    m = KiwiMap(max_threads=2, max_items=16)
+    m.register_thread()
+    for k in range(40):
+        m.put(k, k)
+    p = m.find_chunk(20)
+    m._rebalance_chunk(p)
+    q = m.find_chunk(p.min_key)
+    assert q is p.replacement[0]
+    m._rebalance_chunk(q)
+    assert q.replacement is not None
+    before = m.items()
+    m._finish_replacement(p)
+    assert_index_follows_list(m)
+    assert m.items() == before
 
 
 # ---------------- copy_range ----------------
