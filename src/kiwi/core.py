@@ -23,7 +23,11 @@ Version word encoding, all transitions by CAS on the single word:
 dataIndex encoding: +slot for a value stored at data[slot]; -slot for a
 tombstone (no data cell written). Magnitude equals the allocation slot,
 so |dataIndex| orders same-(key, version) items by recency; overwrites
-raise the magnitude monotonically.
+raise the magnitude monotonically. Every slot number a chunk stores (a
+dataIndex, a next link, the index alloc hands out) is the int object from
+the shared slot tables below. CPython caches only the ints up to 256, so
+without them each entry would hold ints of its own, and every step of a
+list walk would load a cold int before it could index the order array.
 """
 
 from __future__ import annotations
@@ -64,6 +68,30 @@ class _Frozen:
 
 
 FROZEN = _Frozen()
+
+
+# Shared slot-number ints: _SLOTS[i] is i and _NEG_SLOTS[i] is -i, one
+# object per number for every chunk. They grow by extend only, under
+# _SLOTS_LOCK, to cover the highest slot any chunk has used, so an int
+# once handed out stays the shared one and readers index without a lock.
+# _NEG_SLOTS grows first: any i below len(_SLOTS) is in both tables.
+# Chunk.alloc takes the lock inside its stripe; code that holds the lock
+# never takes a stripe, so the two cannot deadlock.
+_SLOTS: list[int] = [0]
+_NEG_SLOTS: list[int] = [0]
+_SLOTS_LOCK = threading.Lock()
+
+
+def cover_slots(bound: int) -> None:
+    """Grow the shared slot tables to cover every slot below bound."""
+    if bound <= len(_SLOTS):
+        return
+    with _SLOTS_LOCK:
+        size = len(_SLOTS)
+        if bound > size:
+            new = list(range(size, bound))
+            _NEG_SLOTS.extend([-i for i in new])
+            _SLOTS.extend(new)
 
 
 class RegistrationError(RuntimeError):
@@ -163,7 +191,8 @@ class Chunk:
         set. The appends happen under the lock too, before the caller can
         publish idx, so the freeze pass and every reader of a published
         index see an initialized entry and key. The data cell is a None
-        placeholder that put fills.
+        placeholder that put fills. The index and dataIndex are the shared
+        slot ints.
         """
         lock = word_lock(self)
         lock.acquire()
@@ -171,7 +200,10 @@ class Chunk:
             idx = len(self.order)
             if self.frozen or idx > self.capacity:
                 return None
-            entry.data_index = -idx if is_tombstone else idx
+            if idx >= len(_SLOTS):
+                cover_slots(idx + 1)
+            idx = _SLOTS[idx]
+            entry.data_index = _NEG_SLOTS[idx] if is_tombstone else idx
             self.order.append(entry)
             self.keys.append(entry.key)
             self.data.append(None)

@@ -18,6 +18,7 @@ SCAN = "scan"
 SIZE = "size"
 IS_EMPTY = "is_empty"
 KINDS = (PUT, GET, SCAN, SIZE, IS_EMPTY)
+_KIND_CONSTANTS = {kind: kind for kind in KINDS}
 
 
 class HistoryFormatError(ValueError):
@@ -59,35 +60,37 @@ class OpRecord:
 
     @staticmethod
     def from_json(line: str, line_no: int) -> "OpRecord":
+        """Parse one record line. Anything but the shape to_json writes
+        raises HistoryFormatError naming line_no. The kind becomes its
+        module constant, so loaded records share the five kind strings."""
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise HistoryFormatError(line_no, f"invalid JSON: {exc.msg}") from exc
+        if type(obj) is not dict:
+            raise HistoryFormatError(line_no, "a record must be a JSON object")
         try:
-            kind = obj["kind"]
-            if kind not in KINDS:
-                raise HistoryFormatError(line_no, f"unknown op kind {kind!r}")
-            return OpRecord(
-                thread_id=obj["thread"],
-                kind=kind,
-                args=tuple(obj["args"]),
-                result=_result_from_json(kind, obj["result"]),
-                invoke_ts=obj["invoke"],
-                response_ts=obj["response"],
-            )
+            thread, name, args = obj["thread"], obj["kind"], obj["args"]
+            result, invoke, response = obj["result"], obj["invoke"], obj["response"]
         except KeyError as exc:
             raise HistoryFormatError(line_no, f"missing field {exc.args[0]!r}") from exc
+        kind = _KIND_CONSTANTS.get(name) if type(name) is str else None
+        if kind is None:
+            raise HistoryFormatError(line_no, f"unknown op kind {name!r}")
+        if type(thread) is not int or type(invoke) is not int or type(response) is not int:
+            raise HistoryFormatError(line_no, "thread, invoke and response must be integers")
+        if type(args) is not list:
+            raise HistoryFormatError(line_no, f"args must be a list, not {args!r}")
+        if kind == SCAN:
+            if type(result) is not list or any(type(pair) is not list or len(pair) != 2 for pair in result):
+                raise HistoryFormatError(line_no, f"a scan result must be a list of [key, value] pairs: {result!r}")
+            result = tuple((k, v) for k, v in result)
+        return OpRecord(thread, kind, tuple(args), result, invoke, response)
 
 
 def _result_to_json(kind: str, result: Any) -> Any:
     if kind == SCAN:
         return [list(pair) for pair in result]
-    return result
-
-
-def _result_from_json(kind: str, result: Any) -> Any:
-    if kind == SCAN:
-        return tuple((k, v) for k, v in result)
     return result
 
 

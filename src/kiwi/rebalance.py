@@ -17,12 +17,15 @@ from typing import Any, Callable, Optional
 from .atomics import cas, store_fence, word_lock
 from .core import (
     _INF,
+    _NEG_SLOTS,
+    _SLOTS,
     END,
     FROZEN,
     VERSION_NONE,
     Chunk,
     KiwiMap,
     OrderEntry,
+    cover_slots,
     find_insertion_location,
     logical_version,
 )
@@ -67,12 +70,15 @@ def freeze_chunk(chunk: Chunk) -> None:
 def help_frozen_chunk_puts(kiwi: KiwiMap, chunk: Chunk) -> None:
     """Insert every Pending entry into the frozen chunk's list and commit
     it. Duplicate helping degrades to an overwrite or no-op through the
-    dataIndex rule, so concurrent rebalancers are safe."""
+    dataIndex rule, so concurrent rebalancers are safe. The index passed
+    on is the shared slot int, which a list CAS may store as a next link."""
     slot = kiwi._require_slot()
-    for idx, entry in enumerate(chunk.order[1 : chunk.allocated_bound()], 1):
+    bound = chunk.allocated_bound()
+    cover_slots(bound)
+    for idx, entry in enumerate(chunk.order[1:bound], 1):
         ver = entry.version
         if ver is not FROZEN and ver < 0:
-            kiwi.add_to_linked_list(chunk, idx, slot)
+            kiwi.add_to_linked_list(chunk, _SLOTS[idx], slot)
             entry.cas_version(ver, -ver)
 
 
@@ -95,10 +101,14 @@ def copy_compact(
     New chunks are presorted (sorted_prefix_len == entry count), filled
     greedily to at most FILL_FACTOR x max_items, and never split one key's
     versions across a chunk boundary. Their ranges partition the old range.
+    Their slot numbers (next links, dataIndex words) are the shared slot
+    ints; no output slot exceeds the input's allocated bound.
     """
     target = max(1, int(max_items * FILL_FACTOR))
     order = chunk.order
     data = chunk.data
+    cover_slots(len(order))
+    slots, neg_slots = _SLOTS, _NEG_SLOTS
     fresh = Chunk(chunk.min_key, chunk.range_end, max_items, max_threads)
     new_chunks = [fresh]
     fresh_order, fresh_keys, fresh_data = fresh.order, fresh.keys, fresh.data
@@ -132,11 +142,11 @@ def copy_compact(
             start = 1
         if di >= 0:
             fresh_data.append(data[di])
-            di = slot
+            di = slots[slot]
         else:
             fresh_data.append(None)
-            di = -slot
-        last.next = slot
+            di = neg_slots[slot]
+        last.next = slots[slot]
         last = OrderEntry(key, ver, di)
         fresh_order.append(last)
         fresh_keys.append(key)
@@ -163,8 +173,8 @@ def _split_before(fresh: Chunk, start: int, key: Any, max_items: int, max_thread
     order = nxt.order
     for slot in range(1, len(order)):
         entry = order[slot]
-        entry.data_index = slot if entry.data_index >= 0 else -slot
-        order[slot - 1].next = slot
+        entry.data_index = _SLOTS[slot] if entry.data_index >= 0 else _NEG_SLOTS[slot]
+        order[slot - 1].next = _SLOTS[slot]
     return nxt
 
 
@@ -216,7 +226,8 @@ def copy_range(
             break
         if key == taken:
             continue
-        ver = logical_version(entry.version)
+        ver = entry.version
+        ver = -ver if ver < 0 else ver
         if ver > scan_version:
             continue
         taken = key

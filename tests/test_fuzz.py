@@ -3,7 +3,15 @@ and the locked-oracle calibration runs."""
 
 import pytest
 
-from kiwi import FuzzConfig, KiwiMap, check_linearizable, generate_ops, record_locked_oracle_run, record_run
+from kiwi import (
+    LINEARIZABLE,
+    FuzzConfig,
+    KiwiMap,
+    check_linearizable,
+    generate_ops,
+    record_locked_oracle_run,
+    record_run,
+)
 from kiwi.core import POST_ALLOCATE, POST_PUBLISH, PRE_LIST_CAS, PRE_VERSION_CAS
 from kiwi.history import PUT
 
@@ -71,6 +79,21 @@ def test_locked_oracle_runs_are_linearizable_with_overlap():
         history = record_locked_oracle_run(cfg)
         assert history.has_overlap()
         assert check_linearizable(history).ok
+
+
+@pytest.mark.parametrize("threads", [2, 3, 4])
+def test_long_fuzz_histories_are_linearizable(threads):
+    """About 200 ops per history, five times C2's; max_items=16 adds
+    rebalance to the recorded runs."""
+    for seed in range(3):
+        for max_items in (4500, 16):
+            cfg = FuzzConfig(
+                threads=threads, ops_per_thread=200 // threads, key_range=8, seed=seed, max_items=max_items
+            )
+            history = record_run(cfg)
+            assert len(history.records) >= 198
+            result = check_linearizable(history, node_budget=2_000_000)
+            assert result.status == LINEARIZABLE, f"seed {seed}, max_items {max_items}: {result.status}"
 
 
 def test_put_delete_mix_is_put_only():

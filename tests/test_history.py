@@ -3,6 +3,8 @@
 import pytest
 
 from kiwi import History, HistoryFormatError, OpRecord, load_history, save_history
+from kiwi.cli import main
+from kiwi.history import KINDS, SCAN
 
 
 def rec(thread, kind, args, result, invoke, response):
@@ -50,16 +52,51 @@ def test_tombstone_and_absent_encode_as_null(tmp_path):
     assert load_history(path).records == history.records
 
 
-def test_corrupt_line_error_names_the_line(tmp_path):
-    path = str(tmp_path / "bad.jsonl")
+GOOD_LINE = '{"thread":0,"kind":"get","args":[1],"result":null,"invoke":1,"response":2}'
+# Record bodies that parse as JSON (or not) but are not records.
+CORRUPT_LINES = {
+    "not-json": "{this is not json",
+    "list": "[1,2]",
+    "args-not-list": '{"thread":0,"kind":"get","args":5,"result":null,"invoke":1,"response":2}',
+    "scan-result-not-pairs": '{"thread":0,"kind":"scan","args":[0,5],"result":[1,2],"invoke":1,"response":2}',
+    "invoke-not-int": '{"thread":0,"kind":"get","args":[1],"result":null,"invoke":"x","response":2}',
+    "kind-unhashable": '{"thread":0,"kind":["get"],"args":[1],"result":null,"invoke":1,"response":2}',
+}
+
+
+def write_lines(path, *records):
     with open(path, "w") as fh:
         fh.write('{"meta":{}}\n')
-        fh.write('{"thread":0,"kind":"get","args":[1],"result":null,"invoke":1,"response":2}\n')
-        fh.write("{this is not json\n")
-    with pytest.raises(HistoryFormatError) as excinfo:
-        load_history(path)
-    assert excinfo.value.line_no == 3
-    assert "line 3" in str(excinfo.value)
+        for line in records:
+            fh.write(line + "\n")
+
+
+def test_corrupt_line_error_names_the_line(tmp_path):
+    path = str(tmp_path / "bad.jsonl")
+    for name, body in CORRUPT_LINES.items():
+        write_lines(path, GOOD_LINE, body)
+        with pytest.raises(HistoryFormatError) as excinfo:
+            load_history(path)
+        assert excinfo.value.line_no == 3, name
+        assert "line 3" in str(excinfo.value), name
+
+
+def test_check_exits_2_on_a_corrupt_line(tmp_path, capsys):
+    """Exit code 1 means "not linearizable"; a malformed file is a usage error."""
+    path = str(tmp_path / "bad.jsonl")
+    for name, body in CORRUPT_LINES.items():
+        write_lines(path, body)
+        assert main(["check", "--in", path]) == 2, name
+        assert "line 2" in capsys.readouterr().err, name
+
+
+def test_loaded_kinds_are_the_module_constants(tmp_path):
+    path = str(tmp_path / "h.jsonl")
+    records = [rec(0, kind, (), () if kind == SCAN else None, 2 * i, 2 * i + 1) for i, kind in enumerate(KINDS)]
+    save_history(History(records=records), path)
+    loaded = load_history(path).records
+    assert [r.kind for r in loaded] == list(KINDS)
+    assert all(r.kind is kind for r, kind in zip(loaded, KINDS))
 
 
 def test_unknown_kind_rejected(tmp_path):

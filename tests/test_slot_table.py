@@ -1,0 +1,122 @@
+"""The shared slot-number table: every slot number a chunk stores is the
+table's int object, the table grows only as far as the slots used, and
+growth under concurrent allocation never hands out a wrong number."""
+
+import random
+import sys
+import threading
+
+import pytest
+
+from kiwi import TOMBSTONE, KiwiMap
+from kiwi.core import _NEG_SLOTS, _SLOTS, END
+
+NEVER_REBALANCE = lambda: 1.0  # the probabilistic trigger needs rng() < 0.02
+
+
+def shared_slot(i):
+    return _SLOTS[i] if i >= 0 else _NEG_SLOTS[-i]
+
+
+def assert_slots_shared(kiwi):
+    """Every dataIndex and next link of every allocated entry is the
+    table's object for its number."""
+    for chunk in kiwi.chunks():
+        for entry in chunk.order:
+            assert entry.data_index is shared_slot(entry.data_index), entry
+            assert entry.next == END or entry.next is _SLOTS[entry.next], entry
+
+
+def run_threads(threads):
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60.0)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+
+
+# 16 covers splits at small-int slots; 600 puts slots past CPython's
+# small-int cache (256), where a fresh int is a distinct object.
+@pytest.mark.parametrize("max_items,key_range,ops", [(16, 200, 3000), (600, 1500, 2500)])
+def test_concurrent_churn_stores_only_table_ints(max_items, key_range, ops):
+    m = KiwiMap(max_threads=3, max_items=max_items, rng=random.Random(7).random)
+    barrier = threading.Barrier(3)
+
+    def churn(seed):
+        rng = random.Random(seed)
+        m.register_thread()
+        barrier.wait()
+        for _ in range(ops):
+            k = rng.randrange(key_range)
+            draw = rng.random()
+            if draw < 0.5:
+                m.put(k, k)
+            elif draw < 0.8:
+                m.put(k, TOMBSTONE)
+            else:
+                m.scan(k, k + 20)
+        m.unregister_thread()
+
+    run_threads([threading.Thread(target=churn, args=(seed,)) for seed in (11, 12, 13)])
+    assert len(m.chunks()) > 2  # splits ran
+    assert_slots_shared(m)
+
+
+def test_a_large_capacity_does_not_grow_the_table():
+    before = len(_SLOTS)
+    m = KiwiMap(max_threads=1, max_items=10**6)
+    m.register_thread()
+    for k in range(10):
+        m.put(k, k)
+    assert len(_SLOTS) == max(before, 11)
+
+
+def test_a_slot_beyond_the_table_grows_it():
+    size = len(_SLOTS)
+    m = KiwiMap(max_threads=1, max_items=size + 10, rng=NEVER_REBALANCE)
+    m.register_thread()
+    for k in range(size + 5, 0, -1):  # descending: each put links after the head
+        m.put(k, TOMBSTONE if k % 3 == 0 else k)
+    assert len(m.chunks()) == 1
+    assert len(_SLOTS) == len(_NEG_SLOTS) == size + 6
+    assert all(_SLOTS[i] == i and _NEG_SLOTS[i] == -i for i in range(size + 6))
+    assert_slots_shared(m)
+    assert [m.get(k) for k in (size + 3, size + 4, size + 5)] == [
+        None if k % 3 == 0 else k for k in (size + 3, size + 4, size + 5)
+    ]
+
+
+def test_threads_filling_chunks_past_the_table_read_right_numbers():
+    """Four maps are filled at once, each to past the table's end, so the
+    table grows while other threads allocate and read from it."""
+    count = len(_SLOTS) + 400
+    errors = []
+
+    def fill():
+        try:
+            check_one_map()
+        except Exception as exc:  # reported by the assert below
+            errors.append(exc)
+
+    def check_one_map():
+        m = KiwiMap(max_threads=1, max_items=count + 1, rng=NEVER_REBALANCE)  # never full
+        m.register_thread()
+        for k in range(count, 0, -1):
+            m.put(k, TOMBSTONE if k % 2 else k)
+        (chunk,) = m.chunks()
+        for slot in range(1, count + 1):
+            entry = chunk.order[slot]
+            expected = -slot if entry.key % 2 else slot
+            if entry.data_index != expected or entry.data_index is not shared_slot(expected):
+                errors.append((slot, entry.data_index))
+        if m.scan(1, count) != [(k, k) for k in range(2, count + 1, 2)]:
+            errors.append("scan")
+
+    run_threads([threading.Thread(target=fill) for _ in range(4)])
+    assert not errors, errors[:5]
+    assert all(_SLOTS[i] == i and _NEG_SLOTS[i] == -i for i in range(len(_SLOTS)))
