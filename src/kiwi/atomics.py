@@ -10,14 +10,17 @@ stripe are merely serialized against each other; every word still sees
 exactly one winner per CAS. On a machine-level runtime these would be
 single instructions; the contracts are the same.
 
-Hot lock sections (`cas`, `AtomicInt.fetch_add`, `Chunk.alloc`) take
-their stripe with `acquire()` and give it back in `try/finally`, and the
-fences are a bare acquire and release. A `with lock:` statement does the
-same work through the context-manager protocol: on CPython 3.11 (timeit,
-three runs on a 2-vCPU guest) it cost 460-560 ns per empty section
-against 250-285 ns for acquire/release, and 955-1090 ns per `cas` against
-730-820 ns. A put takes seven such sections. The `finally` still frees
-the stripe when the body raises.
+Hot lock sections (`cas`, `AtomicInt.fetch_add` and `set`,
+`Chunk.alloc`) index their stripe in `_WORD_LOCKS` inline rather than
+through a `word_lock()` call, take it with `acquire()` and give it back
+in `try/finally`, and the fences are a bare acquire and release. A
+`with lock:` statement does the same work through the context-manager
+protocol: on CPython 3.11 (timeit, three runs on a 2-vCPU guest) it cost
+460-560 ns per empty section against 250-285 ns for acquire/release, and
+955-1090 ns per `cas` against 730-820 ns. A put takes seven such
+sections. The `finally` still frees the stripe when the body raises.
+`Chunk.alloc` indexes the stripe of `word_lock(chunk)`, which freezing
+takes: `tests/test_word_locks.py` checks that the two are one lock.
 """
 
 from __future__ import annotations
@@ -64,12 +67,16 @@ class AtomicInt:
         return self._value
 
     def set(self, value: int) -> None:
-        with word_lock(self):
+        lock = _WORD_LOCKS[(id(self) >> 6) & 63]
+        lock.acquire()
+        try:
             self._value = value
+        finally:
+            lock.release()
 
     def fetch_add(self, delta: int = 1) -> int:
         """Add delta, return the PRIOR value."""
-        lock = word_lock(self)
+        lock = _WORD_LOCKS[(id(self) >> 6) & 63]
         lock.acquire()
         try:
             old = self._value

@@ -106,14 +106,26 @@ class CheckResult:
 def check_linearizable(history: History, node_budget: int = 500_000) -> CheckResult:
     """Decide a recorded history. Only timestamps order operations, so
     file record order never affects the outcome."""
-    history.validate()
-    by_thread: dict[int, list[OpRecord]] = {}
-    for rec in sorted(history.records, key=lambda r: r.invoke_ts):
-        by_thread.setdefault(rec.thread_id, []).append(rec)
-    lanes = [by_thread[t] for t in sorted(by_thread)]
-    # Per-lane timestamps; the +inf sentinel stands for a finished lane.
-    invokes = [[rec.invoke_ts for rec in lane] + [_INF] for lane in lanes]
-    responses = [[rec.response_ts for rec in lane] + [_INF] for lane in lanes]
+    # One lane per thread, in thread-id order, each in invocation order,
+    # with its invoke and response times; the +inf sentinel that ends each
+    # time list stands for a finished lane.
+    lanes: list[list[OpRecord]] = []
+    invokes: list[list[float]] = []
+    responses: list[list[float]] = []
+    thread_id = None
+    for rec in history.validate():
+        if rec.thread_id != thread_id:
+            thread_id = rec.thread_id
+            lane, lane_invokes, lane_responses = [], [], []
+            lanes.append(lane)
+            invokes.append(lane_invokes)
+            responses.append(lane_responses)
+        lane.append(rec)
+        lane_invokes.append(rec.invoke_ts)
+        lane_responses.append(rec.response_ts)
+    for lane_invokes, lane_responses in zip(invokes, responses):
+        lane_invokes.append(_INF)
+        lane_responses.append(_INF)
     lane_ids = range(len(lanes))
     total = len(history.records)
 
@@ -135,10 +147,17 @@ def check_linearizable(history: History, node_budget: int = 500_000) -> CheckRes
         key = (*positions, model_key)
         if key not in seen:
             seen.add(key)
-            min_response = min([responses[i][positions[i]] for i in lane_ids])
-            heads = sorted(
-                [(invokes[i][positions[i]], i) for i in lane_ids if invokes[i][positions[i]] <= min_response]
-            )
+            min_response = _INF
+            for i in lane_ids:
+                response = responses[i][positions[i]]
+                if response < min_response:
+                    min_response = response
+            heads = []
+            for i in lane_ids:
+                invoke = invokes[i][positions[i]]
+                if invoke <= min_response:
+                    heads.append((invoke, i))
+            heads.sort()
             puts = []
             read_lane = None
             for _, lane in heads:
@@ -159,7 +178,8 @@ def check_linearizable(history: History, node_budget: int = 500_000) -> CheckRes
                 positions[read_lane] += 1
                 continue
             if puts:
-                stack.append((puts[::-1], model, len(chosen), tuple(positions)))
+                puts.reverse()
+                stack.append((puts, model, len(chosen), tuple(positions)))
         # Apply the next untried put of the deepest frame, backtracking past
         # frames that have none left.
         while stack and not stack[-1][0]:

@@ -37,7 +37,7 @@ import threading
 from bisect import bisect_left, bisect_right
 from typing import Any, Callable, Optional
 
-from .atomics import AtomicInt, cas, full_fence, store_fence, word_lock
+from .atomics import _WORD_LOCKS, AtomicInt, cas, full_fence, store_fence, word_lock
 from .bounds import BoundsCounters
 
 VERSION_NONE = 0
@@ -68,6 +68,55 @@ class _Frozen:
 
 
 FROZEN = _Frozen()
+
+
+class _KeyMin:
+    """The key-space floor: below every key and KEY_MAX. A key compared
+    with it gets the answer by reflection, so keys of any mutually
+    comparable type (ints, strings, bytes, tuples) share one map layout."""
+
+    __slots__ = ()
+
+    def __lt__(self, other: Any) -> bool:
+        return other is not self
+
+    def __le__(self, other: Any) -> bool:
+        return True
+
+    def __gt__(self, other: Any) -> bool:
+        return False
+
+    def __ge__(self, other: Any) -> bool:
+        return other is self
+
+    def __repr__(self) -> str:
+        return "-inf"
+
+
+class _KeyMax:
+    """The key-space ceiling: above every key and KEY_MIN."""
+
+    __slots__ = ()
+
+    def __lt__(self, other: Any) -> bool:
+        return False
+
+    def __le__(self, other: Any) -> bool:
+        return other is self
+
+    def __gt__(self, other: Any) -> bool:
+        return other is not self
+
+    def __ge__(self, other: Any) -> bool:
+        return True
+
+    def __repr__(self) -> str:
+        return "inf"
+
+
+# The first chunk starts at KEY_MIN and the last one ends at KEY_MAX.
+KEY_MIN = _KeyMin()
+KEY_MAX = _KeyMax()
 
 
 # Shared slot-number ints: _SLOTS[i] is i and _NEG_SLOTS[i] is -i, one
@@ -178,7 +227,7 @@ class Chunk:
         self.frozen = False
         self.replacement: Optional[tuple["Chunk", ...]] = None
         self.next: Optional["Chunk"] = None
-        self.list_size = AtomicInt(0)
+        self.list_size = AtomicInt(0)  # entries linked into the list
 
     def is_full(self) -> bool:
         return self.frozen or len(self.order) > self.capacity
@@ -194,7 +243,7 @@ class Chunk:
         placeholder that put fills. The index and dataIndex are the shared
         slot ints.
         """
-        lock = word_lock(self)
+        lock = _WORD_LOCKS[(id(self) >> 6) & 63]  # word_lock(self), inline; a test pins the match
         lock.acquire()
         try:
             idx = len(self.order)
@@ -216,9 +265,9 @@ class Chunk:
         return len(self.order)
 
     def order_key(self, idx: int) -> tuple:
-        """Total order of list positions: (key asc, version desc); END is +∞."""
+        """Total order of list positions: (key asc, version desc); END is last."""
         if idx == END:
-            return (_INF, 0)
+            return (KEY_MAX, 0)
         e = self.order[idx]
         return (e.key, -logical_version(e.version))
 
@@ -226,8 +275,17 @@ class Chunk:
         return f"Chunk([{self.min_key!r}, {self.range_end!r}), n={len(self.order) - 1}, frozen={self.frozen})"
 
 
-_INF = float("inf")
-_NEG_INF = float("-inf")
+_INF = float("inf")  # a version bound: above every version
+
+
+def nan_inside(key: tuple) -> bool:
+    """Whether an element of a tuple key, at any depth, is unequal to
+    itself. Tuple equality counts identical elements as equal, so a tuple
+    holding a NaN equals itself and key != key misses it."""
+    for k in key:
+        if k != k or (isinstance(k, tuple) and nan_inside(k)):
+            return True
+    return False
 
 
 def find_insertion_location(chunk: Chunk, key: Any, version: int) -> tuple[int, int]:
@@ -315,17 +373,20 @@ class ThreadRegistry:
 
 
 class KiwiMap(ThreadRegistry):
-    """Concurrent sorted map of int keys to int values.
+    """Concurrent sorted map. Keys may be of any mutually comparable
+    type (ints, strings, bytes, tuples, ...); values are any object but
+    None.
 
     Threads must call register_thread() once before operating; the slot
     indexes the per-chunk PPA and the map PSA. Every put clears its PPA
     cell and every scan its PSA cell before returning, so a slot given
     back by unregister_thread() carries nothing over to its next thread;
     its bounds counters keep adding to the same sums. put(key, TOMBSTONE)
-    discards a key; put raises ValueError for a None value or a NaN key,
-    before it changes anything. get returns None for absent keys.
-    scan(lo, hi) is an atomic snapshot of the inclusive key range, sorted
-    ascending.
+    discards a key; put raises ValueError for a None value, a None key or
+    a key holding a NaN, and TypeError for a key that does not compare
+    with a stored key, before it changes anything. get returns None for
+    absent keys. scan(lo, hi) is an atomic snapshot of the inclusive key
+    range, sorted ascending.
     """
 
     def __init__(
@@ -345,9 +406,9 @@ class KiwiMap(ThreadRegistry):
         self._rng = rng
         self._gv = AtomicInt(1)
         self._psa: list[Optional[int]] = [None] * max_threads
-        first = Chunk(_NEG_INF, _INF, max_items, max_threads)
+        first = Chunk(KEY_MIN, KEY_MAX, max_items, max_threads)
         self._first = first
-        self._index: tuple[tuple, tuple] = ((_NEG_INF,), (first,))
+        self._index: tuple[tuple, tuple] = ((KEY_MIN,), (first,))
         self._pause_hook: Optional[Callable[[str], None]] = None
 
     def set_pause_hook(self, hook: Optional[Callable[[str], None]]) -> None:
@@ -363,7 +424,8 @@ class KiwiMap(ThreadRegistry):
 
     def _index_floor(self, key: Any) -> Chunk:
         keys, chunks = self._index
-        i = bisect_right(keys, key) - 1
+        # keys[0] is KEY_MIN, below every key, so the search starts past it.
+        i = bisect_right(keys, key, 1) - 1
         return chunks[i]
 
     def find_chunk(self, key: Any) -> Chunk:
@@ -404,13 +466,19 @@ class KiwiMap(ThreadRegistry):
     # ---------------- operations ----------------
 
     def put(self, key: Any, value: Any) -> None:
-        if value is None or key != key:
-            raise ValueError(f"put({key!r}, {value!r}): None values and NaN keys are not storable")
+        if value is None or key is None or key != key or (isinstance(key, tuple) and nan_inside(key)):
+            raise ValueError(f"put({key!r}, {value!r}): None values and None or NaN keys are not storable")
         slot = self._require_slot()
         is_tomb = value is TOMBSTONE
         bounds = self.bounds
         while True:
             chunk = self.find_chunk(key)
+            keys = chunk.keys
+            if len(keys) > 1:
+                # Raise TypeError for a key of another type before the put
+                # changes anything: on a one-chunk map the index search and
+                # the chunk walk above compared key with no stored key.
+                _ = keys[1] < key
             entry = OrderEntry(key)
             idx = chunk.alloc(entry, is_tomb)
             if idx is None:
@@ -480,7 +548,7 @@ class KiwiMap(ThreadRegistry):
                 help_version = self._gv.get()
                 ppa_items = self.help_pending_puts(chunk, cursor, max_key, help_version)
                 out.extend(copy_range(chunk, cursor, max_key, scan_version, ppa_items))
-                done = chunk.range_end == _INF or chunk.range_end > max_key
+                done = chunk.range_end is KEY_MAX or chunk.range_end > max_key
                 if not done:
                     cursor = chunk.range_end
             return out
@@ -489,7 +557,7 @@ class KiwiMap(ThreadRegistry):
 
     def items(self) -> list[tuple[Any, Any]]:
         """Snapshot of the whole map (a scan over the full key range)."""
-        return self.scan(_NEG_INF, _INF)
+        return self.scan(KEY_MIN, KEY_MAX)
 
     # ---------------- size bounds ----------------
 

@@ -9,6 +9,7 @@ diffs are reviewable.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -19,6 +20,7 @@ SIZE = "size"
 IS_EMPTY = "is_empty"
 KINDS = (PUT, GET, SCAN, SIZE, IS_EMPTY)
 _KIND_CONSTANTS = {kind: kind for kind in KINDS}
+_BY_THREAD_THEN_INVOKE = operator.attrgetter("thread_id", "invoke_ts")
 
 
 class HistoryFormatError(ValueError):
@@ -101,21 +103,24 @@ class History:
     records: list[OpRecord] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
-    def validate(self) -> None:
-        """Well-formedness: each interval is positive and per-thread
-        records are sequential (no self-overlap)."""
-        per_thread: dict[int, list[OpRecord]] = {}
+    def validate(self) -> list[OpRecord]:
+        """Well-formedness: each record has a known kind and a positive
+        interval, then per-thread records are sequential (no self-overlap;
+        the lowest overlapping thread is named). Returns the records
+        sorted by (thread, invoke), the order the self-overlap pass walks."""
         for i, rec in enumerate(self.records):
             if rec.kind not in KINDS:
                 raise ValueError(f"record {i}: unknown op kind {rec.kind!r}")
             if rec.invoke_ts >= rec.response_ts:
                 raise ValueError(f"record {i}: invoke_ts must precede response_ts")
-            per_thread.setdefault(rec.thread_id, []).append(rec)
-        for thread_id, recs in per_thread.items():
-            recs.sort(key=lambda r: r.invoke_ts)
-            for a, b in zip(recs, recs[1:]):
-                if b.invoke_ts < a.response_ts:
-                    raise ValueError(f"thread {thread_id} overlaps its own operations")
+        ordered = sorted(self.records, key=_BY_THREAD_THEN_INVOKE)
+        thread_id = response_ts = None
+        for rec in ordered:
+            if rec.thread_id == thread_id and rec.invoke_ts < response_ts:
+                raise ValueError(f"thread {thread_id} overlaps its own operations")
+            thread_id = rec.thread_id
+            response_ts = rec.response_ts
+        return ordered
 
     def has_overlap(self) -> bool:
         """True when some pair of records from different threads overlaps."""

@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right, insort
 from typing import Any, Optional
 
 from .bounds import BoundsDisabledError
-from .core import TOMBSTONE, ThreadRegistry
+from .core import TOMBSTONE, ThreadRegistry, nan_inside
 
 
 class LockedSortedMap(ThreadRegistry):
@@ -47,8 +47,8 @@ class LockedSortedMap(ThreadRegistry):
             time.sleep(self.op_delay_s)
 
     def put(self, key: Any, value: Any) -> None:
-        if value is None or key != key:
-            raise ValueError(f"put({key!r}, {value!r}): None values and NaN keys are not storable")
+        if value is None or key is None or key != key or (isinstance(key, tuple) and nan_inside(key)):
+            raise ValueError(f"put({key!r}, {value!r}): None values and None or NaN keys are not storable")
         with self._lock:
             self._dally()
             if value is TOMBSTONE:

@@ -107,6 +107,11 @@ def test_verdicts_match_brute_force_on_small_histories():
 # ---------------- the labelled benchmark corpus ----------------
 
 
+# Nodes the search spends on corpus.build(1); a search that tries heads in
+# another order, or prunes differently, moves it.
+CORPUS_1_NODES = 58_337
+
+
 def test_corpus_verdicts_match_labels_and_nodes_repeat():
     nodes = []
     for _ in range(2):
@@ -117,6 +122,7 @@ def test_corpus_verdicts_match_labels_and_nodes_repeat():
             run.append(result.nodes_used)
         nodes.append(run)
     assert nodes[0] == nodes[1]
+    assert sum(nodes[0]) == CORPUS_1_NODES
 
 
 # ---------------- long histories ----------------

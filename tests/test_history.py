@@ -2,7 +2,7 @@
 
 import pytest
 
-from kiwi import History, HistoryFormatError, OpRecord, load_history, save_history
+from kiwi import History, HistoryFormatError, OpRecord, check_linearizable, load_history, save_history
 from kiwi.cli import main
 from kiwi.history import KINDS, SCAN
 
@@ -131,6 +131,37 @@ def test_validate_rejects_self_overlap():
         ]
     )
     with pytest.raises(ValueError):
+        history.validate()
+
+
+def test_validate_accepts_records_listed_out_of_time_order():
+    """Validation and checking order records by time, not by file order."""
+    in_order = [
+        rec(0, "put", (1, 10), None, 0, 5),
+        rec(0, "get", (1,), 20, 6, 9),
+        rec(0, "put", (1, None), None, 12, 14),
+        rec(1, "put", (1, 20), None, 2, 7),
+        rec(1, "get", (1,), None, 15, 18),
+    ]
+    shuffled = [in_order[i] for i in (2, 4, 1, 3, 0)]
+    History(records=shuffled).validate()
+    expected = check_linearizable(History(records=in_order))
+    result = check_linearizable(History(records=shuffled))
+    assert expected.ok
+    assert (result.status, result.nodes_used, result.linearization) == (
+        expected.status, expected.nodes_used, expected.linearization,
+    )
+
+
+def test_validate_rejects_self_overlap_split_by_another_thread():
+    history = History(
+        records=[
+            rec(0, "get", (1,), None, 0, 10),
+            rec(1, "get", (1,), None, 1, 3),
+            rec(0, "get", (1,), None, 5, 15),
+        ]
+    )
+    with pytest.raises(ValueError, match="thread 0 overlaps its own operations"):
         history.validate()
 
 

@@ -1,7 +1,9 @@
 """put refuses what it could not store faithfully: a None value (the
 history format's tombstone, which get and items() would disagree on)
-and a NaN key (accepted, then never visible again). The refusal leaves
-no trace in the map or its size bounds. The coarse-lock map likewise
+a NaN key (accepted, then never visible again), also one inside a tuple
+key, and a None key. The concurrent map also refuses a key that does not
+compare with a stored key. The refusal leaves no trace in the map or its
+size bounds. The coarse-lock map likewise
 refuses a constructor keyword it does not know, and raises the concurrent
 map's errors for a second registration from one thread, for a
 registration past capacity and for a size query with bounds off. On
@@ -12,7 +14,7 @@ import threading
 
 import pytest
 
-from kiwi import BoundsDisabledError, KiwiMap, LockedSortedMap, RegistrationError
+from kiwi import TOMBSTONE, BoundsDisabledError, KiwiMap, LockedSortedMap, RegistrationError
 
 MAPS = {
     "kiwi": lambda: KiwiMap(max_threads=2, bounds_enabled=True),
@@ -45,6 +47,44 @@ def test_put_rejects_nan_key(target):
     with pytest.raises(ValueError):
         target.put(nan, 5)
     assert_untouched(target, nan)
+
+
+@pytest.mark.parametrize(
+    "key",
+    [None, (float("nan"),), (1, (2, float("nan")))],
+    ids=["none", "nan-tuple", "nested-nan-tuple"],
+)
+def test_put_rejects_none_and_nan_holding_keys(target, key):
+    # None is the head sentinel's key; a tuple holding a NaN equals itself
+    # (tuple equality counts identical elements as equal), so key != key
+    # alone would let it in, where it breaks the sorted layout.
+    with pytest.raises(ValueError):
+        target.put(key, 5)
+    assert_untouched(target, key)
+
+
+def test_put_of_a_key_of_another_type_changes_nothing():
+    # On a one-chunk map no search step compares the key with a stored
+    # key; put must raise before it allocates or publishes anything.
+    m = KiwiMap(max_threads=2, bounds_enabled=True)
+    m.register_thread()
+    m.put(1, 10)
+    for bad in ("a", b"a", (1,)):
+        with pytest.raises(TypeError):
+            m.put(bad, 5)
+        with pytest.raises(TypeError):
+            m.put(bad, TOMBSTONE)
+    with pytest.raises(ValueError):
+        m.put(None, 5)
+    (chunk,) = m.chunks()
+    assert chunk.allocated_bound() == 2
+    assert chunk.ppa == [None, None]
+    assert m.get(1) == 10
+    assert m.items() == [(1, 10)]
+    m.put(2, 20)
+    m.put(1, TOMBSTONE)
+    assert m.scan(0, 5) == [(2, 20)]
+    assert m.size() == 1
 
 
 

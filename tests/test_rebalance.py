@@ -314,7 +314,9 @@ def assert_index_follows_list(m):
     assert all(c.replacement is None for c in m._index[1])
 
 
-def test_index_equals_live_list_after_concurrent_churn():
+def concurrent_churn():
+    """Three seeded threads put, tombstone and scan 200 keys on a
+    16-item-chunk map with a 1 us switch interval; returns the map."""
     m = KiwiMap(max_threads=3, max_items=16)
     barrier = threading.Barrier(3)
 
@@ -344,10 +346,24 @@ def test_index_equals_live_list_after_concurrent_churn():
     finally:
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
+    return m
+
+
+def test_index_equals_live_list_after_concurrent_churn():
+    m = concurrent_churn()
     assert len(m.chunks()) > 2
     assert_index_follows_list(m)
     m.register_thread()
     assert_map_invariants(m)
+
+
+def test_list_size_counts_the_live_list_after_concurrent_churn():
+    """Every list insert adds one to its chunk's count, under contention
+    too, so each live chunk's count equals the length of its list."""
+    m = concurrent_churn()
+    chunks = m.chunks()
+    assert len(chunks) > 2
+    assert [c.list_size.get() for c in chunks] == [len(walk_list(c)) for c in chunks]
 
 
 def test_late_helper_leaves_the_index_on_the_live_list():

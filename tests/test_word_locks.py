@@ -74,3 +74,24 @@ def test_a_fetch_add_that_raises_frees_its_stripe():
     with pytest.raises(TypeError):
         counter.fetch_add("x")
     assert_stripe_free(counter)
+
+
+def test_alloc_takes_the_stripe_that_freezing_takes():
+    """freeze_chunk sets the frozen flag under word_lock(chunk), and alloc
+    reads it under the stripe it indexes inline; were they two locks, a
+    slot could be handed out after the freeze. So while the test holds
+    word_lock(chunk), alloc must wait."""
+    for _ in range(3):
+        chunk = Chunk(0, 10, 4, 2)
+        got = []
+        lock = word_lock(chunk)
+        lock.acquire()
+        try:
+            t = threading.Thread(target=lambda: got.append(chunk.alloc(OrderEntry(1), False)))
+            t.start()
+            t.join(timeout=0.1)
+            assert t.is_alive() and got == []
+        finally:
+            lock.release()
+        t.join(timeout=10)
+        assert got == [1]
