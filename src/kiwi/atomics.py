@@ -1,26 +1,26 @@
 """Single-word atomic primitives and memory fences.
 
 One rule covers every shared word: a read is a plain attribute load, and
-every read-modify-write goes through `cas`, through `AtomicInt.fetch_add`
-or `set`, or is a store made under `word_lock(owner)`. CPython guarantees
-torn-free reads and writes of object attributes, so reads take no lock.
+every read-modify-write goes through `cas` or `AtomicInt.fetch_add`, or
+is a store made under `word_lock(owner)`. CPython guarantees torn-free
+reads and writes of object attributes, so reads take no lock.
 Each read-modify-write takes a striped word lock: one lock from a fixed
 table, picked by the owning object's identity. Two words that share a
 stripe are merely serialized against each other; every word still sees
 exactly one winner per CAS. On a machine-level runtime these would be
 single instructions; the contracts are the same.
 
-Hot lock sections (`cas`, `AtomicInt.fetch_add` and `set`,
-`Chunk.alloc`) index their stripe in `_WORD_LOCKS` inline rather than
-through a `word_lock()` call, take it with `acquire()` and give it back
-in `try/finally`, and the fences are a bare acquire and release. A
-`with lock:` statement does the same work through the context-manager
-protocol: on CPython 3.11 (timeit, three runs on a 2-vCPU guest) it cost
-460-560 ns per empty section against 250-285 ns for acquire/release, and
-955-1090 ns per `cas` against 730-820 ns. A put takes seven such
-sections. The `finally` still frees the stripe when the body raises.
-`Chunk.alloc` indexes the stripe of `word_lock(chunk)`, which freezing
-takes: `tests/test_word_locks.py` checks that the two are one lock.
+Hot lock sections (`cas`, `AtomicInt.fetch_add`, `Chunk.alloc`) index
+their stripe in `_WORD_LOCKS` inline rather than through a `word_lock()`
+call, take it with `acquire()` and give it back in `try/finally`, and
+the fences are a bare acquire and release. A `with lock:` statement does
+the same work through the context-manager protocol: on CPython 3.11
+(timeit, three runs on a 2-vCPU guest) it cost 460-560 ns per empty
+section against 250-285 ns for acquire/release, and 955-1090 ns per
+`cas` against 730-820 ns. A put takes seven such sections. The `finally`
+still frees the stripe when the body raises. `Chunk.alloc` indexes the
+stripe of `word_lock(chunk)`, which freezing takes:
+`tests/test_word_locks.py` checks that the two are one lock.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ def cas(owner: object, attr: str, expected: Any, new: Any) -> bool:
 
 
 class AtomicInt:
-    """Integer counter changed only by fetch-and-add or set; plain reads."""
+    """Integer counter changed only by fetch-and-add; plain reads. A
+    counter nothing else can see yet is built with its value instead."""
 
     __slots__ = ("_value",)
 
@@ -65,14 +66,6 @@ class AtomicInt:
 
     def get(self) -> int:
         return self._value
-
-    def set(self, value: int) -> None:
-        lock = _WORD_LOCKS[(id(self) >> 6) & 63]
-        lock.acquire()
-        try:
-            self._value = value
-        finally:
-            lock.release()
 
     def fetch_add(self, delta: int = 1) -> int:
         """Add delta, return the PRIOR value."""

@@ -111,9 +111,9 @@ def drop_most_suspicious(values: list[float]) -> tuple[list[float], Optional[int
     return [v for i, v in enumerate(values) if i != idx], idx
 
 
-def make_map(impl: str, threads: int, max_items: int = 4500, bounds_enabled: bool = False) -> Any:
+def make_map(impl: str, threads: int, bounds_enabled: bool = False) -> Any:
     if impl == IMPL_KIWI:
-        return KiwiMap(max_threads=threads + 1, max_items=max_items, bounds_enabled=bounds_enabled)
+        return KiwiMap(max_threads=threads + 1, bounds_enabled=bounds_enabled)
     if impl == IMPL_LOCKED:
         return LockedSortedMap(max_threads=threads + 1, bounds_enabled=bounds_enabled)
     raise ValueError(f"unknown impl {impl!r}; choose from {IMPLS}")

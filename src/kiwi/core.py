@@ -21,7 +21,7 @@ Version word encoding, all transitions by CAS on the single word:
     FROZEN          sealed by rebalance before any version was assigned
 
 dataIndex encoding: +slot for a value stored at data[slot]; -slot for a
-tombstone (no data cell written). Magnitude equals the allocation slot,
+tombstone (its data cell holds None). Magnitude equals the allocation slot,
 so |dataIndex| orders same-(key, version) items by recency; overwrites
 raise the magnitude monotonically. Every slot number a chunk stores (a
 dataIndex, a next link, the index alloc hands out) is the int object from
@@ -195,9 +195,9 @@ class Chunk:
     Slot 0 of the order array is a permanent head sentinel, so allocation
     slots run 1..capacity and every insert CAS has a real predecessor.
     order, keys and data are parallel lists indexed by slot: keys[i] is
-    order[i].key (None for the head), and data[i] holds the value a put
-    stores there (None until then, and for tombstones). They grow by one
-    append per allocation, so their length is allocated_bound().
+    order[i].key (None for the head), and data[i] holds the value alloc
+    wrote there (None for tombstones). They grow by one append per
+    allocation, so their length is allocated_bound().
     """
 
     __slots__ = (
@@ -232,16 +232,17 @@ class Chunk:
     def is_full(self) -> bool:
         return self.frozen or len(self.order) > self.capacity
 
-    def alloc(self, entry: OrderEntry, is_tombstone: bool) -> Optional[int]:
-        """Claim one order+data slot pair; None when full or frozen.
+    def alloc(self, entry: OrderEntry, value: Any) -> Optional[int]:
+        """Claim one slot and write it whole: entry, key and value (None
+        for a TOMBSTONE, whose dataIndex is negative). None when full or
+        frozen.
 
         Freezing is one flag, set under this chunk's word lock, and alloc
         reads it under the same lock, so no slot is handed out once it is
         set. The appends happen under the lock too, before the caller can
         publish idx, so the freeze pass and every reader of a published
-        index see an initialized entry and key. The data cell is a None
-        placeholder that put fills. The index and dataIndex are the shared
-        slot ints.
+        index see an initialized entry, key and value. The index and
+        dataIndex are the shared slot ints.
         """
         lock = _WORD_LOCKS[(id(self) >> 6) & 63]  # word_lock(self), inline; a test pins the match
         lock.acquire()
@@ -252,10 +253,14 @@ class Chunk:
             if idx >= len(_SLOTS):
                 cover_slots(idx + 1)
             idx = _SLOTS[idx]
-            entry.data_index = _NEG_SLOTS[idx] if is_tombstone else idx
+            if value is TOMBSTONE:
+                entry.data_index = _NEG_SLOTS[idx]
+                value = None
+            else:
+                entry.data_index = idx
             self.order.append(entry)
             self.keys.append(entry.key)
-            self.data.append(None)
+            self.data.append(value)
             return idx
         finally:
             lock.release()
@@ -276,6 +281,14 @@ class Chunk:
 
 
 _INF = float("inf")  # a version bound: above every version
+
+
+def refuse_unstorable(key: Any, value: Any) -> None:
+    """Raise ValueError for a put no map can store faithfully: a None
+    value, a None key (the head sentinel's), or a key unequal to itself
+    (NaN), also at any depth inside a tuple key."""
+    if value is None or key is None or key != key or (isinstance(key, tuple) and nan_inside(key)):
+        raise ValueError(f"put({key!r}, {value!r}): None values and None or NaN keys are not storable")
 
 
 def nan_inside(key: tuple) -> bool:
@@ -401,7 +414,6 @@ class KiwiMap(ThreadRegistry):
         if max_items < 2:
             raise ValueError("max_items must be >= 2")
         super().__init__(max_threads)
-        self.max_items = max_items
         self.bounds = BoundsCounters(max_threads, bounds_enabled)
         self._rng = rng
         self._gv = AtomicInt(1)
@@ -466,8 +478,7 @@ class KiwiMap(ThreadRegistry):
     # ---------------- operations ----------------
 
     def put(self, key: Any, value: Any) -> None:
-        if value is None or key is None or key != key or (isinstance(key, tuple) and nan_inside(key)):
-            raise ValueError(f"put({key!r}, {value!r}): None values and None or NaN keys are not storable")
+        refuse_unstorable(key, value)
         slot = self._require_slot()
         is_tomb = value is TOMBSTONE
         bounds = self.bounds
@@ -480,12 +491,10 @@ class KiwiMap(ThreadRegistry):
                 # the chunk walk above compared key with no stored key.
                 _ = keys[1] < key
             entry = OrderEntry(key)
-            idx = chunk.alloc(entry, is_tomb)
+            idx = chunk.alloc(entry, value)
             if idx is None:
                 self._rebalance_chunk(chunk)
                 continue
-            if not is_tomb:
-                chunk.data[idx] = value
             self._pause(POST_ALLOCATE)
             bounds.on_put_published(slot, is_tomb)
             chunk.ppa[slot] = idx
@@ -652,18 +661,17 @@ class KiwiMap(ThreadRegistry):
         return min(versions) if versions else _INF
 
     def _rebalance_chunk(self, chunk: Chunk) -> bool:
+        """Freeze, help, compact, decide, publish; True if this call's
+        replacement won the decision CAS. Losers' chunks are discarded
+        unreferenced; publication runs for winners and losers alike."""
+        won = False
         if chunk.replacement is None:
             freeze_chunk(chunk)
             help_frozen_chunk_puts(self, chunk)
-            new_chunks = copy_compact(
-                chunk,
-                self._min_active_scan_version(),
-                max_items=self.max_items,
-                max_threads=self.max_threads,
-            )
-            return replace_chunks(self, chunk, new_chunks)
+            new_chunks = copy_compact(chunk, self._min_active_scan_version())
+            won = cas(chunk, "replacement", None, tuple(new_chunks))
         self._finish_replacement(chunk)
-        return False
+        return won
 
     def _find_pred(self, chunk: Chunk) -> Optional[Chunk]:
         """Live-list predecessor of chunk, or None if already unreachable.
@@ -737,5 +745,4 @@ from .rebalance import (  # noqa: E402
     copy_range,
     freeze_chunk,
     help_frozen_chunk_puts,
-    replace_chunks,
 )

@@ -4,33 +4,32 @@ Rebalance of a chunk proceeds in idempotent stages any thread may run:
 freeze (one flag, which is also the allocation cut-off, then sealing
 unversioned entries), help (insert every Pending entry into the frozen
 list and commit it), compact (copy surviving versions into fresh
-half-filled chunks), then a single replacement CAS decides the winner
-whose chunks get spliced in. Losers discard their copies; publication
-(splice, next-forwarding, index) is re-runnable by anyone so a stalled
-winner never blocks writers.
+half-filled chunks, sized like the input chunk). KiwiMap._rebalance_chunk
+runs them, then a single replacement CAS decides the winner whose chunks
+get spliced in. Losers discard their copies; publication (splice,
+next-forwarding, index) is re-runnable by anyone so a stalled winner
+never blocks writers.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-from .atomics import cas, store_fence, word_lock
+from .atomics import AtomicInt, store_fence, word_lock
 from .core import (
     _INF,
     _NEG_SLOTS,
     _SLOTS,
     END,
     FROZEN,
+    KEY_MIN,
     VERSION_NONE,
     Chunk,
     KiwiMap,
     OrderEntry,
-    cover_slots,
     find_insertion_location,
     logical_version,
 )
-
-_NO_KEY = object()  # equal to no key
 
 # When a put reorganizes its chunk: always when the chunk is full, else
 # with probability REBALANCE_PROB_PERC / 100 when the presorted prefix
@@ -71,10 +70,10 @@ def help_frozen_chunk_puts(kiwi: KiwiMap, chunk: Chunk) -> None:
     """Insert every Pending entry into the frozen chunk's list and commit
     it. Duplicate helping degrades to an overwrite or no-op through the
     dataIndex rule, so concurrent rebalancers are safe. The index passed
-    on is the shared slot int, which a list CAS may store as a next link."""
+    on is the shared slot int, which a list CAS may store as a next link;
+    alloc grew the table to cover every slot below the bound."""
     slot = kiwi._require_slot()
     bound = chunk.allocated_bound()
-    cover_slots(bound)
     for idx, entry in enumerate(chunk.order[1:bound], 1):
         ver = entry.version
         if ver is not FROZEN and ver < 0:
@@ -82,13 +81,7 @@ def help_frozen_chunk_puts(kiwi: KiwiMap, chunk: Chunk) -> None:
             entry.cas_version(ver, -ver)
 
 
-def copy_compact(
-    chunk: Chunk,
-    min_active_scan: float,
-    *,
-    max_items: int,
-    max_threads: int,
-) -> list[Chunk]:
+def copy_compact(chunk: Chunk, min_active_scan: float) -> list[Chunk]:
     """Build 1..k fresh chunks from a frozen, fully-helped chunk in one
     walk of its list, reading each entry once.
 
@@ -98,23 +91,24 @@ def copy_compact(
     version from the newest one <= min_active_scan up to s). A key whose
     newest version is a tombstone older than every active scan is dropped.
 
-    New chunks are presorted (sorted_prefix_len == entry count), filled
-    greedily to at most FILL_FACTOR x max_items, and never split one key's
-    versions across a chunk boundary. Their ranges partition the old range.
-    Their slot numbers (next links, dataIndex words) are the shared slot
-    ints; no output slot exceeds the input's allocated bound.
+    New chunks take the input's capacity and PPA width. They are presorted
+    (sorted_prefix_len == entry count), filled greedily to at most
+    FILL_FACTOR x capacity, and never split one key's versions across a
+    chunk boundary. Their ranges partition the old range. Their slot
+    numbers (next links, dataIndex words) are the shared slot ints, which
+    cover them already: no output slot exceeds the input's allocated bound.
+    Nothing else sees a new chunk before the replacement CAS publishes it.
     """
-    target = max(1, int(max_items * FILL_FACTOR))
+    target = max(1, int(chunk.capacity * FILL_FACTOR))
     order = chunk.order
     data = chunk.data
-    cover_slots(len(order))
     slots, neg_slots = _SLOTS, _NEG_SLOTS
-    fresh = Chunk(chunk.min_key, chunk.range_end, max_items, max_threads)
+    fresh = Chunk(chunk.min_key, chunk.range_end, chunk.capacity, len(chunk.ppa))
     new_chunks = [fresh]
     fresh_order, fresh_keys, fresh_data = fresh.order, fresh.keys, fresh.data
     last = fresh_order[0]  # the entry the next one appended links after
     slot = start = 1  # the next free slot; the current key's first slot
-    key = _NO_KEY
+    key = KEY_MIN  # equal to no key
     keep = False  # whether the current key's next older version is kept
     idx = order[0].next
     while idx != END:
@@ -134,7 +128,7 @@ def copy_compact(
         keep = ver > min_active_scan
         if slot > target and start > 1:
             # The key overflows a chunk it shares: it opens the next one.
-            fresh = _split_before(fresh, start, key, max_items, max_threads)
+            fresh = _split_before(fresh, start, key)
             new_chunks.append(fresh)
             fresh_order, fresh_keys, fresh_data = fresh.order, fresh.keys, fresh.data
             last = fresh_order[-1]
@@ -154,15 +148,15 @@ def copy_compact(
     fresh.next = chunk.next
     for new_chunk in new_chunks:
         new_chunk.sorted_prefix_len = len(new_chunk.order) - 1
-        new_chunk.list_size.set(new_chunk.sorted_prefix_len)
+        new_chunk.list_size = AtomicInt(new_chunk.sorted_prefix_len)
     return new_chunks
 
 
-def _split_before(fresh: Chunk, start: int, key: Any, max_items: int, max_threads: int) -> Chunk:
+def _split_before(fresh: Chunk, start: int, key: Any) -> Chunk:
     """End an unpublished presorted chunk before slot start, where key
     begins, and return the chunk that follows it from key on, holding the
     versions of key already at slots start.., renumbered from slot 1."""
-    nxt = Chunk(key, fresh.range_end, max_items, max_threads)
+    nxt = Chunk(key, fresh.range_end, fresh.capacity, len(fresh.ppa))
     fresh.range_end = key
     fresh.next = nxt
     nxt.order += fresh.order[start:]
@@ -176,15 +170,6 @@ def _split_before(fresh: Chunk, start: int, key: Any, max_items: int, max_thread
         entry.data_index = _SLOTS[slot] if entry.data_index >= 0 else _NEG_SLOTS[slot]
         order[slot - 1].next = _SLOTS[slot]
     return nxt
-
-
-def replace_chunks(kiwi: KiwiMap, old: Chunk, new_chunks: list[Chunk]) -> bool:
-    """Decide and publish a replacement for old. Exactly one caller wins
-    the replacement CAS; losers' chunks are discarded unreferenced. The
-    publication steps run for winners and losers alike (idempotent)."""
-    won = cas(old, "replacement", None, tuple(new_chunks))
-    kiwi._finish_replacement(old)
-    return won
 
 
 def copy_range(
@@ -216,7 +201,7 @@ def copy_range(
     order = chunk.order
     data = chunk.data
     out: list[tuple[Any, Any]] = []
-    taken = _NO_KEY  # the last key whose item was chosen
+    taken = KEY_MIN  # the last key whose item was chosen; equal to no key
     idx = find_insertion_location(chunk, lo, _INF)[1]
     while idx != END:
         entry = order[idx]

@@ -5,9 +5,9 @@ unregister_thread, put with tombstones, get, scan, size bounds when
 enabled) with one global lock, so every recorded history it produces is
 linearizable by construction. It raises the concurrent map's errors too:
 RegistrationError on a second registration from one thread, past
-max_threads registrations or on releasing a slot the thread does not
-hold, and BoundsDisabledError for size queries on a map built with
-bounds off.
+max_threads registrations, on releasing a slot the thread does not hold
+and on put, get, scan or items from a thread that never registered, and
+BoundsDisabledError for size queries on a map built with bounds off.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right, insort
 from typing import Any, Optional
 
 from .bounds import BoundsDisabledError
-from .core import TOMBSTONE, ThreadRegistry, nan_inside
+from .core import TOMBSTONE, ThreadRegistry, refuse_unstorable
 
 
 class LockedSortedMap(ThreadRegistry):
@@ -47,8 +47,8 @@ class LockedSortedMap(ThreadRegistry):
             time.sleep(self.op_delay_s)
 
     def put(self, key: Any, value: Any) -> None:
-        if value is None or key is None or key != key or (isinstance(key, tuple) and nan_inside(key)):
-            raise ValueError(f"put({key!r}, {value!r}): None values and None or NaN keys are not storable")
+        refuse_unstorable(key, value)
+        self._require_slot()
         with self._lock:
             self._dally()
             if value is TOMBSTONE:
@@ -61,11 +61,13 @@ class LockedSortedMap(ThreadRegistry):
                 self._data[key] = value
 
     def get(self, key: Any) -> Any:
+        self._require_slot()
         with self._lock:
             self._dally()
             return self._data.get(key)
 
     def scan(self, min_key: Any, max_key: Any) -> list[tuple[Any, Any]]:
+        self._require_slot()
         if min_key > max_key:
             raise ValueError("scan requires min_key <= max_key")
         with self._lock:
@@ -75,6 +77,7 @@ class LockedSortedMap(ThreadRegistry):
             return [(k, self._data[k]) for k in self._keys[lo:hi]]
 
     def items(self) -> list[tuple[Any, Any]]:
+        self._require_slot()
         with self._lock:
             return [(k, self._data[k]) for k in self._keys]
 

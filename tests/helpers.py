@@ -10,7 +10,8 @@ from itertools import permutations
 from typing import Any, Iterable
 
 from kiwi.bench import MeasurementResult
-from kiwi.core import END, TOMBSTONE, Chunk, KiwiMap, OrderEntry, logical_version
+from kiwi.atomics import AtomicInt
+from kiwi.core import END, TOMBSTONE, Chunk, KiwiMap, OrderEntry, cover_slots, logical_version
 from kiwi.fuzz import FuzzConfig
 from kiwi.history import GET, IS_EMPTY, PUT, SIZE, History, OpRecord
 
@@ -46,8 +47,8 @@ def raw_chunk(
     """Hand-built chunk: `listed` items (key, version, value-or-TOMBSTONE)
     wired into the linked list in the given order (caller supplies sorted
     input), `pending` items allocated and versioned but NOT linked, as if
-    published to the PPA and helped. Returns the chunk and the pending
-    entries."""
+    published to the PPA and helped. Like alloc, it grows the shared slot
+    table to cover its slots. Returns the chunk and the pending entries."""
     chunk = Chunk(float("-inf"), float("inf"), capacity, max_threads)
 
     def append(key, version, value):
@@ -66,9 +67,10 @@ def raw_chunk(
         prev = append(key, version, value)
     prev.next = END
     chunk.sorted_prefix_len = len(chunk.order) - 1
-    chunk.list_size.set(chunk.sorted_prefix_len)
+    chunk.list_size = AtomicInt(chunk.sorted_prefix_len)
     # pending entries carry the pending (negative) version encoding
     pending_entries = [append(key, -version, value) for key, version, value in pending]
+    cover_slots(len(chunk.order))
     return chunk, pending_entries
 
 

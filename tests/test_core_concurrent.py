@@ -94,8 +94,7 @@ def test_same_key_same_version_insert_and_overwrite_outcomes():
         slot = m.register_thread()
         chunk = m.find_chunk(5)
         entry = OrderEntry(5)
-        idx = chunk.alloc(entry, False)
-        chunk.data[idx] = value
+        idx = chunk.alloc(entry, value)
         chunk.ppa[slot] = idx
         entry.cas_version(0, -global_version(m))
         staged[name] = (idx, value)

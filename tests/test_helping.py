@@ -25,8 +25,7 @@ def test_help_assigns_requested_version():
     m.register_thread()
     chunk = m.find_chunk(5)
     entry = OrderEntry(5)
-    idx = chunk.alloc(entry, False)
-    chunk.data[idx] = 50
+    idx = chunk.alloc(entry, 50)
     chunk.ppa[0] = idx
     helped = m.help_pending_puts(chunk, 0, 10, 12)
     assert helped == [entry]
@@ -38,7 +37,7 @@ def test_help_ignores_out_of_range_keys():
     m.register_thread()
     chunk = m.find_chunk(50)
     entry = OrderEntry(50)
-    chunk.ppa[0] = chunk.alloc(entry, False)
+    chunk.ppa[0] = chunk.alloc(entry, 500)
     assert m.help_pending_puts(chunk, 0, 10, 12) == []
     assert entry.version == VERSION_NONE  # untouched
 
@@ -48,7 +47,7 @@ def test_help_skips_frozen_entries():
     m.register_thread()
     chunk = m.find_chunk(5)
     entry = OrderEntry(5)
-    idx = chunk.alloc(entry, False)
+    idx = chunk.alloc(entry, 50)
     entry.version = FROZEN
     chunk.ppa[0] = idx
     assert m.help_pending_puts(chunk, 0, 10, 12) == []
@@ -59,8 +58,7 @@ def test_help_returns_already_versioned_entries_unchanged():
     m.register_thread()
     chunk = m.find_chunk(5)
     entry = OrderEntry(5)
-    idx = chunk.alloc(entry, False)
-    chunk.data[idx] = 50
+    idx = chunk.alloc(entry, 50)
     entry.version = -3
     chunk.ppa[0] = idx
     helped = m.help_pending_puts(chunk, 0, 10, 12)

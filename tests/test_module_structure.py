@@ -1,8 +1,10 @@
 """Module-structure audits: core and rebalance import each other once, at
 module level, so no function pays for an import statement on each call,
 and each module still imports first in a fresh interpreter. A budget test
-pins the map's construction knobs, a chunk's slots, the fuzz recipe's
-fields and the package exports, so adding one has to edit it openly."""
+pins the map's construction knobs, a chunk's slots, compaction's and the
+bench map factory's parameters, the atomic counter's methods, the fuzz
+recipe's fields and the package exports, so adding one has to edit it
+openly."""
 
 import ast
 import dataclasses
@@ -13,7 +15,7 @@ import sys
 import pytest
 
 import kiwi
-from kiwi import core, rebalance
+from kiwi import atomics, bench, core, rebalance
 
 
 @pytest.mark.parametrize("module", [core, rebalance], ids=lambda m: m.__name__)
@@ -39,6 +41,11 @@ def test_knob_and_export_budget():
         "min_key", "range_end", "capacity", "order", "keys", "data", "ppa",
         "sorted_prefix_len", "frozen", "replacement", "next", "list_size",
     )
+    # Compaction reads the output's size from its input chunk.
+    assert list(inspect.signature(rebalance.copy_compact).parameters) == ["chunk", "min_active_scan"]
+    assert list(inspect.signature(bench.make_map).parameters) == ["impl", "threads", "bounds_enabled"]
+    public = {name for name in vars(atomics.AtomicInt) if not name.startswith("_")}
+    assert public == {"get", "fetch_add"}
     assert [field.name for field in dataclasses.fields(kiwi.FuzzConfig)] == [
         "threads", "ops_per_thread", "key_range", "seed", "mix",
         "delay_prob", "delay_max_s", "max_items", "bounds_enabled", "scan_span",

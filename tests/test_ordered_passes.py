@@ -48,17 +48,18 @@ def test_copy_compact_against_oracle():
     rng = random.Random(4242)
     for round_no in range(400):
         listed = random_listed(rng, rng.randrange(0, 14))
-        chunk, _ = raw_chunk(listed)
+        min_active_scan = rng.choice([1, 2, 3, 4, 5, 6, 7, 8, INF])
+        max_items = rng.randrange(3, 17)
+        chunk, _ = raw_chunk(listed, capacity=max_items)
         chunk.min_key, chunk.range_end = -5, 100
         successor = Chunk(100, INF, 8, 4)
         chunk.next = successor
         freeze_chunk(chunk)
-        min_active_scan = rng.choice([1, 2, 3, 4, 5, 6, 7, 8, INF])
-        max_items = rng.randrange(3, 17)
         target = max(1, int(max_items * FILL_FACTOR))
         context = (round_no, listed, min_active_scan, max_items)
 
-        new_chunks = copy_compact(chunk, min_active_scan, max_items=max_items, max_threads=4)
+        new_chunks = copy_compact(chunk, min_active_scan)
+        assert all(fresh.capacity == max_items and len(fresh.ppa) == 4 for fresh in new_chunks), context
 
         copied = []
         for fresh in new_chunks:
@@ -124,7 +125,7 @@ def test_copy_compact_of_real_chunks_against_oracle():
             versions = sorted({version for _, version, _ in listed})
             for min_active_scan in rng.sample(versions, min(3, len(versions))) + [INF]:
                 context = (chunk, min_active_scan)
-                new_chunks = copy_compact(chunk, min_active_scan, max_items=256, max_threads=2)
+                new_chunks = copy_compact(chunk, min_active_scan)
                 assert compacted_items(new_chunks) == oracle_retained(listed, min_active_scan), context
                 assert new_chunks[0].min_key == chunk.min_key, context
                 assert new_chunks[-1].range_end == chunk.range_end, context

@@ -6,8 +6,9 @@ compare with a stored key. The refusal leaves no trace in the map or its
 size bounds. The coarse-lock map likewise
 refuses a constructor keyword it does not know, and raises the concurrent
 map's errors for a second registration from one thread, for a
-registration past capacity and for a size query with bounds off. On
-both maps a released registration slot serves the next thread."""
+registration past capacity, for an operation from a thread that never
+registered and for a size query with bounds off. On both maps a
+released registration slot serves the next thread."""
 
 import sys
 import threading
@@ -160,6 +161,30 @@ def test_released_slots_serve_threads_that_run_one_after_another(make):
     assert errors == []
     assert slots == [1, 1, 1]
     assert m.items() == [(0, 0), (1, 10), (2, 20)]
+
+
+@pytest.mark.parametrize("make", [KiwiMap, LockedSortedMap], ids=["kiwi", "locked"])
+def test_operations_from_an_unregistered_thread_are_refused(make):
+    # A caller that forgets to register must fail against the oracle as
+    # it does against the map, and its put must change nothing.
+    m = make(max_threads=2)
+    m.register_thread()
+    m.put(1, 1)
+    errors = []
+
+    def unregistered():
+        for op in (lambda: m.put(2, 2), lambda: m.get(1), lambda: m.scan(0, 5), m.items):
+            try:
+                op()
+            except RegistrationError as exc:
+                errors.append(str(exc))
+
+    t = threading.Thread(target=unregistered)
+    t.start()
+    t.join(5.0)
+    assert not t.is_alive()
+    assert errors == ["calling thread is not registered"] * 4
+    assert m.items() == [(1, 1)]
 
 
 @pytest.mark.parametrize("make", [KiwiMap, LockedSortedMap], ids=["kiwi", "locked"])

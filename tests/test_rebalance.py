@@ -5,7 +5,7 @@ import random
 import sys
 import threading
 
-from kiwi import KiwiMap, TOMBSTONE
+from kiwi import KiwiMap, TOMBSTONE, core
 from kiwi.core import FROZEN, VERSION_NONE
 from kiwi.rebalance import (
     check_rebalance,
@@ -13,7 +13,6 @@ from kiwi.rebalance import (
     copy_range,
     freeze_chunk,
     help_frozen_chunk_puts,
-    replace_chunks,
 )
 
 from helpers import (
@@ -64,13 +63,29 @@ def test_freeze_without_pending_sets_flag_only():
     assert entry.version == 1  # committed entries untouched
 
 
+def test_alloc_writes_the_whole_slot():
+    # Before any put publishes its index, a reader of the slot already
+    # finds the entry, its key and its value: a tombstone holds None and
+    # a negative dataIndex.
+    chunk, _ = raw_chunk([(1, 1, 10)], capacity=8)
+    from kiwi.core import OrderEntry
+
+    value, tomb = OrderEntry(5), OrderEntry(6)
+    assert chunk.alloc(value, 50) == 2
+    assert chunk.alloc(tomb, TOMBSTONE) == 3
+    assert chunk.ppa == [None] * 4
+    assert (value.version, value.data_index) == (VERSION_NONE, 2)
+    assert (tomb.version, tomb.data_index) == (VERSION_NONE, -3)
+    assert chunk.order[2:] == [value, tomb] and chunk.keys[2:] == [5, 6]
+    assert chunk.data[2:] == [50, None]
+
+
 def test_freeze_seals_unversioned_entries():
     chunk, _ = raw_chunk([])
     from kiwi.core import OrderEntry
 
     entry = OrderEntry(5)
-    chunk.alloc(entry, False)
-    chunk.data[abs(entry.data_index)] = 50
+    chunk.alloc(entry, 50)
     assert entry.version == VERSION_NONE
     freeze_chunk(chunk)
     assert entry.version is FROZEN
@@ -86,10 +101,10 @@ def test_frozen_chunk_rejects_allocation():
 
     chunk.frozen = True
     assert chunk.is_full()
-    assert chunk.alloc(OrderEntry(5), False) is None
+    assert chunk.alloc(OrderEntry(5), 50) is None
     assert chunk.allocated_bound() == 2
     freeze_chunk(chunk)
-    assert chunk.alloc(OrderEntry(6), True) is None
+    assert chunk.alloc(OrderEntry(6), TOMBSTONE) is None
     assert chunk.allocated_bound() == 2
 
 
@@ -136,8 +151,8 @@ def test_concurrent_rebalancers_insert_pending_once():
 # ---------------- compaction ----------------
 
 def test_copy_compact_keeps_only_newest_without_scans():
-    chunk, _ = raw_chunk([(7, 3, 33), (7, 2, 22), (7, 1, 11)])
-    (new,) = copy_compact(chunk, INF, max_items=64, max_threads=2)
+    chunk, _ = raw_chunk([(7, 3, 33), (7, 2, 22), (7, 1, 11)], capacity=64)
+    (new,) = copy_compact(chunk, INF)
     entries = walk_list(new)
     assert [(e.key, e.version) for e in entries] == [(7, 3)]
     assert new.data[entries[0].data_index] == 33
@@ -145,8 +160,8 @@ def test_copy_compact_keeps_only_newest_without_scans():
 
 
 def test_copy_compact_retains_versions_for_active_scan():
-    chunk, _ = raw_chunk([(7, 3, 33), (7, 2, 22), (7, 1, 11)])
-    (new,) = copy_compact(chunk, 2, max_items=64, max_threads=2)
+    chunk, _ = raw_chunk([(7, 3, 33), (7, 2, 22), (7, 1, 11)], capacity=64)
+    (new,) = copy_compact(chunk, 2)
     assert [(e.key, e.version) for e in walk_list(new)] == [(7, 3), (7, 2)]
     # the retained version is exactly what a scan pinned at 2 reads
     assert copy_range(new, 0, 100, 2) == [(7, 22)]
@@ -155,21 +170,21 @@ def test_copy_compact_retains_versions_for_active_scan():
 def test_copy_compact_keeps_floor_version_below_min_active_scan():
     # a scan pinned at 5 must still see the version-1 value even though
     # 1 < 5: it is the newest version at or below the pin
-    chunk, _ = raw_chunk([(7, 7, 77), (7, 1, 11)])
-    (new,) = copy_compact(chunk, 5, max_items=64, max_threads=2)
+    chunk, _ = raw_chunk([(7, 7, 77), (7, 1, 11)], capacity=64)
+    (new,) = copy_compact(chunk, 5)
     assert [(e.key, e.version) for e in walk_list(new)] == [(7, 7), (7, 1)]
     assert copy_range(new, 0, 100, 5) == [(7, 11)]
 
 
 def test_copy_compact_purges_newest_tombstone_without_scans():
-    chunk, _ = raw_chunk([(3, 2, TOMBSTONE), (3, 1, 10), (8, 1, 80)])
-    (new,) = copy_compact(chunk, INF, max_items=64, max_threads=2)
+    chunk, _ = raw_chunk([(3, 2, TOMBSTONE), (3, 1, 10), (8, 1, 80)], capacity=64)
+    (new,) = copy_compact(chunk, INF)
     assert [e.key for e in walk_list(new)] == [8]
 
 
 def test_copy_compact_keeps_tombstone_needed_by_scan():
-    chunk, _ = raw_chunk([(3, 4, TOMBSTONE), (3, 1, 10)])
-    (new,) = copy_compact(chunk, 2, max_items=64, max_threads=2)
+    chunk, _ = raw_chunk([(3, 4, TOMBSTONE), (3, 1, 10)], capacity=64)
+    (new,) = copy_compact(chunk, 2)
     pairs = [(e.key, e.version) for e in walk_list(new)]
     assert pairs == [(3, 4), (3, 1)]
     assert copy_range(new, 0, 100, 2) == [(3, 10)]  # old scan sees old data
@@ -177,8 +192,8 @@ def test_copy_compact_keeps_tombstone_needed_by_scan():
 
 
 def test_copy_compact_splits_and_partitions_range():
-    chunk, _ = raw_chunk([(k, 1, k * 10) for k in range(40)], capacity=64)
-    new_chunks = copy_compact(chunk, INF, max_items=16, max_threads=2)
+    chunk, _ = raw_chunk([(k, 1, k * 10) for k in range(40)], capacity=16)
+    new_chunks = copy_compact(chunk, INF)
     assert len(new_chunks) == 5  # 40 entries, 8 per chunk
     assert new_chunks[0].min_key == chunk.min_key
     assert new_chunks[-1].range_end == chunk.range_end
@@ -192,9 +207,9 @@ def test_copy_compact_splits_and_partitions_range():
 
 def test_copy_compact_never_splits_a_key_across_chunks():
     chunk, _ = raw_chunk(
-        [(k, v, k * 100 + v) for k in range(10) for v in (3, 2, 1)], capacity=64
+        [(k, v, k * 100 + v) for k in range(10) for v in (3, 2, 1)], capacity=8
     )
-    new_chunks = copy_compact(chunk, 1, max_items=8, max_threads=2)
+    new_chunks = copy_compact(chunk, 1)
     assert len(new_chunks) > 1
     homes: dict[int, int] = {}
     for i, c in enumerate(new_chunks):
@@ -205,8 +220,8 @@ def test_copy_compact_never_splits_a_key_across_chunks():
 
 
 def test_copy_compact_empty_chunk_keeps_range():
-    chunk, _ = raw_chunk([(3, 2, TOMBSTONE)])
-    (new,) = copy_compact(chunk, INF, max_items=16, max_threads=2)
+    chunk, _ = raw_chunk([(3, 2, TOMBSTONE)], capacity=16)
+    (new,) = copy_compact(chunk, INF)
     assert new.min_key == chunk.min_key
     assert new.range_end == chunk.range_end
     assert walk_list(new) == []
@@ -220,32 +235,36 @@ def test_replace_chunks_uncontended_and_routing():
     for k in range(10):
         m.put(k, k)
     old = m.find_chunk(5)
-    freeze_chunk(old)
-    help_frozen_chunk_puts(m, old)
-    new_chunks = copy_compact(old, INF, max_items=64, max_threads=2)
-    assert replace_chunks(m, old, new_chunks)
+    assert m._rebalance_chunk(old)
+    new_chunks = old.replacement
+    assert len(new_chunks) == 1 and new_chunks[0].capacity == 64
     assert m.find_chunk(5) is new_chunks[0]
     assert old.next is new_chunks[0]  # forwarding for in-flight readers
     assert dict(m.items()) == {k: k for k in range(10)}
 
 
-def test_replace_chunks_single_winner_under_race():
+def test_replace_chunks_single_winner_under_race(monkeypatch):
+    # Both racers find the replacement undecided and compact before either
+    # tries the decision CAS, so the CAS alone picks the winner.
+    barrier = threading.Barrier(2, timeout=10)
+
+    def compact_then_meet(chunk, min_active_scan):
+        mine = copy_compact(chunk, min_active_scan)
+        barrier.wait()
+        return mine
+
+    monkeypatch.setattr(core, "copy_compact", compact_then_meet)
     for _ in range(20):
-        m = KiwiMap(max_threads=4, max_items=64)
+        m = KiwiMap(max_threads=4, max_items=64, rng=lambda: 1.0)  # the puts below never rebalance
         m.register_thread()
         for k in range(10):
             m.put(k, k)
         old = m.find_chunk(5)
-        freeze_chunk(old)
-        help_frozen_chunk_puts(m, old)
         wins = []
-        barrier = threading.Barrier(2)
 
         def racer():
             m.register_thread()
-            mine = copy_compact(old, INF, max_items=64, max_threads=4)
-            barrier.wait()
-            wins.append(replace_chunks(m, old, mine))
+            wins.append(m._rebalance_chunk(old))
 
         threads = [threading.Thread(target=racer) for _ in range(2)]
         for t in threads:

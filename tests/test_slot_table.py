@@ -120,3 +120,34 @@ def test_threads_filling_chunks_past_the_table_read_right_numbers():
     run_threads([threading.Thread(target=fill) for _ in range(4)])
     assert not errors, errors[:5]
     assert all(_SLOTS[i] == i and _NEG_SLOTS[i] == -i for i in range(len(_SLOTS)))
+
+
+def test_compaction_does_not_grow_the_table():
+    """Only alloc grows the table: compaction writes no slot above its
+    input's allocated bound, and every slot below it was handed out by
+    alloc, so rebalancing every chunk of a churned map, slots past the
+    small-int cache included, finds the table already covering them."""
+    rng = random.Random(600)
+    m = KiwiMap(max_threads=2, max_items=600, rng=NEVER_REBALANCE)
+    m.register_thread()
+    for _ in range(4000):
+        k = rng.randrange(1500)
+        draw = rng.random()
+        if draw < 0.6:
+            m.put(k, k)
+        elif draw < 0.85:
+            m.put(k, TOMBSTONE)
+        else:
+            m.scan(k, k + 20)
+    before_items = m.items()
+    old_chunks = m.chunks()
+    assert len(old_chunks) > 1 and max(c.allocated_bound() for c in old_chunks) > 256
+    size = len(_SLOTS)
+    m._psa[1] = 1  # a pinned scan keeps old versions, so outputs stay long
+    for chunk in old_chunks:
+        assert m._rebalance_chunk(chunk)
+    m._psa[1] = None
+    assert len(_SLOTS) == len(_NEG_SLOTS) == size
+    assert all(c not in old_chunks for c in m.chunks())
+    assert_slots_shared(m)
+    assert m.items() == before_items

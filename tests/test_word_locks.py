@@ -87,7 +87,7 @@ def test_alloc_takes_the_stripe_that_freezing_takes():
         lock = word_lock(chunk)
         lock.acquire()
         try:
-            t = threading.Thread(target=lambda: got.append(chunk.alloc(OrderEntry(1), False)))
+            t = threading.Thread(target=lambda: got.append(chunk.alloc(OrderEntry(1), 10)))
             t.start()
             t.join(timeout=0.1)
             assert t.is_alive() and got == []
