@@ -195,10 +195,7 @@ def run_iteration(cfg: WorkloadConfig, impl: str, iteration: int, bounds_debug: 
             _worker_loop(target, cfg, role, worker_rng, deadline, counts[tid])
         except BaseException as exc:
             errors.append(exc)
-            try:
-                barrier.abort()
-            except threading.BrokenBarrierError:
-                pass
+            barrier.abort()
 
     threads = [threading.Thread(target=work, args=(tid,)) for tid in range(cfg.threads)]
     for t in threads:

@@ -50,73 +50,56 @@ PRE_VERSION_CAS = "pre-version-cas"
 PRE_LIST_CAS = "pre-list-cas"
 
 
-class _Tombstone:
-    __slots__ = ()
+class _Marker:
+    """A value compared by identity only; its name is its repr."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
 
     def __repr__(self) -> str:
-        return "TOMBSTONE"
+        return self.name
 
 
-TOMBSTONE = _Tombstone()
+TOMBSTONE = _Marker("TOMBSTONE")
+FROZEN = _Marker("FROZEN")
 
 
-class _Frozen:
-    __slots__ = ()
+class _KeyBound:
+    """One end of the key space: KEY_MIN (rank -1) sorts below every key
+    and KEY_MAX, KEY_MAX (rank +1) above every key and KEY_MIN. A bound
+    compares its rank with its own rank for itself and with 0 for anything
+    else (a key, or the other bound, which lies past every key). A key
+    compared with one gets the answer by reflection, so keys of any
+    mutually comparable type (ints, strings, bytes, tuples) share one map
+    layout."""
 
-    def __repr__(self) -> str:
-        return "FROZEN"
+    __slots__ = ("rank", "name")
 
-
-FROZEN = _Frozen()
-
-
-class _KeyMin:
-    """The key-space floor: below every key and KEY_MAX. A key compared
-    with it gets the answer by reflection, so keys of any mutually
-    comparable type (ints, strings, bytes, tuples) share one map layout."""
-
-    __slots__ = ()
+    def __init__(self, rank: int, name: str) -> None:
+        self.rank = rank
+        self.name = name
 
     def __lt__(self, other: Any) -> bool:
-        return other is not self
+        return self.rank < (self.rank if other is self else 0)
 
     def __le__(self, other: Any) -> bool:
-        return True
+        return self.rank <= (self.rank if other is self else 0)
 
     def __gt__(self, other: Any) -> bool:
-        return False
+        return self.rank > (self.rank if other is self else 0)
 
     def __ge__(self, other: Any) -> bool:
-        return other is self
+        return self.rank >= (self.rank if other is self else 0)
 
     def __repr__(self) -> str:
-        return "-inf"
-
-
-class _KeyMax:
-    """The key-space ceiling: above every key and KEY_MIN."""
-
-    __slots__ = ()
-
-    def __lt__(self, other: Any) -> bool:
-        return False
-
-    def __le__(self, other: Any) -> bool:
-        return other is self
-
-    def __gt__(self, other: Any) -> bool:
-        return other is not self
-
-    def __ge__(self, other: Any) -> bool:
-        return True
-
-    def __repr__(self) -> str:
-        return "inf"
+        return self.name
 
 
 # The first chunk starts at KEY_MIN and the last one ends at KEY_MAX.
-KEY_MIN = _KeyMin()
-KEY_MAX = _KeyMax()
+KEY_MIN = _KeyBound(-1, "-inf")
+KEY_MAX = _KeyBound(1, "inf")
 
 
 # Shared slot-number ints: _SLOTS[i] is i and _NEG_SLOTS[i] is -i, one
@@ -453,10 +436,14 @@ class KiwiMap(ThreadRegistry):
 
     # ---------------- helping ----------------
 
-    def help_pending_puts(self, chunk: Chunk, lo: Any, hi: Any, help_version: int) -> list[OrderEntry]:
-        """Give every relevant unversioned pending put a version and return
-        all relevant versioned PPA entries for the caller to merge. The
-        caller must fence before invoking. Frozen entries are skipped."""
+    def help_pending_puts(self, chunk: Chunk, lo: Any, hi: Any) -> list[OrderEntry]:
+        """Fence, read the global version, then give every relevant
+        unversioned pending put that version and return all relevant
+        versioned PPA entries for the caller to merge. The fence comes
+        before any PPA cell is read, so no reader can skip it. Frozen
+        entries are skipped."""
+        full_fence()
+        help_version = self._gv.get()
         items: list[OrderEntry] = []
         order = chunk.order
         for idx in chunk.ppa:
@@ -525,8 +512,7 @@ class KiwiMap(ThreadRegistry):
     def get(self, key: Any) -> Any:
         self._require_slot()
         chunk = self.find_chunk(key)
-        full_fence()
-        candidates = self.help_pending_puts(chunk, key, key, self._gv.get())
+        candidates = self.help_pending_puts(chunk, key, key)
         if candidates:  # rank them against the list as a scan would
             found = copy_range(chunk, key, key, _INF, candidates)
             return found[0][1] if found else None
@@ -553,9 +539,7 @@ class KiwiMap(ThreadRegistry):
             done = False
             while not done:  # bounded: cursor advances one chunk range per pass
                 chunk = self.find_chunk(cursor)
-                full_fence()
-                help_version = self._gv.get()
-                ppa_items = self.help_pending_puts(chunk, cursor, max_key, help_version)
+                ppa_items = self.help_pending_puts(chunk, cursor, max_key)
                 out.extend(copy_range(chunk, cursor, max_key, scan_version, ppa_items))
                 done = chunk.range_end is KEY_MAX or chunk.range_end > max_key
                 if not done:

@@ -149,10 +149,7 @@ def record_run_with_map(
                 out.append(OpRecord(tid, kind, args, result, invoke, response))
         except BaseException as exc:  # surfaced to the caller
             errors.append(exc)
-            try:
-                barrier.abort()
-            except threading.BrokenBarrierError:
-                pass
+            barrier.abort()
 
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # aggressive preemption for interleavings

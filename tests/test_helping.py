@@ -7,17 +7,24 @@ import time
 
 import pytest
 
-from kiwi import TOMBSTONE, KiwiMap, OpRecord
+from kiwi import TOMBSTONE, KiwiMap, OpRecord, core
+from kiwi.atomics import AtomicInt
 from kiwi.core import FROZEN, PRE_LIST_CAS, VERSION_NONE, OrderEntry, logical_version
 
 from helpers import GateHook, assert_map_invariants
+
+
+def help_at(m, chunk, version):
+    """help_pending_puts over keys 0..10 with the global version at version."""
+    m._gv = AtomicInt(version)
+    return m.help_pending_puts(chunk, 0, 10)
 
 
 def test_help_empty_ppa_returns_nothing():
     m = KiwiMap(max_threads=2)
     m.register_thread()
     chunk = m.find_chunk(0)
-    assert m.help_pending_puts(chunk, 0, 10, 12) == []
+    assert help_at(m, chunk, 12) == []
 
 
 def test_help_assigns_requested_version():
@@ -27,7 +34,7 @@ def test_help_assigns_requested_version():
     entry = OrderEntry(5)
     idx = chunk.alloc(entry, 50)
     chunk.ppa[0] = idx
-    helped = m.help_pending_puts(chunk, 0, 10, 12)
+    helped = help_at(m, chunk, 12)
     assert helped == [entry]
     assert entry.version == -12  # pending at the helper's version
 
@@ -38,7 +45,7 @@ def test_help_ignores_out_of_range_keys():
     chunk = m.find_chunk(50)
     entry = OrderEntry(50)
     chunk.ppa[0] = chunk.alloc(entry, 500)
-    assert m.help_pending_puts(chunk, 0, 10, 12) == []
+    assert help_at(m, chunk, 12) == []
     assert entry.version == VERSION_NONE  # untouched
 
 
@@ -50,7 +57,7 @@ def test_help_skips_frozen_entries():
     idx = chunk.alloc(entry, 50)
     entry.version = FROZEN
     chunk.ppa[0] = idx
-    assert m.help_pending_puts(chunk, 0, 10, 12) == []
+    assert help_at(m, chunk, 12) == []
 
 
 def test_help_returns_already_versioned_entries_unchanged():
@@ -61,9 +68,55 @@ def test_help_returns_already_versioned_entries_unchanged():
     idx = chunk.alloc(entry, 50)
     entry.version = -3
     chunk.ppa[0] = idx
-    helped = m.help_pending_puts(chunk, 0, 10, 12)
+    helped = help_at(m, chunk, 12)
     assert helped == [entry]
     assert logical_version(entry.version) == 3
+
+
+def fences_during(fn):
+    """Calls of core.full_fence while fn runs."""
+    calls = []
+    original = core.full_fence
+
+    def counted():
+        calls.append(1)
+        original()
+
+    core.full_fence = counted
+    try:
+        fn()
+    finally:
+        core.full_fence = original
+    return len(calls)
+
+
+def test_help_fences_on_an_empty_ppa():
+    m = KiwiMap(max_threads=2)
+    m.register_thread()
+    chunk = m.find_chunk(0)
+    assert fences_during(lambda: help_at(m, chunk, 12)) == 1
+
+
+def test_get_fences_once_with_or_without_pending_puts():
+    m = KiwiMap(max_threads=2)
+    m.register_thread()
+    m.put(5, 50)
+    assert fences_during(lambda: m.get(5)) == 1
+    chunk = m.find_chunk(5)
+    chunk.ppa[1] = chunk.alloc(OrderEntry(5), 51)  # another thread's put, parked
+    assert fences_during(lambda: m.get(5)) == 1
+    assert m.get(5) == 51
+
+
+def test_scan_fences_once_per_chunk():
+    m = KiwiMap(max_threads=2, max_items=8, rng=lambda: 1.0)
+    m.register_thread()
+    for k in range(60):
+        m.put(k, k)
+    k = len(m.chunks())
+    assert k > 3
+    assert fences_during(m.items) == k
+    assert fences_during(lambda: m.scan(10, 10)) == 1
 
 
 @pytest.mark.parametrize(

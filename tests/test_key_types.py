@@ -8,7 +8,7 @@ import random
 import pytest
 
 from kiwi import TOMBSTONE, KiwiMap, LockedSortedMap
-from kiwi.core import KEY_MAX, KEY_MIN
+from kiwi.core import FROZEN, KEY_MAX, KEY_MIN
 
 from helpers import assert_map_invariants
 
@@ -35,6 +35,15 @@ def test_key_bounds_order_below_and_above_any_key():
     assert KEY_MIN < KEY_MAX and not KEY_MAX < KEY_MIN
     assert KEY_MIN <= KEY_MIN and KEY_MAX >= KEY_MAX
     assert not (KEY_MIN < KEY_MIN or KEY_MAX > KEY_MAX)
+
+
+def test_sentinel_and_marker_reprs_and_identity():
+    assert (repr(KEY_MIN), repr(KEY_MAX)) == ("-inf", "inf")
+    assert (repr(TOMBSTONE), repr(FROZEN)) == ("TOMBSTONE", "FROZEN")
+    assert TOMBSTONE != FROZEN and TOMBSTONE is not FROZEN
+    for marker in (TOMBSTONE, FROZEN):
+        assert marker == marker
+        assert marker != 0 and marker != None  # noqa: E711
 
 
 def str_key(rng):

@@ -41,6 +41,8 @@ def test_knob_and_export_budget():
         "min_key", "range_end", "capacity", "order", "keys", "data", "ppa",
         "sorted_prefix_len", "frozen", "replacement", "next", "list_size",
     )
+    # help_pending_puts fences and reads the global version itself.
+    assert list(inspect.signature(kiwi.KiwiMap.help_pending_puts).parameters) == ["self", "chunk", "lo", "hi"]
     # Compaction reads the output's size from its input chunk.
     assert list(inspect.signature(rebalance.copy_compact).parameters) == ["chunk", "min_active_scan"]
     assert list(inspect.signature(bench.make_map).parameters) == ["impl", "threads", "bounds_enabled"]
