@@ -1,9 +1,11 @@
-"""Behaviour digest: three seeded single-thread runs of a small-chunk map
-hash to fixed constants. The hash covers the chunk shapes at checkpoints
-and at the end, every get and scan result, and the final items(). A
-change meant to keep behaviour (a faster compaction, a cheaper lock
-section) must leave every digest as it is; a change meant to alter chunk
-shapes or results must update the constants and say why."""
+"""Behaviour digests: three seeded single-thread runs of a small-chunk map
+hash to fixed constants, in two parts. The results digest covers every
+get and scan result and the final items(): what a user can see, which
+no change short of a bug may move. The shapes digest covers the chunk
+shapes at checkpoints and at the end. A change meant to keep behaviour
+(a faster compaction, a cheaper lock section) must leave both as they
+are; a change meant to alter chunk shapes updates the shapes constants
+and says why, and leaves the results constants alone."""
 
 import hashlib
 import random
@@ -16,10 +18,16 @@ OPS = 30_000
 KEY_SPACE = 3_000
 CHECKPOINT = 2_000
 
-DIGESTS = {
-    1: "5e45436a4e85417658f712259f08cede780ec60665507448e59d59a58fb70add",
-    2: "b4cdfc293007b20d76b3a415ea0f67134912928ae4ad931f6b2ae66b5814e7bc",
-    3: "40e16984d8df126edbb4f5efbd5f1c856b9fba1030936e74893cfb9dd79723f1",
+RESULTS_DIGESTS = {
+    1: "bfcd6e06e8e09e92e16b9f0a05fd922c145de1241f18e199e3c8cb06c50d977d",
+    2: "5ef5494b4cfd7a108bf07ca4a148b3d4a579f9f070ce788c636437fb6e643ef3",
+    3: "f047b5bd2edaf2f3282522048d536dd8150069699c24be05067c009f657f4d86",
+}
+
+SHAPES_DIGESTS = {
+    1: "c83e25ee693717f872fcb8c1a7527915efc8e6dcaa68ea9ad7479503d55d7b74",
+    2: "0e2b4308d4e1bf459a65aa971915976434724bccd415d2b1dba787c845402b8c",
+    3: "5c308f19e44e879ed01a216b703b4c75d4f8fadf1ee6d13d3fff2ed7fd8f2c75",
 }
 
 
@@ -30,12 +38,14 @@ def chunk_shapes(kiwi):
     ]
 
 
-def behaviour_digest(seed):
-    """max_items=64 keeps chunks small, so a run compacts hundreds of times."""
+def behaviour_digests(seed):
+    """The (results, shapes) digests of one seeded run. max_items=64
+    keeps chunks small, so a run compacts hundreds of times."""
     rng = random.Random(seed)
     kiwi = KiwiMap(max_threads=2, max_items=64, rng=random.Random(seed).random)
     kiwi.register_thread()
-    digest = hashlib.sha256()
+    results = hashlib.sha256()
+    shapes = hashlib.sha256()
     try:
         for i in range(OPS):
             key = rng.randrange(KEY_SPACE)
@@ -45,18 +55,29 @@ def behaviour_digest(seed):
             elif op < 0.7:
                 kiwi.put(key, TOMBSTONE)
             elif op < 0.9:
-                digest.update(repr(kiwi.get(key)).encode())
+                results.update(repr(kiwi.get(key)).encode())
             else:
-                digest.update(repr(kiwi.scan(key, key + rng.randrange(200))).encode())
+                results.update(repr(kiwi.scan(key, key + rng.randrange(200))).encode())
             if i % CHECKPOINT == 0:
-                digest.update(repr(chunk_shapes(kiwi)).encode())
-        digest.update(repr(chunk_shapes(kiwi)).encode())
-        digest.update(repr(kiwi.items()).encode())
+                shapes.update(repr(chunk_shapes(kiwi)).encode())
+        shapes.update(repr(chunk_shapes(kiwi)).encode())
+        results.update(repr(kiwi.items()).encode())
     finally:
         kiwi.unregister_thread()
-    return digest.hexdigest()
+    return results.hexdigest(), shapes.hexdigest()
 
 
-@pytest.mark.parametrize("seed", sorted(DIGESTS))
-def test_behaviour_digest_is_unchanged(seed):
-    assert behaviour_digest(seed) == DIGESTS[seed]
+@pytest.fixture(scope="module")
+def digests():
+    return {seed: behaviour_digests(seed) for seed in sorted(RESULTS_DIGESTS)}
+
+
+@pytest.mark.parametrize("seed", sorted(RESULTS_DIGESTS))
+def test_behaviour_digest_is_unchanged(seed, digests):
+    """The results digest: gets, scans and the final items()."""
+    assert digests[seed][0] == RESULTS_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(SHAPES_DIGESTS))
+def test_chunk_shapes_digest_is_unchanged(seed, digests):
+    assert digests[seed][1] == SHAPES_DIGESTS[seed]
