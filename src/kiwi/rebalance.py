@@ -29,6 +29,7 @@ from .core import (
     OrderEntry,
     find_insertion_location,
     logical_version,
+    value_bit,
 )
 
 # When a put reorganizes its chunk: always when the chunk is full, else
@@ -97,15 +98,19 @@ def copy_compact(chunk: Chunk, min_active_scan: float) -> list[Chunk]:
     chunk boundary. Their ranges partition the old range. Their slot
     numbers (next links, dataIndex words) are the shared slot ints, which
     cover them already: no output slot exceeds the input's allocated bound.
-    Nothing else sees a new chunk before the replacement CAS publishes it.
+    Each kept value sets its key's value bit in its output chunk, and a
+    dropped key sets none. Nothing else sees a new chunk, or its bits,
+    before the replacement CAS publishes it.
     """
     target = max(1, int(chunk.capacity * FILL_FACTOR))
+    nbits = chunk.capacity << 3
     order = chunk.order
     data = chunk.data
     slots, neg_slots = _SLOTS, _NEG_SLOTS
     fresh = Chunk(chunk.min_key, chunk.range_end, chunk.capacity, len(chunk.ppa))
     new_chunks = [fresh]
     fresh_order, fresh_keys, fresh_data = fresh.order, fresh.keys, fresh.data
+    fresh_bits = fresh.bits
     last = fresh_order[0]  # the entry the next one appended links after
     slot = start = 1  # the next free slot; the current key's first slot
     key = KEY_MIN  # equal to no key
@@ -131,12 +136,15 @@ def copy_compact(chunk: Chunk, min_active_scan: float) -> list[Chunk]:
             fresh = _split_before(fresh, start, key)
             new_chunks.append(fresh)
             fresh_order, fresh_keys, fresh_data = fresh.order, fresh.keys, fresh.data
+            fresh_bits = fresh.bits
             last = fresh_order[-1]
             slot = len(fresh_order)
             start = 1
         if di >= 0:
             fresh_data.append(data[di])
             di = slots[slot]
+            h = hash(key) % nbits  # value_bit, inline
+            fresh_bits[h >> 3] |= 1 << (h & 7)
         else:
             fresh_data.append(None)
             di = neg_slots[slot]
@@ -155,7 +163,9 @@ def copy_compact(chunk: Chunk, min_active_scan: float) -> list[Chunk]:
 def _split_before(fresh: Chunk, start: int, key: Any) -> Chunk:
     """End an unpublished presorted chunk before slot start, where key
     begins, and return the chunk that follows it from key on, holding the
-    versions of key already at slots start.., renumbered from slot 1."""
+    versions of key already at slots start.., renumbered from slot 1, and
+    key's value bit if one of them holds a value. fresh keeps that bit: a
+    false positive for a key no longer in its range."""
     nxt = Chunk(key, fresh.range_end, fresh.capacity, len(fresh.ppa))
     fresh.range_end = key
     fresh.next = nxt
@@ -167,7 +177,12 @@ def _split_before(fresh: Chunk, start: int, key: Any) -> Chunk:
     order = nxt.order
     for slot in range(1, len(order)):
         entry = order[slot]
-        entry.data_index = _SLOTS[slot] if entry.data_index >= 0 else _NEG_SLOTS[slot]
+        if entry.data_index >= 0:
+            entry.data_index = _SLOTS[slot]
+            byte, mask = value_bit(nxt.bits, key)
+            nxt.bits[byte] |= mask
+        else:
+            entry.data_index = _NEG_SLOTS[slot]
         order[slot - 1].next = _SLOTS[slot]
     return nxt
 

@@ -11,7 +11,7 @@ from typing import Any, Iterable
 
 from kiwi.bench import MeasurementResult
 from kiwi.atomics import AtomicInt
-from kiwi.core import END, TOMBSTONE, Chunk, KiwiMap, OrderEntry, cover_slots, logical_version
+from kiwi.core import END, TOMBSTONE, Chunk, KiwiMap, OrderEntry, cover_slots, logical_version, value_bit
 from kiwi.fuzz import FuzzConfig
 from kiwi.history import GET, IS_EMPTY, PUT, SIZE, History, OpRecord
 
@@ -48,7 +48,8 @@ def raw_chunk(
     wired into the linked list in the given order (caller supplies sorted
     input), `pending` items allocated and versioned but NOT linked, as if
     published to the PPA and helped. Like alloc, it grows the shared slot
-    table to cover its slots. Returns the chunk and the pending entries."""
+    table to cover its slots and sets each value's bit. Returns the chunk
+    and the pending entries."""
     chunk = Chunk(float("-inf"), float("inf"), capacity, max_threads)
 
     def append(key, version, value):
@@ -59,6 +60,9 @@ def raw_chunk(
         chunk.order.append(entry)
         chunk.keys.append(key)
         chunk.data.append(None if value is TOMBSTONE else value)
+        if value is not TOMBSTONE:
+            byte, mask = value_bit(chunk.bits, key)
+            chunk.bits[byte] |= mask
         return entry
 
     prev = chunk.order[0]
@@ -104,13 +108,27 @@ def assert_chunk_invariants(chunk: Chunk) -> None:
         assert chunk.min_key <= e.key < chunk.range_end
 
 
+def has_value_bit(chunk: Chunk, key: Any) -> bool:
+    byte, mask = value_bit(chunk.bits, key)
+    return bool(chunk.bits[byte] & mask)
+
+
 def assert_map_invariants(kiwi: KiwiMap) -> None:
+    """Every chunk's invariants, versions within the global counter, chunk
+    ranges that tile, and value bits: every key with a value entry in a
+    chunk's list, data or PPA has its bit set (each listed and each PPA
+    entry is an allocated slot, so one pass over the slots covers all)."""
     chunks = kiwi.chunks()
     gv = global_version(kiwi)
     for chunk in chunks:
         assert_chunk_invariants(chunk)
         for entry in walk_list(chunk):
             assert logical_version(entry.version) <= gv, "version beyond the global counter"
+        assert all(idx is None or 0 < idx < chunk.allocated_bound() for idx in chunk.ppa)
+        for i in range(1, chunk.allocated_bound()):
+            if chunk.order[i].data_index >= 0 or chunk.data[i] is not None:
+                key = chunk.keys[i]
+                assert has_value_bit(chunk, key), f"slot {i}: a value of {key!r} without its bit"
     boundaries = [(c.min_key, c.range_end) for c in chunks]
     for (lo1, hi1), (lo2, _) in zip(boundaries, boundaries[1:]):
         assert hi1 == lo2, f"chunk ranges do not tile: {boundaries}"

@@ -9,7 +9,7 @@ import pytest
 
 from kiwi import TOMBSTONE, KiwiMap, OpRecord, core
 from kiwi.atomics import AtomicInt
-from kiwi.core import FROZEN, PRE_LIST_CAS, VERSION_NONE, OrderEntry, logical_version
+from kiwi.core import FROZEN, POST_ALLOCATE, PRE_LIST_CAS, VERSION_NONE, OrderEntry, logical_version
 
 from helpers import GateHook, assert_map_invariants
 
@@ -108,6 +108,23 @@ def test_get_fences_once_with_or_without_pending_puts():
     assert m.get(5) == 51
 
 
+def test_get_fences_only_when_its_key_has_a_value_bit():
+    """A get whose key has a clear bit returns right after find_chunk, so
+    it fences 0 times. A set bit fences once: a value's, a deleted key's
+    (its bit stays) and a colliding key's alike."""
+    m = KiwiMap(max_threads=2, max_items=8, rng=lambda: 1.0)
+    m.register_thread()
+    m.put(5, 50)
+    m.put(6, 60)
+    m.put(6, TOMBSTONE)
+    collider = 5 + 8 * 8  # the same bit as 5 in a chunk of capacity 8
+    assert m.find_chunk(collider) is m.find_chunk(5)
+    assert fences_during(lambda: m.get(7)) == 0
+    for key in (5, 6, collider):
+        assert fences_during(lambda: m.get(key)) == 1
+    assert [m.get(k) for k in (5, 6, 7, collider)] == [50, None, None, None]
+
+
 def test_scan_fences_once_per_chunk():
     m = KiwiMap(max_threads=2, max_items=8, rng=lambda: 1.0)
     m.register_thread()
@@ -127,7 +144,6 @@ def test_scan_fences_once_per_chunk():
         pytest.param(2, True, True, id="newer-version-value"),
         pytest.param(TOMBSTONE, True, True, id="newer-version-tombstone"),
         pytest.param(2, False, False, id="unlisted-value"),
-        pytest.param(TOMBSTONE, False, False, id="unlisted-tombstone"),
     ],
 )
 def test_get_prefers_a_put_parked_before_its_list_cas(value, newer_version, listed):
@@ -135,7 +151,8 @@ def test_get_prefers_a_put_parked_before_its_list_cas(value, newer_version, list
     versioned but not linked: get finds it only through the PPA, and it
     must outrank the list's entry, by version or (at an equal version) by
     its larger dataIndex magnitude. Unlisted, the parked put is the key's
-    only item, and get must find it with nothing in the list."""
+    only item, and get must find it with nothing in the list. (An unlisted
+    delete never parks: see the never-written-key test below.)"""
     m = KiwiMap(max_threads=2, rng=lambda: 1.0)
     m.register_thread()
     if listed:
@@ -162,6 +179,33 @@ def test_get_prefers_a_put_parked_before_its_list_cas(value, newer_version, list
         t.join(5.0)
     assert not t.is_alive()
     assert m.get(5) == expected
+    assert_map_invariants(m)
+
+
+def test_a_delete_of_a_never_written_key_returns_before_allocating():
+    """A key's chunk holds no value of it, so the key is absent and its
+    delete changes nothing: it returns before POST_ALLOCATE, with the
+    chunk's allocated bound, its PPA and both size bounds as they were.
+    A delete of a key that held a value takes the whole put path."""
+    m = KiwiMap(max_threads=2, bounds_enabled=True, rng=lambda: 1.0)
+    m.register_thread()
+    m.put(4, 40)
+    points = []
+    m.set_pause_hook(points.append)
+    chunk = m.find_chunk(5)
+
+    def state():
+        return chunk.allocated_bound(), list(chunk.ppa), m.size_lower_bound(), m.size_upper_bound()
+
+    before = state()
+    m.put(5, TOMBSTONE)
+    assert points == []
+    assert state() == before == (2, [None, None], 1, 1)
+    assert m.get(5) is None and m.items() == [(4, 40)]
+    m.put(4, TOMBSTONE)
+    assert points[0] == POST_ALLOCATE
+    assert state() == (3, [None, None], 0, 0)
+    assert m.items() == []
     assert_map_invariants(m)
 
 

@@ -38,7 +38,7 @@ def test_knob_and_export_budget():
         "self", "max_threads", "max_items", "bounds_enabled", "rng",
     ]
     assert core.Chunk.__slots__ == (
-        "min_key", "range_end", "capacity", "order", "keys", "data", "ppa",
+        "min_key", "range_end", "capacity", "order", "keys", "data", "bits", "ppa",
         "sorted_prefix_len", "frozen", "replacement", "next", "list_size",
     )
     # help_pending_puts fences and reads the global version itself.

@@ -1,7 +1,8 @@
 """put refuses what it could not store faithfully: a None value (the
 history format's tombstone, which get and items() would disagree on)
 a NaN key (accepted, then never visible again), also one inside a tuple
-key, and a None key. The concurrent map also refuses a key that does not
+key, and a None key. Both maps raise TypeError for an unhashable key on
+put and get. The concurrent map also refuses a key that does not
 compare with a stored key. The refusal leaves no trace in the map or its
 size bounds. The coarse-lock map likewise
 refuses a constructor keyword it does not know, and raises the concurrent
@@ -87,6 +88,20 @@ def test_put_of_a_key_of_another_type_changes_nothing():
     assert m.scan(0, 5) == [(2, 20)]
     assert m.size() == 1
 
+
+
+def test_an_unhashable_key_raises_and_changes_nothing(target):
+    # On an empty map nothing compares the key before it is hashed.
+    for op in (lambda: target.put([1], 1), lambda: target.put([1], TOMBSTONE), lambda: target.get([1])):
+        with pytest.raises(TypeError):
+            op()
+    assert_untouched(target, 1)
+    target.put(1, 10)
+    for op in (lambda: target.put([1], 1), lambda: target.get([1])):
+        with pytest.raises(TypeError):
+            op()
+    assert target.items() == [(1, 10)]
+    assert target.size_lower_bound() == target.size_upper_bound() == 1
 
 
 def test_locked_map_rejects_unknown_keyword():

@@ -76,19 +76,40 @@ def test_a_large_capacity_does_not_grow_the_table():
     assert len(_SLOTS) == max(before, 11)
 
 
+def fill_descending(m, count):
+    """count puts, one slot each: put i takes slot i + 1. Keys descend, so
+    each value links after the head. When i % 3 == 2, put i deletes the
+    key put i - 1 wrote: a delete at the value's version, which takes a
+    slot and overwrites the listed entry's dataIndex. Returns the items
+    left and the dataIndex each slot's entry ends with, by slot."""
+    left, data_index = {}, [0]
+    for i, k in enumerate(range(count, 0, -1)):
+        slot = i + 1
+        if i % 3 == 2:
+            m.put(k + 1, TOMBSTONE)
+            del left[k + 1]
+            data_index[slot - 1] = -slot
+            data_index.append(-slot)
+        else:
+            m.put(k, k)
+            left[k] = k
+            data_index.append(slot)
+    return sorted(left.items()), data_index
+
+
 def test_a_slot_beyond_the_table_grows_it():
     size = len(_SLOTS)
     m = KiwiMap(max_threads=1, max_items=size + 10, rng=NEVER_REBALANCE)
     m.register_thread()
-    for k in range(size + 5, 0, -1):  # descending: each put links after the head
-        m.put(k, TOMBSTONE if k % 3 == 0 else k)
+    left, data_index = fill_descending(m, size + 5)
     assert len(m.chunks()) == 1
     assert len(_SLOTS) == len(_NEG_SLOTS) == size + 6
     assert all(_SLOTS[i] == i and _NEG_SLOTS[i] == -i for i in range(size + 6))
     assert_slots_shared(m)
-    assert [m.get(k) for k in (size + 3, size + 4, size + 5)] == [
-        None if k % 3 == 0 else k for k in (size + 3, size + 4, size + 5)
-    ]
+    (chunk,) = m.chunks()
+    assert [entry.data_index for entry in chunk.order] == data_index
+    assert [m.get(k) for k in (size + 3, size + 4, size + 5)] == [None, None, size + 5]
+    assert m.items() == left
 
 
 def test_threads_filling_chunks_past_the_table_read_right_numbers():
@@ -106,15 +127,14 @@ def test_threads_filling_chunks_past_the_table_read_right_numbers():
     def check_one_map():
         m = KiwiMap(max_threads=1, max_items=count + 1, rng=NEVER_REBALANCE)  # never full
         m.register_thread()
-        for k in range(count, 0, -1):
-            m.put(k, TOMBSTONE if k % 2 else k)
+        left, data_index = fill_descending(m, count)
         (chunk,) = m.chunks()
         for slot in range(1, count + 1):
             entry = chunk.order[slot]
-            expected = -slot if entry.key % 2 else slot
+            expected = data_index[slot]
             if entry.data_index != expected or entry.data_index is not shared_slot(expected):
                 errors.append((slot, entry.data_index))
-        if m.scan(1, count) != [(k, k) for k in range(2, count + 1, 2)]:
+        if m.scan(1, count) != left:
             errors.append("scan")
 
     run_threads([threading.Thread(target=fill) for _ in range(4)])
