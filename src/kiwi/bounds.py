@@ -1,6 +1,6 @@
-"""Linearizable size bounds from conservative sharded counters.
+"""Linearizable size bounds from two conservative atomic counters.
 
-One sharded counter pair for the whole map. A tombstone put decrements
+One counter per bound for the whole map. A tombstone put decrements
 the lower bound before it publishes (readers consider published pending
 puts, so the decrement must come first); a value put symmetrically
 increments the upper bound before publishing. The thread whose CAS
@@ -9,14 +9,17 @@ when the list state proves the put did or did not change the key count,
 the counters are corrected; when it cannot be proven, the conservative
 move stands and the bounds stay valid, just looser.
 
-Each cell is written only by its owning thread; sums read all cells and
-are not atomic snapshots: the exported guarantees hold at quiescent
-points and through the composed size()/is_empty() protocols.
+Every move is one fetch_add and every bound read is one atomic read,
+so each read is linearizable on its own and lower <= size <= upper
+holds at every instant, not only at quiescence. size() and is_empty()
+compose two or three such reads.
 """
 
 from __future__ import annotations
 
 from typing import Optional
+
+from .atomics import AtomicInt
 
 
 class BoundsDisabledError(RuntimeError):
@@ -24,40 +27,40 @@ class BoundsDisabledError(RuntimeError):
 
 
 class BoundsCounters:
-    """Sharded lower/upper key-count bounds plus the put-lifecycle hooks."""
+    """Lower/upper key-count bounds plus the put-lifecycle hooks."""
 
     __slots__ = ("enabled", "_lower", "_upper")
 
-    def __init__(self, max_threads: int, enabled: bool) -> None:
+    def __init__(self, enabled: bool) -> None:
         self.enabled = enabled
-        self._lower = [0] * max_threads
-        self._upper = [0] * max_threads
+        self._lower = AtomicInt()
+        self._upper = AtomicInt()
 
-    # ---------------- put lifecycle (owner thread only) ----------------
+    # ---------------- put lifecycle (the putting thread) ----------------
 
-    def on_put_published(self, slot: int, is_tombstone: bool) -> None:
+    def on_put_published(self, is_tombstone: bool) -> None:
         """Conservative move, strictly before the PPA publish."""
         if not self.enabled:
             return
         if is_tombstone:
-            self._lower[slot] -= 1  # assume the key gets removed
+            self._lower.fetch_add(-1)  # assume the key gets removed
         else:
-            self._upper[slot] += 1  # assume a new key gets added
+            self._upper.fetch_add(1)  # assume a new key gets added
 
-    def on_put_undone(self, slot: int, is_tombstone: bool) -> None:
+    def on_put_undone(self, is_tombstone: bool) -> None:
         """Undo the conservative move after a frozen-from-NONE retry: the
         sealing CAS proves no other thread ever saw the item."""
         if not self.enabled:
             return
         if is_tombstone:
-            self._lower[slot] += 1
+            self._lower.fetch_add(1)
         else:
-            self._upper[slot] -= 1
+            self._upper.fetch_add(-1)
 
     # ---------------- settlement (thread that won the list CAS) ----------------
 
     def update_count_after_insert(
-        self, slot: int, put_is_tombstone: bool, shadowed: bool, absent: Optional[bool]
+        self, put_is_tombstone: bool, shadowed: bool, absent: Optional[bool]
     ) -> None:
         """Settle the conservative move once the list has spoken.
 
@@ -78,9 +81,9 @@ class BoundsCounters:
         elif absent is None:
             return
         if absent:
-            self._lower[slot] += 1
+            self._lower.fetch_add(1)
         else:
-            self._upper[slot] -= 1
+            self._upper.fetch_add(-1)
 
     # Same rule under the overwrite name, which perfbench traces as its own span.
     update_count_after_overwrite = update_count_after_insert
@@ -89,11 +92,11 @@ class BoundsCounters:
 
     def size_lower_bound(self) -> int:
         self._require_enabled()
-        return sum(self._lower)
+        return self._lower.get()
 
     def size_upper_bound(self) -> int:
         self._require_enabled()
-        return sum(self._upper)
+        return self._upper.get()
 
     def is_empty(self) -> Optional[bool]:
         """False once the lower bound shows a key, True once the upper

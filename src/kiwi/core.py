@@ -411,14 +411,13 @@ class KiwiMap(ThreadRegistry):
     Threads must call register_thread() once before operating; the slot
     indexes the per-chunk PPA and the map PSA. Every put clears its PPA
     cell and every scan its PSA cell before returning, so a slot given
-    back by unregister_thread() carries nothing over to its next thread;
-    its bounds counters keep adding to the same sums. put(key, TOMBSTONE)
-    discards a key; put raises ValueError for a None value, a None key or
-    a key holding a NaN, and TypeError for an unhashable key or a key
-    that does not compare with a stored key, before it changes anything.
-    get returns None for absent keys and raises TypeError for an
-    unhashable one. scan(lo, hi) is an atomic snapshot of the inclusive key
-    range, sorted ascending.
+    back by unregister_thread() carries nothing over to its next thread.
+    put(key, TOMBSTONE) discards a key; put raises ValueError for a None
+    value, a None key or a key holding a NaN, and TypeError for an
+    unhashable key or a key that does not compare with a stored key,
+    before it changes anything. get returns None for absent keys and
+    raises TypeError for an unhashable one. scan(lo, hi) is an atomic
+    snapshot of the inclusive key range, sorted ascending.
     """
 
     def __init__(
@@ -433,7 +432,7 @@ class KiwiMap(ThreadRegistry):
         if max_items < 2:
             raise ValueError("max_items must be >= 2")
         super().__init__(max_threads)
-        self.bounds = BoundsCounters(max_threads, bounds_enabled)
+        self.bounds = BoundsCounters(bounds_enabled)
         self._rng = rng
         self._gv = AtomicInt(1)
         self._psa: list[Optional[int]] = [None] * max_threads
@@ -524,7 +523,7 @@ class KiwiMap(ThreadRegistry):
                 self._rebalance_chunk(chunk)
                 continue
             self._pause(POST_ALLOCATE)
-            bounds.on_put_published(slot, is_tomb)
+            bounds.on_put_published(is_tomb)
             chunk.ppa[slot] = idx
             store_fence()
             self._pause(POST_PUBLISH)
@@ -536,13 +535,13 @@ class KiwiMap(ThreadRegistry):
             ver = entry.version
             if ver is FROZEN:
                 # FROZEN replaces only NONE, so no reader saw it: safe undo.
-                bounds.on_put_undone(slot, is_tomb)
+                bounds.on_put_undone(is_tomb)
                 chunk.ppa[slot] = None
                 self._rebalance_chunk(chunk)
                 continue
             if ver < 0:
                 self._pause(PRE_LIST_CAS)
-                self.add_to_linked_list(chunk, idx, slot)
+                self.add_to_linked_list(chunk, idx)
                 entry.cas_version(ver, -ver)
             # ver > 0: a rebalancer already inserted and committed it.
             chunk.ppa[slot] = None
@@ -614,7 +613,7 @@ class KiwiMap(ThreadRegistry):
 
     # ---------------- linked-list insertion ----------------
 
-    def add_to_linked_list(self, chunk: Chunk, idx: int, slot: int) -> InsertOutcome:
+    def add_to_linked_list(self, chunk: Chunk, idx: int) -> InsertOutcome:
         """Insert a Pending/Committed entry into the chunk's list, or raise
         the dataIndex of an existing equal-(key, version) entry. The thread
         whose CAS physically lands runs the size-bound accounting.
@@ -644,9 +643,7 @@ class KiwiMap(ThreadRegistry):
                     # was the key's newest, so its old data says whether
                     # the key was present.
                     absent = old < 0 if prev.next == next_idx else None
-                    bounds.update_count_after_overwrite(
-                        slot, entry.data_index < 0, prev.key == key, absent
-                    )
+                    bounds.update_count_after_overwrite(entry.data_index < 0, prev.key == key, absent)
                 return _OVERWROTE
             next_di_seen = nxt.data_index if (nxt is not None and nxt.key == key) else None
             self._advance_entry_next(chunk, entry, next_idx)
@@ -664,9 +661,7 @@ class KiwiMap(ThreadRegistry):
                     absent = next_di_seen < 0
                 else:
                     absent = None
-                bounds.update_count_after_insert(
-                    slot, entry.data_index < 0, prev.key == key, absent
-                )
+                bounds.update_count_after_insert(entry.data_index < 0, prev.key == key, absent)
                 return _INSERTED
 
     @staticmethod

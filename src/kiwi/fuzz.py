@@ -20,7 +20,8 @@ from .core import TOMBSTONE, KiwiMap
 from .history import GET, IS_EMPTY, PUT, SCAN, SIZE, History, OpRecord
 from .reference import LockedSortedMap
 
-# op-mix weights: (put, delete, get, scan, size, is_empty)
+# op-mix weights (put, delete, get, scan); a mix may also weigh SIZE and
+# IS_EMPTY, as tests/helpers.with_size_ops does.
 DEFAULT_MIX = {PUT: 4, "delete": 3, GET: 4, SCAN: 1}
 
 
@@ -29,7 +30,7 @@ class FuzzConfig:
     """Recipe for one recorded run.
 
     delay_prob/delay_max_s apply independently at each sensitive point.
-    Short histories with two or three threads are the useful regime
+    Short histories with two or three threads are the useful regime:
     longer ones are slow to check and hard to read when they fail.
     """
 

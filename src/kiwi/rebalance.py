@@ -73,12 +73,11 @@ def help_frozen_chunk_puts(kiwi: KiwiMap, chunk: Chunk) -> None:
     dataIndex rule, so concurrent rebalancers are safe. The index passed
     on is the shared slot int, which a list CAS may store as a next link;
     alloc grew the table to cover every slot below the bound."""
-    slot = kiwi._require_slot()
     bound = chunk.allocated_bound()
     for idx, entry in enumerate(chunk.order[1:bound], 1):
         ver = entry.version
         if ver is not FROZEN and ver < 0:
-            kiwi.add_to_linked_list(chunk, _SLOTS[idx], slot)
+            kiwi.add_to_linked_list(chunk, _SLOTS[idx])
             entry.cas_version(ver, -ver)
 
 

@@ -300,11 +300,12 @@ def test_c09_benchmark_trend_check():
 
 
 def test_c10_wait_free_structural_audit():
-    """get and scan must contain no unbounded retry loop: no while-True
-    anywhere on their call graph, and every while loop there is one of
-    the known data-bounded walks (list walk to END / chunk walk by key /
-    range walk by range_end). put's retry loops are exempt by contract."""
-    from kiwi import core, rebalance
+    """get, scan and the size-bound reads must contain no unbounded retry
+    loop: no while-True anywhere on their call graph, and every while loop
+    there is one of the known data-bounded walks (list walk to END / chunk
+    walk by key / range walk by range_end). put's retry loops are exempt
+    by contract."""
+    from kiwi import atomics, bounds, core, rebalance
 
     wait_free_functions = {
         "get": KiwiMap.get,
@@ -317,6 +318,11 @@ def test_c10_wait_free_structural_audit():
         "copy_range": rebalance.copy_range,
         "_prefix_search_before": core._prefix_search_before,
         "logical_version": core.logical_version,
+        "size_lower_bound": bounds.BoundsCounters.size_lower_bound,
+        "size_upper_bound": bounds.BoundsCounters.size_upper_bound,
+        "size": bounds.BoundsCounters.size,
+        "is_empty": bounds.BoundsCounters.is_empty,
+        "AtomicInt.get": atomics.AtomicInt.get,
     }
     allowed_while_loops = {
         "find_chunk": 1,  # next-link walk, bounded by chunk count

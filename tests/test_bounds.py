@@ -1,8 +1,10 @@
 """Size-bound accounting: the per-case settlement rules, quiescent
-exactness and bracketing, the composed size()/is_empty(), and the
-disabled-mode contract."""
+exactness and bracketing, the composed size()/is_empty(), bound reads
+that puts landing mid-read cannot tear, and the disabled-mode contract."""
 
+import queue
 import random
+import sys
 import threading
 
 import pytest
@@ -16,102 +18,102 @@ from helpers import GateHook, assert_map_invariants, force_rebalance, quiescent_
 
 
 def make_counters(enabled=True):
-    return BoundsCounters(max_threads=2, enabled=enabled)
+    return BoundsCounters(enabled=enabled)
 
 
 # ---------------- unit rules ----------------
 
 def test_publish_moves_are_conservative():
     c = make_counters()
-    c.on_put_published(0, is_tombstone=True)
+    c.on_put_published(is_tombstone=True)
     assert (c.size_lower_bound(), c.size_upper_bound()) == (-1, 0)
-    c.on_put_published(0, is_tombstone=False)
+    c.on_put_published(is_tombstone=False)
     assert (c.size_lower_bound(), c.size_upper_bound()) == (-1, 1)
-    c.on_put_undone(0, is_tombstone=True)
-    c.on_put_undone(0, is_tombstone=False)
+    c.on_put_undone(is_tombstone=True)
+    c.on_put_undone(is_tombstone=False)
     assert (c.size_lower_bound(), c.size_upper_bound()) == (0, 0)
 
 
 def test_overwrite_shadowed_by_higher_version_undoes():
     c = make_counters()
-    c.on_put_published(0, is_tombstone=True)
-    c.update_count_after_overwrite(0, True, True, None)
+    c.on_put_published(is_tombstone=True)
+    c.update_count_after_overwrite(True, True, None)
     assert c.size_lower_bound() == 0  # undone: certainly not removed
 
     c = make_counters()
-    c.on_put_published(0, is_tombstone=False)
-    c.update_count_after_overwrite(0, False, True, False)
+    c.on_put_published(is_tombstone=False)
+    c.update_count_after_overwrite(False, True, False)
     assert c.size_upper_bound() == 0  # undone: certainly not added
 
 
 def test_overwrite_witness_invalid_tolerates_uncertainty():
     c = make_counters()
-    c.on_put_published(0, is_tombstone=True)
-    c.update_count_after_overwrite(0, True, False, None)
+    c.on_put_published(is_tombstone=True)
+    c.update_count_after_overwrite(True, False, None)
     assert (c.size_lower_bound(), c.size_upper_bound()) == (-1, 0)  # stays loose
 
 
 def test_overwrite_settles_on_old_data():
     # tombstone over tombstone: nothing removed -> lower undone
     c = make_counters()
-    c.on_put_published(0, is_tombstone=True)
-    c.update_count_after_overwrite(0, True, False, True)
+    c.on_put_published(is_tombstone=True)
+    c.update_count_after_overwrite(True, False, True)
     assert (c.size_lower_bound(), c.size_upper_bound()) == (0, 0)
 
     # value over tombstone: certainly added -> lower joins upper
     c = make_counters()
-    c.on_put_published(0, is_tombstone=False)
-    c.update_count_after_overwrite(0, False, False, True)
+    c.on_put_published(is_tombstone=False)
+    c.update_count_after_overwrite(False, False, True)
     assert (c.size_lower_bound(), c.size_upper_bound()) == (1, 1)
 
     # tombstone over value: certainly removed -> upper tightens
     c = make_counters()
-    c.on_put_published(0, is_tombstone=True)
-    c.update_count_after_overwrite(0, True, False, False)
+    c.on_put_published(is_tombstone=True)
+    c.update_count_after_overwrite(True, False, False)
     assert (c.size_lower_bound(), c.size_upper_bound()) == (-1, -1)
 
     # value over value: nothing added -> upper undone
     c = make_counters()
-    c.on_put_published(0, is_tombstone=False)
-    c.update_count_after_overwrite(0, False, False, False)
+    c.on_put_published(is_tombstone=False)
+    c.update_count_after_overwrite(False, False, False)
     assert (c.size_lower_bound(), c.size_upper_bound()) == (0, 0)
 
 
 def test_insert_settlement_rule_table():
     # next key greater, tombstone: key was absent, nothing removed
     c = make_counters()
-    c.on_put_published(0, is_tombstone=True)
-    c.update_count_after_insert(0, True, False, True)
+    c.on_put_published(is_tombstone=True)
+    c.update_count_after_insert(True, False, True)
     assert (c.size_lower_bound(), c.size_upper_bound()) == (0, 0)
 
     # next key greater, value: certainly added
     c = make_counters()
-    c.on_put_published(0, is_tombstone=False)
-    c.update_count_after_insert(0, False, False, True)
+    c.on_put_published(is_tombstone=False)
+    c.update_count_after_insert(False, False, True)
     assert (c.size_lower_bound(), c.size_upper_bound()) == (1, 1)
 
     # same key below with validated tombstone data: absent
     c = make_counters()
-    c.on_put_published(0, is_tombstone=False)
-    c.update_count_after_insert(0, False, False, True)
+    c.on_put_published(is_tombstone=False)
+    c.update_count_after_insert(False, False, True)
     assert (c.size_lower_bound(), c.size_upper_bound()) == (1, 1)
 
     # same key below with validated real data: present -> tombstone removes
     c = make_counters()
-    c.on_put_published(0, is_tombstone=True)
-    c.update_count_after_insert(0, True, False, False)
+    c.on_put_published(is_tombstone=True)
+    c.update_count_after_insert(True, False, False)
     assert (c.size_lower_bound(), c.size_upper_bound()) == (-1, -1)
 
     # higher version of the key precedes: shadowed, undo
     c = make_counters()
-    c.on_put_published(0, is_tombstone=True)
-    c.update_count_after_insert(0, True, True, None)
+    c.on_put_published(is_tombstone=True)
+    c.update_count_after_insert(True, True, None)
     assert (c.size_lower_bound(), c.size_upper_bound()) == (0, 0)
 
     # witness invalid on same-key next: uncertainty tolerated
     c = make_counters()
-    c.on_put_published(0, is_tombstone=True)
-    c.update_count_after_insert(0, True, False, None)
+    c.on_put_published(is_tombstone=True)
+    c.update_count_after_insert(True, False, None)
     assert (c.size_lower_bound(), c.size_upper_bound()) == (-1, 0)
 
 
@@ -417,22 +419,25 @@ def test_is_empty_tristate():
 
 def test_is_empty_unknown_between_bounds():
     c = make_counters()
-    c._lower[0] = 0
-    c._upper[0] = 3
+    for _ in range(3):
+        c.on_put_published(is_tombstone=False)  # three unsettled value puts
+    assert (c.size_lower_bound(), c.size_upper_bound()) == (0, 3)
     assert c.is_empty() is None
 
 
 def test_size_known_on_equality():
     c = make_counters()
-    c._lower[0] = 5
-    c._upper[0] = 5
+    for _ in range(5):
+        c.on_put_published(is_tombstone=False)
+        c.update_count_after_insert(False, False, True)  # each added a key
+    assert (c.size_lower_bound(), c.size_upper_bound()) == (5, 5)
     assert c.size() == 5
 
 
 def test_size_unknown_when_guards_fail():
     class Scripted(BoundsCounters):
         def __init__(self):
-            super().__init__(1, True)
+            super().__init__(True)
             self.lower_reads = iter([3, 4])
 
         def size_lower_bound(self):
@@ -447,7 +452,7 @@ def test_size_unknown_when_guards_fail():
 def test_size_second_lower_read_can_close():
     class Scripted(BoundsCounters):
         def __init__(self):
-            super().__init__(1, True)
+            super().__init__(True)
             self.lower_reads = iter([3, 7])
 
         def size_lower_bound(self):
@@ -457,6 +462,108 @@ def test_size_second_lower_read_can_close():
             return 7
 
     assert Scripted().size() == 7
+
+
+class ParkedThread:
+    """A thread registered on m that runs each job it is sent to
+    completion while the sender waits: no sleeps, no races. A job that
+    raises ends the thread, and the sender's wait then times out."""
+
+    def __init__(self, m):
+        self._jobs, self._done = queue.Queue(), queue.Queue()
+        self._thread = threading.Thread(target=self._serve, args=(m,), daemon=True)
+        self._thread.start()
+        self._done.get(timeout=5.0)  # registered: slots go out in start order
+
+    def _serve(self, m):
+        m.register_thread()
+        self._done.put(None)
+        for job in iter(self._jobs.get, None):
+            job()
+            self._done.put(None)
+
+    def run(self, job):
+        self._jobs.put(job)
+        self._done.get(timeout=5.0)
+
+    def stop(self):
+        self._jobs.put(None)
+        self._thread.join(5.0)
+
+
+_TRACED_MODULES = ("kiwi.bounds", "kiwi.atomics")
+
+
+def run_with_interference(read, interfere, k):
+    """Call read() with interfere() run at its k-th opcode boundary inside
+    kiwi.bounds or kiwi.atomics. Returns (result, whether k was reached)."""
+    seen = 0
+    reached = False
+
+    def local(frame, event, arg):
+        nonlocal seen, reached
+        if event == "opcode":
+            if seen == k:
+                reached = True
+                interfere()  # the trace function itself is not traced
+            seen += 1
+        return local
+
+    def on_call(frame, event, arg):
+        if frame.f_globals.get("__name__") in _TRACED_MODULES:
+            frame.f_trace_opcodes = True
+            return local
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        result = read()
+    finally:
+        sys.settrace(previous)
+    return result, reached
+
+
+# Key 1 is present. Tombstone first: the map holds 1, 0, 1 keys and the
+# lower bound reads 1, 0, 0, 0, 1. Value first: the map holds 1, 2, 1
+# keys and the upper bound reads 1, 2, 2, 2, 1.
+_TOMBSTONE_FIRST = ((1, TOMBSTONE), (2, 20))
+_VALUE_FIRST = ((2, 20), (1, TOMBSTONE))
+
+
+@pytest.mark.parametrize("read, puts, allowed", [
+    ("size_lower_bound", _TOMBSTONE_FIRST, {0, 1}),
+    ("size_upper_bound", _VALUE_FIRST, {1, 2}),
+    ("size", _VALUE_FIRST, {None, 1, 2}),
+    ("is_empty", _VALUE_FIRST, {None, False}),
+])
+def test_bound_read_is_not_torn(read, puts, allowed):
+    """Two whole puts land at each opcode boundary of one read in turn;
+    the read must still give a value the bound (or, for size and
+    is_empty, the map) had at some instant of the call. The first put's
+    thread holds the first registration slot, so a read that visited
+    per-thread parts in slot order could miss that put's move and see
+    the second put's."""
+    k = 0
+    while True:
+        m = KiwiMap(max_threads=3, bounds_enabled=True)
+        workers = [ParkedThread(m), ParkedThread(m)]
+        try:
+            workers[0].run(lambda: m.put(1, 10))
+
+            def interfere():
+                for worker, (key, value) in zip(workers, puts):
+                    worker.run(lambda: m.put(key, value))
+
+            result, reached = run_with_interference(getattr(m, read), interfere, k)
+        finally:
+            for worker in workers:
+                worker.stop()
+        assert result in allowed, (read, k, result)
+        if not reached:
+            break
+        k += 1
+    assert k > 0
 
 
 def test_quiescent_size_known():

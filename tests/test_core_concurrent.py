@@ -99,7 +99,7 @@ def test_same_key_same_version_insert_and_overwrite_outcomes():
         entry.cas_version(0, -global_version(m))
         staged[name] = (idx, value)
         barrier.wait()
-        outcomes[name] = m.add_to_linked_list(chunk, idx, slot)
+        outcomes[name] = m.add_to_linked_list(chunk, idx)
         entry.cas_version(entry.version, abs(entry.version))
         chunk.ppa[slot] = None
 

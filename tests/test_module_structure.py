@@ -1,10 +1,10 @@
 """Module-structure audits: core and rebalance import each other once, at
 module level, so no function pays for an import statement on each call,
 and each module still imports first in a fresh interpreter. A budget test
-pins the map's construction knobs, a chunk's slots, compaction's and the
-bench map factory's parameters, the atomic counter's methods, the fuzz
-recipe's fields and the package exports, so adding one has to edit it
-openly."""
+pins the map's construction knobs, a chunk's slots, the size bounds'
+parameters and slots, the list insert's, compaction's and the bench map
+factory's parameters, the atomic counter's methods, the fuzz recipe's
+fields and the package exports, so adding one has to edit it openly."""
 
 import ast
 import dataclasses
@@ -41,6 +41,12 @@ def test_knob_and_export_budget():
         "min_key", "range_end", "capacity", "order", "keys", "data", "bits", "ppa",
         "sorted_prefix_len", "frozen", "replacement", "next", "list_size",
     )
+    # One atomic counter per bound, so no hook or list insert takes a thread slot.
+    assert list(inspect.signature(kiwi.BoundsCounters.__init__).parameters) == ["self", "enabled"]
+    assert kiwi.BoundsCounters.__slots__ == ("enabled", "_lower", "_upper")
+    counters = kiwi.BoundsCounters(True)
+    assert type(counters._lower) is type(counters._upper) is atomics.AtomicInt
+    assert list(inspect.signature(kiwi.KiwiMap.add_to_linked_list).parameters) == ["self", "chunk", "idx"]
     # help_pending_puts fences and reads the global version itself.
     assert list(inspect.signature(kiwi.KiwiMap.help_pending_puts).parameters) == ["self", "chunk", "lo", "hi"]
     # Compaction reads the output's size from its input chunk.
