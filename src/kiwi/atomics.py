@@ -2,8 +2,9 @@
 
 One rule covers every shared word: a read is a plain attribute load, and
 every read-modify-write goes through `cas` or `AtomicInt.fetch_add`, or
-is a store made under `word_lock(owner)`. CPython guarantees torn-free
-reads and writes of object attributes, so reads take no lock.
+is a store made under `word_lock(owner)`, but for the version commit, a
+store no CAS can race (see `core`). CPython guarantees torn-free reads
+and writes of object attributes, so reads take no lock.
 Each read-modify-write takes a striped word lock: one lock from a fixed
 table, picked by the owning object's identity. Two words that share a
 stripe are merely serialized against each other; every word still sees
@@ -17,10 +18,12 @@ the fences are a bare acquire and release. A `with lock:` statement does
 the same work through the context-manager protocol: on CPython 3.11
 (timeit, three runs on a 2-vCPU guest) it cost 460-560 ns per empty
 section against 250-285 ns for acquire/release, and 955-1090 ns per
-`cas` against 730-820 ns. A put takes seven such sections. The `finally`
+`cas` against 730-820 ns. A value put of a new key takes six sections,
+its store fence included (eight with the size bounds on). The `finally`
 still frees the stripe when the body raises. `Chunk.alloc` indexes the
 stripe of `word_lock(chunk)`, which freezing takes:
-`tests/test_word_locks.py` checks that the two are one lock.
+`tests/test_word_locks.py` checks that the two are one lock, and pins
+the section counts.
 """
 
 from __future__ import annotations

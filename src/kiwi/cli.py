@@ -80,7 +80,7 @@ def _print_result(result: MeasurementResult) -> None:
 def cmd_fuzz(args: argparse.Namespace) -> int:
     config = FuzzConfig(
         threads=args.threads,
-        ops_per_thread=max(1, args.ops // max(1, args.threads)),
+        ops_per_thread=max(1, args.ops // args.threads),
         key_range=args.key_range,
         seed=args.seed,
     )
@@ -115,6 +115,11 @@ def _report_check(history, budget: int) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name in ("threads", "key_range", "seconds", "iterations", "scan_span", "ops", "budget"):
+        if not getattr(args, name, 1) > 0:  # NaN fails too
+            parser.error(f"--{name.replace('_', '-')} must be above 0")
+    if not getattr(args, "warmup_seconds", 0) >= 0:
+        parser.error("--warmup-seconds must be at least 0")
     try:
         if args.command == "bench":
             return cmd_bench(args)

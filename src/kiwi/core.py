@@ -14,11 +14,16 @@ old versions in-flight scans still need.
 Progress: put is lock-free (retries only through rebalance); get and scan
 are wait-free: their loops are bounded by chunk capacity and chunk count.
 
-Version word encoding, all transitions by CAS on the single word:
+Version word encoding; every transition is a CAS but the commit, a store:
     0    NONE       allocated, not yet visible
     -v   Pending(v) version assigned (by owner or helper), not yet in list
     +v   Committed(v)
     FROZEN          sealed by rebalance before any version was assigned
+Every CAS expects NONE, which a word never returns to, and each committer
+(owner or rebalance helper) stores the same +v once its list insert has
+returned, so the store races no CAS. CPython makes a slot store whole on
+both builds, and a release store on a free-threaded one, so whoever
+reads +v sees the link made before it.
 
 dataIndex encoding: +slot for a value stored at data[slot]; -slot for a
 tombstone (its data cell holds None). Magnitude equals the allocation slot,
@@ -144,7 +149,7 @@ class RegistrationError(RuntimeError):
 
 
 class OrderEntry:
-    """One versioned key slot. key is immutable; the other words CAS-only."""
+    """One versioned key slot. key is immutable; the rest change by CAS but the commit."""
 
     __slots__ = ("key", "version", "data_index", "next")
 
@@ -189,7 +194,7 @@ def value_bit(bits: bytearray, key: Any) -> tuple[int, int]:
     """The value bit of key in a chunk's bits, as (byte index, mask): bit
     hash(key) mod (8 * capacity). Raises TypeError for an unhashable key.
 
-    get, Chunk.alloc and copy_compact compute the bit inline, as alloc
+    get, put, Chunk.alloc and copy_compact compute the bit inline, as alloc
     indexes its stripe: on CPython 3.11 (timeit, a 2-vCPU guest) the call
     and its tuple cost about 100 ns, a seventh of a get on a 100k-key map,
     and compaction would pay them for every value it keeps.
@@ -442,13 +447,8 @@ class KiwiMap(ThreadRegistry):
         self._pause_hook: Optional[Callable[[str], None]] = None
 
     def set_pause_hook(self, hook: Optional[Callable[[str], None]]) -> None:
-        """Install a callback invoked at put's sensitive lifecycle points."""
+        """Install a callback for put's lifecycle points, from the next put on."""
         self._pause_hook = hook
-
-    def _pause(self, point: str) -> None:
-        hook = self._pause_hook
-        if hook is not None:
-            hook(point)
 
     # ---------------- chunk location ----------------
 
@@ -504,6 +504,7 @@ class KiwiMap(ThreadRegistry):
         slot = self._require_slot()
         is_tomb = value is TOMBSTONE
         bounds = self.bounds
+        pause = self._pause_hook
         while True:
             chunk = self.find_chunk(key)
             keys = chunk.keys
@@ -513,24 +514,26 @@ class KiwiMap(ThreadRegistry):
                 # the chunk walk above compared key with no stored key.
                 _ = keys[1] < key
             if is_tomb:
-                bits = chunk.bits
-                byte, mask = value_bit(bits, key)
-                if not bits[byte] & mask:
+                h = hash(key) % (chunk.capacity << 3)  # value_bit, inline
+                if not chunk.bits[h >> 3] & (1 << (h & 7)):
                     return  # the chunk holds no value of key: nothing to delete
             entry = OrderEntry(key)
             idx = chunk.alloc(entry, value)
             if idx is None:
                 self._rebalance_chunk(chunk)
                 continue
-            self._pause(POST_ALLOCATE)
+            if pause is not None:
+                pause(POST_ALLOCATE)
             bounds.on_put_published(is_tomb)
             chunk.ppa[slot] = idx
             store_fence()
-            self._pause(POST_PUBLISH)
+            if pause is not None:
+                pause(POST_PUBLISH)
             if chunk.frozen:
                 entry.cas_version(VERSION_NONE, FROZEN)
             else:
-                self._pause(PRE_VERSION_CAS)
+                if pause is not None:
+                    pause(PRE_VERSION_CAS)
                 entry.cas_version(VERSION_NONE, -self._gv.get())
             ver = entry.version
             if ver is FROZEN:
@@ -540,9 +543,10 @@ class KiwiMap(ThreadRegistry):
                 self._rebalance_chunk(chunk)
                 continue
             if ver < 0:
-                self._pause(PRE_LIST_CAS)
+                if pause is not None:
+                    pause(PRE_LIST_CAS)
                 self.add_to_linked_list(chunk, idx)
-                entry.cas_version(ver, -ver)
+                entry.version = -ver  # commit: a store, see the module docstring
             # ver > 0: a rebalancer already inserted and committed it.
             chunk.ppa[slot] = None
             if check_rebalance(chunk, self._rng):

@@ -78,7 +78,7 @@ def help_frozen_chunk_puts(kiwi: KiwiMap, chunk: Chunk) -> None:
         ver = entry.version
         if ver is not FROZEN and ver < 0:
             kiwi.add_to_linked_list(chunk, _SLOTS[idx])
-            entry.cas_version(ver, -ver)
+            entry.version = -ver  # commit: a store, see core's docstring
 
 
 def copy_compact(chunk: Chunk, min_active_scan: float) -> list[Chunk]:
@@ -174,11 +174,11 @@ def _split_before(fresh: Chunk, start: int, key: Any) -> Chunk:
     del fresh.order[start:], fresh.keys[start:], fresh.data[start:]
     fresh.order[-1].next = END
     order = nxt.order
+    byte, mask = value_bit(nxt.bits, key)
     for slot in range(1, len(order)):
         entry = order[slot]
         if entry.data_index >= 0:
             entry.data_index = _SLOTS[slot]
-            byte, mask = value_bit(nxt.bits, key)
             nxt.bits[byte] |= mask
         else:
             entry.data_index = _NEG_SLOTS[slot]

@@ -254,6 +254,46 @@ def test_cli_usage_error_exits_2():
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["bench", "--seconds", "0"],
+        ["bench", "--seconds", "-1"],
+        ["bench", "--seconds", "nan"],
+        ["bench", "--warmup-seconds", "-5"],
+        ["bench", "--key-range", "0"],
+        ["bench", "--threads", "0"],
+        ["fuzz", "--ops", "0"],
+        ["fuzz", "--threads", "0"],
+        ["check", "--budget", "0"],
+        ["check", "--budget", "-1"],
+    ],
+    ids=" ".join,
+)
+def test_cli_refuses_out_of_range_numbers_as_usage_errors(tmp_path, capsys, args):
+    """A count or a window that cannot mean a run is a usage error: exit
+    2, naming the flag, before anything runs, so no CSV or history is
+    written and no verdict is printed. Each command line is otherwise a
+    small valid run."""
+    out = tmp_path / "out"
+    history = tmp_path / "h.jsonl"
+    history.write_text('{"meta":{}}\n{"thread":0,"kind":"get","args":[1],"result":null,"invoke":0,"response":1}\n')
+    command, flag, value = args
+    argv = {
+        "bench": ["bench", "--workload", "GetOnly", "--impl", "kiwi", "--key-range", "64",
+                  "--seconds", "0.05", "--warmup-seconds", "0", "--iterations", "1", "--out", str(out)],
+        "fuzz": ["fuzz", "--ops", "4", "--out", str(out)],
+        "check": ["check", "--in", str(history)],
+    }[command]
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, flag, value])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_cli_entrypoint_runs_as_module():
     proc = subprocess.run(
         [sys.executable, "-m", "kiwi", "check", "--in", "/nonexistent.jsonl"],

@@ -5,6 +5,8 @@ and the structural list invariants under contention."""
 import random
 import threading
 
+import pytest
+
 from kiwi import KiwiMap, TOMBSTONE, validate_put_only_final_state
 from kiwi.core import FROZEN, PRE_LIST_CAS, PRE_VERSION_CAS, InsertOutcome, OrderEntry, logical_version
 from kiwi.fuzz import FuzzConfig, record_run_with_map
@@ -171,6 +173,61 @@ def test_freeze_seals_unhelped_put_which_retries():
     hook.release("writer", PRE_VERSION_CAS)
     t.join(5.0)
     assert m.get(7) == 42  # retried attempt completed in the new chunk
+    assert_map_invariants(m)
+
+
+@pytest.mark.parametrize("helped", [True, False], ids=["helped", "unhelped"])
+def test_commit_store_of_a_put_parked_before_its_list_insert(helped):
+    """The commit -v -> +v is a plain store. Helped: a rebalance of the
+    parked put's chunk links its entry and commits it by store; the put,
+    released, finds the entry already linked in the retired chunk, and
+    its own store leaves the word at +v. Unhelped: the owner's store
+    turns -v into +v. Either way the entry is linked once and the bounds
+    are exact."""
+    m = KiwiMap(max_threads=4, bounds_enabled=True, rng=lambda: 1.0)
+    m.register_thread()
+    hook = GateHook()
+    hook.gate("writer", PRE_LIST_CAS)
+    m.set_pause_hook(hook)
+    outcomes = []
+    insert = m.add_to_linked_list
+
+    def recording_insert(chunk, idx):
+        outcome = insert(chunk, idx)
+        outcomes.append((threading.current_thread().name, outcome.kind))
+        return outcome
+
+    m.add_to_linked_list = recording_insert  # rebalance and put both call it through the map
+
+    def writer():
+        m.register_thread()
+        m.put(7, 42)
+
+    t = _spawn("writer", writer)
+    hook.wait_arrived("writer", PRE_LIST_CAS)
+    chunk = m.find_chunk(7)
+    (idx,) = [i for i in chunk.ppa if i is not None]
+    entry = chunk.order[idx]
+    version = -entry.version
+    assert version > 0, "parked with a Pending version"
+    if helped:
+        assert force_rebalance(m, 7)
+        assert m.find_chunk(7) is not chunk
+        assert entry.version == version  # the help pass committed it
+    hook.release("writer", PRE_LIST_CAS)
+    t.join(5.0)
+    assert not t.is_alive()
+
+    assert entry.version == version
+    if helped:
+        helper = threading.current_thread().name
+        assert outcomes == [(helper, InsertOutcome.INSERTED), ("writer", InsertOutcome.ALREADY_LINKED)]
+    else:
+        assert outcomes == [("writer", InsertOutcome.INSERTED)]
+    assert [e for e in walk_list(chunk) if e.key == 7] == [entry]
+    assert m.get(7) == 42
+    assert m.items() == [(7, 42)]
+    assert (m.size_lower_bound(), m.size_upper_bound()) == (1, 1)
     assert_map_invariants(m)
 
 

@@ -28,8 +28,10 @@ def only_bit(capacity, key):
 
 @pytest.mark.parametrize("key", [0, 5, -3, 2**70, "k", b"k", (1, "a")], ids=repr)
 def test_inline_bit_rules_match_value_bit(key):
-    """Chunk.alloc, copy_compact and get compute the bit inline; each
-    must name the bit value_bit names."""
+    """Chunk.alloc, copy_compact, get and a delete's put compute the bit
+    inline; each must name the bit value_bit names. A get or a delete
+    stops when that bit is clear, with every other bit set, and a delete
+    allocates when it is set."""
     m = KiwiMap(max_threads=2, max_items=16, rng=NEVER_REBALANCE)
     m.register_thread()
     m.put(key, 1)  # alloc
@@ -39,8 +41,15 @@ def test_inline_bit_rules_match_value_bit(key):
     (chunk,) = m.chunks()
     assert chunk.bits == only_bit(16, key)
     assert m.get(key) == 1  # get reads the bit value_bit names
-    chunk.bits[:] = bytes(16)
+    chunk.bits[:] = bytes(b ^ 0xFF for b in only_bit(16, key))
     assert m.get(key) is None  # and stops when it is clear
+    bound = chunk.allocated_bound()
+    m.put(key, TOMBSTONE)
+    assert chunk.allocated_bound() == bound  # so does a delete, before allocating
+    chunk.bits[:] = only_bit(16, key)
+    m.put(key, TOMBSTONE)
+    assert chunk.allocated_bound() == bound + 1  # with it set, the delete allocates
+    assert m.get(key) is None
 
 
 def test_colliding_keys_answer_through_the_full_path():

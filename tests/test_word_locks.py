@@ -1,15 +1,17 @@
 """Striped word locks: words, entries and chunks borrow a stripe from one
 shared table instead of owning a lock, CAS stays exact when two objects
 share a stripe, and a lock section whose body raises still frees its
-stripe (else the next put that hashes there would block forever)."""
+stripe (else the next put that hashes there would block forever). A
+put, a delete and a get take a pinned number of lock sections."""
 
 import sys
 import threading
 
 import pytest
 
+from kiwi import atomics, core
 from kiwi.atomics import AtomicInt, cas, word_lock
-from kiwi.core import Chunk, OrderEntry
+from kiwi.core import TOMBSTONE, Chunk, KiwiMap, OrderEntry
 
 
 def test_words_own_no_lock():
@@ -95,3 +97,68 @@ def test_alloc_takes_the_stripe_that_freezing_takes():
             lock.release()
         t.join(timeout=10)
         assert got == [1]
+
+
+class CountingLock:
+    """A lock that counts its sections, through acquire() or `with`."""
+
+    def __init__(self, lock, counter):
+        self._lock = lock
+        self._counter = counter
+
+    def acquire(self, *args, **kwargs):
+        got = self._lock.acquire(*args, **kwargs)
+        if got:
+            self._counter[0] += 1
+        return got
+
+    def release(self):
+        self._lock.release()
+
+    def __enter__(self):
+        return self.acquire()
+
+    def __exit__(self, *exc):
+        self.release()
+
+
+@pytest.fixture
+def sections():
+    """Count every word-lock section and fence from here on: the stripes
+    and the fence lock are swapped for counting proxies of the same locks
+    in each module that names them, and put back afterwards."""
+    counter = [0]
+    stripes = tuple(CountingLock(lock, counter) for lock in atomics._WORD_LOCKS)
+    saved = atomics._WORD_LOCKS, core._WORD_LOCKS, atomics._FENCE_LOCK
+    atomics._WORD_LOCKS = core._WORD_LOCKS = stripes
+    atomics._FENCE_LOCK = CountingLock(saved[2], counter)
+    try:
+        yield counter
+    finally:
+        atomics._WORD_LOCKS, core._WORD_LOCKS, atomics._FENCE_LOCK = saved
+
+
+@pytest.mark.parametrize("bounds", [True, False], ids=["bounds-on", "bounds-off"])
+def test_lock_sections_per_operation(sections, bounds):
+    """The put path's lock budget, fence included. A landed value put of
+    a new key: alloc, the store fence, the NONE -> Pending CAS, two list
+    CASes and the list-size add, plus one bound add on publish and one on
+    settlement with the bounds on; the commit is a plain store. A
+    same-version overwrite swaps the list work for one dataIndex CAS. A
+    delete of a never-written key and a get on a clear bit stop before
+    any section, and a full-path get takes only its fence."""
+    m = KiwiMap(max_threads=2, bounds_enabled=bounds, rng=lambda: 1.0)
+    m.register_thread()
+
+    def cost(op, *args):
+        before = sections[0]
+        op(*args)
+        return sections[0] - before
+
+    extra = 2 if bounds else 0
+    assert cost(m.put, 1, 10) == 6 + extra  # a new key, landed
+    assert cost(m.put, 1, 11) == 4 + extra  # same version: an overwrite
+    assert cost(m.put, 2, TOMBSTONE) == 0  # never written: the bit is clear
+    assert cost(m.get, 1) == 1  # the full path: its fence
+    assert cost(m.get, 2) == 0  # a clear bit
+    assert m.items() == [(1, 11)]
