@@ -1,9 +1,11 @@
 """Benchmark runner: workload suite, sizing rule, measurement protocol.
 
-Each iteration builds a fresh prefilled map and hammers it for a fixed
-wall-clock window from seeded per-thread operation streams; a start
-barrier and a deadline frame the window, per-thread counters are summed
-after the stop. With three or more iterations the most suspicious one
+Each iteration builds a fresh map prefilled to half the key range and
+hammers it for a fixed wall-clock window from seeded per-thread
+operation streams; a start barrier and a deadline frame the window,
+per-thread counters are summed after the stop. The warm-up is iteration
+-1 of the same loop, its rates discarded, on at most 4096 keys for
+warmup_seconds. With three or more iterations the most suspicious one
 (furthest from the mean) is dropped before averaging. Absolute numbers
 are machine-bound; the output exists for trend checks and CSV tooling.
 """
@@ -15,7 +17,7 @@ import random
 import statistics
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
 from .core import TOMBSTONE, KiwiMap
@@ -46,7 +48,6 @@ class WorkloadConfig:
     name: str
     threads: int
     key_range_max: int = 2_000_000
-    init_size: Optional[int] = None  # derived from the steady-state rule
     scan_span: int = 32_768
     warmup_seconds: float = 20.0
     run_seconds: float = 5.0
@@ -65,10 +66,16 @@ class WorkloadConfig:
             raise ValueError("scan_span must be >= 1")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.init_size is None:
-            self.init_size = steady_state_init_size(self.key_range_max, 50, 50)
-        if self.init_size > self.key_range_max:
-            raise ValueError("init_size cannot exceed key_range_max")
+        if self.key_range_max < 1:
+            raise ValueError("key_range_max must be >= 1")
+        if not self.run_seconds > 0:  # NaN fails too
+            raise ValueError("run_seconds must be > 0")
+        if not self.warmup_seconds >= 0:
+            raise ValueError("warmup_seconds must be >= 0")
+
+    @property
+    def init_size(self) -> int:  # the steady state of a 50/50 put/delete mix
+        return steady_state_init_size(self.key_range_max, 50, 50)
 
 
 @dataclass
@@ -229,7 +236,9 @@ def run_iteration(cfg: WorkloadConfig, impl: str, iteration: int, bounds_debug: 
 
 def run_workload(cfg: WorkloadConfig, impl: str, bounds_debug: bool = False) -> MeasurementResult:
     if cfg.warmup_seconds > 0:
-        _warmup(cfg, impl)
+        small = min(cfg.key_range_max, 4096)
+        warmup = replace(cfg, key_range_max=small, run_seconds=cfg.warmup_seconds, ops_budget=None)
+        run_iteration(warmup, impl, -1)
     per_iteration: list[dict] = [
         run_iteration(cfg, impl, i, bounds_debug=bounds_debug) for i in range(cfg.iterations)
     ]
@@ -243,26 +252,6 @@ def run_workload(cfg: WorkloadConfig, impl: str, bounds_debug: bool = False) -> 
         threads=cfg.threads,
         per_kind_raw={kind: [rates.get(kind, 0.0) for rates in retained] for kind in kinds},
     )
-
-
-def _warmup(cfg: WorkloadConfig, impl: str) -> None:
-    """Mixed ops against a throwaway map before any measurement."""
-    target = make_map(impl, 1)
-    target.register_thread()
-    rng = random.Random(cfg.seed ^ 0xC0FFEE)
-    deadline = time.monotonic() + cfg.warmup_seconds
-    key_range = max(2, min(cfg.key_range_max, 4096))
-    while time.monotonic() < deadline:
-        key = rng.randrange(key_range)
-        roll = rng.random()
-        if roll < 0.4:
-            target.put(key, rng.randrange(1 << 30))
-        elif roll < 0.6:
-            target.put(key, TOMBSTONE)
-        elif roll < 0.9:
-            target.get(key)
-        else:
-            target.scan(key, key + 64)
 
 
 def emit_results(results: list[MeasurementResult], path: str) -> None:

@@ -36,7 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fuzz = sub.add_parser("fuzz", help="record one fuzzed concurrent history")
     fuzz.add_argument("--threads", type=int, default=2)
-    fuzz.add_argument("--ops", type=int, default=40, help="total operations across threads")
+    fuzz.add_argument("--ops", type=int, default=40,
+                      help="total operations across threads, a multiple of --threads")
     fuzz.add_argument("--key-range", type=int, default=8)
     fuzz.add_argument("--seed", type=int, default=0)
     fuzz.add_argument("--out", required=True, help="history output path (JSON lines)")
@@ -80,7 +81,7 @@ def _print_result(result: MeasurementResult) -> None:
 def cmd_fuzz(args: argparse.Namespace) -> int:
     config = FuzzConfig(
         threads=args.threads,
-        ops_per_thread=max(1, args.ops // args.threads),
+        ops_per_thread=args.ops // args.threads,
         key_range=args.key_range,
         seed=args.seed,
     )
@@ -120,6 +121,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             parser.error(f"--{name.replace('_', '-')} must be above 0")
     if not getattr(args, "warmup_seconds", 0) >= 0:
         parser.error("--warmup-seconds must be at least 0")
+    if args.command == "fuzz" and args.ops % args.threads:
+        parser.error("--ops must be a multiple of --threads")
     try:
         if args.command == "bench":
             return cmd_bench(args)

@@ -4,16 +4,21 @@ emission, desk-scale smoke runs, and the CLI surface."""
 import csv
 import subprocess
 import sys
+import threading
 
 import pytest
 
 from kiwi import (
+    LockedSortedMap,
     MeasurementResult,
+    RegistrationError,
     WorkloadConfig,
     emit_results,
+    load_history,
     run_workload,
     steady_state_init_size,
 )
+from kiwi import bench
 from kiwi.bench import drop_most_suspicious, make_map, prefill, run_iteration
 from kiwi.cli import main
 
@@ -58,12 +63,24 @@ def test_workload_config_derives_init_size():
 
 
 def test_workload_config_validation():
-    with pytest.raises(ValueError):
-        WorkloadConfig(name="NoSuchWorkload", threads=1)
-    with pytest.raises(ValueError):
-        WorkloadConfig(name="GetOnly", threads=0)
-    with pytest.raises(ValueError):
-        WorkloadConfig(name="GetOnly", threads=1, key_range_max=10, init_size=100)
+    """A config that cannot mean a run is refused when built. A NaN
+    window would never end: the worker loop's deadline test against NaN
+    is always false."""
+    nan_window = dict(key_range_max=64, warmup_seconds=0, run_seconds=float("nan"), iterations=1)
+    for name, threads, kw in [
+        ("NoSuchWorkload", 1, {}),
+        ("GetOnly", 0, {}),
+        ("GetOnly", 1, nan_window),
+        ("GetOnly", 1, dict(run_seconds=0)),
+        ("GetOnly", 1, dict(run_seconds=-1)),
+        ("GetOnly", 1, dict(warmup_seconds=-5)),
+        ("GetOnly", 1, dict(warmup_seconds=float("nan"))),
+        ("GetOnly", 1, dict(key_range_max=0)),
+        ("GetOnly", 1, dict(scan_span=0)),
+        ("GetOnly", 1, dict(iterations=0)),
+    ]:
+        with pytest.raises(ValueError):
+            WorkloadConfig(name=name, threads=threads, **kw)
 
 
 # ---------------- measurement protocol ----------------
@@ -183,6 +200,50 @@ def test_locked_reference_runs_all_workloads():
         assert total_mean(result) > 0
 
 
+def test_warmup_is_iteration_minus_one_of_the_measured_workload(monkeypatch):
+    """The warm-up runs the workload's own loop on at most 4096 keys for
+    warmup_seconds, timed even when the measured runs have an op budget."""
+    calls = []
+
+    def spy(cfg, impl, iteration, bounds_debug=False):
+        calls.append((cfg, iteration))
+        return real(cfg, impl, iteration, bounds_debug=bounds_debug)
+
+    real = bench.run_iteration
+    monkeypatch.setattr(bench, "run_iteration", spy)
+    cfg = smoke_cfg("HalfPutDeleteHalfScan", threads=2, key_range_max=8192,
+                    warmup_seconds=0.05, iterations=2, ops_budget=50)
+    run_workload(cfg, "kiwi")
+    assert [iteration for _, iteration in calls] == [-1, 0, 1]
+    warmup, _ = calls[0]
+    assert warmup.key_range_max == 4096
+    assert warmup.ops_budget is None
+    assert warmup.run_seconds == 0.05
+    assert (warmup.name, warmup.threads, warmup.scan_span) == (cfg.name, cfg.threads, cfg.scan_span)
+    assert all(measured is cfg for measured, _ in calls[1:])
+
+
+def test_worker_failing_before_the_start_line_raises(monkeypatch):
+    """A map one registration slot short: a worker cannot register, breaks
+    the start barrier, and run_iteration raises its error, not a hang."""
+    monkeypatch.setattr(
+        bench, "make_map", lambda impl, threads, bounds_enabled=False: LockedSortedMap(max_threads=threads)
+    )
+    errors = []
+
+    def attempt():
+        try:
+            run_iteration(smoke_cfg("GetOnly", threads=2), "locked", 0)
+        except Exception as exc:
+            errors.append(exc)
+
+    t = threading.Thread(target=attempt, daemon=True)
+    t.start()
+    t.join(10.0)
+    assert not t.is_alive()
+    assert len(errors) == 1 and isinstance(errors[0], RegistrationError)
+
+
 def test_run_iteration_bounds_debug_asserts_bracket():
     cfg = smoke_cfg("PutDelete5050")
     rates = run_iteration(cfg, "kiwi", 0, bounds_debug=True)
@@ -232,7 +293,8 @@ def test_cli_bench_writes_csv(tmp_path):
 
 def test_cli_fuzz_check_roundtrip(tmp_path):
     out = str(tmp_path / "h.jsonl")
-    assert main(["fuzz", "--threads", "2", "--ops", "20", "--seed", "4", "--out", out, "--check"]) == 0
+    assert main(["fuzz", "--threads", "2", "--ops", "40", "--seed", "4", "--out", out, "--check"]) == 0
+    assert len(load_history(out).records) == 40
     assert main(["check", "--in", out]) == 0
 
 
@@ -243,6 +305,16 @@ def test_cli_check_rejects_bad_history(tmp_path):
         fh.write('{"thread":0,"kind":"put","args":[1,5],"result":null,"invoke":0,"response":10}\n')
         fh.write('{"thread":1,"kind":"get","args":[1],"result":null,"invoke":20,"response":30}\n')
     assert main(["check", "--in", path]) == 1
+
+
+def test_cli_check_out_of_budget_is_undecided(tmp_path, capsys):
+    path = str(tmp_path / "h.jsonl")
+    with open(path, "w") as fh:
+        fh.write('{"meta":{}}\n')
+        fh.write('{"thread":0,"kind":"put","args":[1,5],"result":null,"invoke":0,"response":10}\n')
+        fh.write('{"thread":1,"kind":"get","args":[1],"result":5,"invoke":20,"response":30}\n')
+    assert main(["check", "--in", path, "--budget", "1"]) == 1
+    assert "UNDECIDED" in capsys.readouterr().out
 
 
 def test_cli_usage_error_exits_2():
@@ -264,6 +336,8 @@ def test_cli_usage_error_exits_2():
         ["bench", "--key-range", "0"],
         ["bench", "--threads", "0"],
         ["fuzz", "--ops", "0"],
+        ["fuzz", "--ops", "1"],
+        ["fuzz", "--ops", "41"],
         ["fuzz", "--threads", "0"],
         ["check", "--budget", "0"],
         ["check", "--budget", "-1"],
@@ -274,7 +348,8 @@ def test_cli_refuses_out_of_range_numbers_as_usage_errors(tmp_path, capsys, args
     """A count or a window that cannot mean a run is a usage error: exit
     2, naming the flag, before anything runs, so no CSV or history is
     written and no verdict is printed. Each command line is otherwise a
-    small valid run."""
+    small valid run; the fuzz one has two threads, so its --ops must be
+    even."""
     out = tmp_path / "out"
     history = tmp_path / "h.jsonl"
     history.write_text('{"meta":{}}\n{"thread":0,"kind":"get","args":[1],"result":null,"invoke":0,"response":1}\n')

@@ -70,6 +70,13 @@ def test_oracle_size_and_is_empty():
     assert ok
 
 
+def test_oracle_refuses_what_it_cannot_apply():
+    with pytest.raises(ValueError, match="unknown op kind"):
+        oracle_apply({}, rec(0, "frobnicate", (), None, 0, 1))
+    with pytest.raises(ValueError, match="does not serialize"):
+        oracle_replay([rec(0, "put", (1, 10), None, 0, 1), rec(0, "get", (1,), 11, 2, 3)])
+
+
 def test_oracle_replay_reaches_final_state():
     final = oracle_replay(
         [
@@ -226,6 +233,8 @@ def test_budget_monotonicity_and_exhaustion():
         assert again.nodes_used == needed
     starved = check_linearizable(history, node_budget=1)
     assert starved.status == EXHAUSTED
+    # The history opens with a put, so a zero budget runs out on a put node.
+    assert check_linearizable(history, node_budget=0).status == EXHAUSTED
 
 
 def test_malformed_history_raises():

@@ -1,12 +1,17 @@
 """The fuzzed-run recorder: determinism, overlap, delay-point coverage,
 and the locked-oracle calibration runs."""
 
+import sys
+import threading
+
 import pytest
 
 from kiwi import (
     LINEARIZABLE,
     FuzzConfig,
     KiwiMap,
+    LockedSortedMap,
+    RegistrationError,
     check_linearizable,
     generate_ops,
     record_locked_oracle_run,
@@ -102,6 +107,28 @@ def test_put_delete_mix_is_put_only():
     assert {r.kind for r in history.records} == {PUT}
     tombstones = [r for r in history.records if r.args[1] is None]
     assert tombstones  # deletes are put(key, tombstone)
+
+
+def test_worker_failing_before_the_start_line_raises():
+    """Two workers on a one-slot map: the one that cannot register breaks
+    the start barrier, record_run raises its error instead of hanging,
+    and the switch interval it shortened is restored."""
+    interval = sys.getswitchinterval()
+    cfg = FuzzConfig(threads=2, ops_per_thread=5, seed=1)
+    errors = []
+
+    def attempt():
+        try:
+            record_run(cfg, map_factory=lambda: LockedSortedMap(max_threads=1))
+        except Exception as exc:
+            errors.append(exc)
+
+    t = threading.Thread(target=attempt, daemon=True)
+    t.start()
+    t.join(10.0)
+    assert not t.is_alive()
+    assert len(errors) == 1 and isinstance(errors[0], RegistrationError)
+    assert sys.getswitchinterval() == interval
 
 
 def test_config_validation():

@@ -61,6 +61,7 @@ CORRUPT_LINES = {
     "scan-result-not-pairs": '{"thread":0,"kind":"scan","args":[0,5],"result":[1,2],"invoke":1,"response":2}',
     "invoke-not-int": '{"thread":0,"kind":"get","args":[1],"result":null,"invoke":"x","response":2}',
     "kind-unhashable": '{"thread":0,"kind":["get"],"args":[1],"result":null,"invoke":1,"response":2}',
+    "no-response": '{"thread":0,"kind":"get","args":[1],"result":null,"invoke":1}',
 }
 
 
@@ -111,10 +112,12 @@ def test_unknown_kind_rejected(tmp_path):
 
 def test_missing_metadata_rejected(tmp_path):
     path = str(tmp_path / "bad.jsonl")
-    with open(path, "w") as fh:
-        fh.write('{"thread":0}\n')
-    with pytest.raises(HistoryFormatError):
-        load_history(path)
+    for body in ('{"thread":0}\n', ""):  # a record first, or an empty file
+        with open(path, "w") as fh:
+            fh.write(body)
+        with pytest.raises(HistoryFormatError) as excinfo:
+            load_history(path)
+        assert excinfo.value.line_no == 1
 
 
 def test_validate_rejects_backwards_interval():

@@ -4,7 +4,8 @@ and each module still imports first in a fresh interpreter. A budget test
 pins the map's construction knobs, a chunk's slots, the size bounds'
 parameters and slots, the list insert's, compaction's and the bench map
 factory's parameters, the atomic counter's methods, the fuzz recipe's
-fields and the package exports, so adding one has to edit it openly."""
+and the bench config's fields and the package exports, so adding one
+has to edit it openly."""
 
 import ast
 import dataclasses
@@ -57,6 +58,11 @@ def test_knob_and_export_budget():
     assert [field.name for field in dataclasses.fields(kiwi.FuzzConfig)] == [
         "threads", "ops_per_thread", "key_range", "seed", "mix",
         "delay_prob", "delay_max_s", "max_items", "bounds_enabled", "scan_span",
+    ]
+    # init_size is derived from the key range, not a knob.
+    assert [field.name for field in dataclasses.fields(kiwi.WorkloadConfig)] == [
+        "name", "threads", "key_range_max", "scan_span", "warmup_seconds",
+        "run_seconds", "iterations", "seed", "ops_budget",
     ]
     assert kiwi.__all__ == [
         "BoundsCounters", "BoundsDisabledError", "CheckResult", "EXHAUSTED",

@@ -4,12 +4,14 @@ a NaN key (accepted, then never visible again), also one inside a tuple
 key, and a None key. Both maps raise TypeError for an unhashable key on
 put and get. The concurrent map also refuses a key that does not
 compare with a stored key. The refusal leaves no trace in the map or its
-size bounds. The coarse-lock map likewise
-refuses a constructor keyword it does not know, and raises the concurrent
-map's errors for a second registration from one thread, for a
-registration past capacity, for an operation from a thread that never
-registered and for a size query with bounds off. On both maps a
-released registration slot serves the next thread."""
+size bounds. Both maps refuse a scan whose lower end is above its upper
+end, and the concurrent map refuses fewer than one thread slot or two
+items per chunk. The coarse-lock map refuses a constructor keyword it
+does not know, and raises the concurrent map's errors for a second
+registration from one thread, for a registration past capacity, for an
+operation from a thread that never registered and for a size query with
+bounds off. On both maps a released registration slot serves the next
+thread."""
 
 import sys
 import threading
@@ -102,6 +104,17 @@ def test_an_unhashable_key_raises_and_changes_nothing(target):
             op()
     assert target.items() == [(1, 10)]
     assert target.size_lower_bound() == target.size_upper_bound() == 1
+
+
+@pytest.mark.parametrize("knob, value", [("max_threads", 0), ("max_items", 1)])
+def test_kiwi_map_refuses_unusable_sizes(knob, value):
+    with pytest.raises(ValueError, match=knob):
+        KiwiMap(**{knob: value})
+
+
+def test_scan_refuses_a_reversed_range(target):
+    with pytest.raises(ValueError):
+        target.scan(5, 1)
 
 
 def test_locked_map_rejects_unknown_keyword():
