@@ -377,13 +377,19 @@ _ALREADY_LINKED = InsertOutcome(InsertOutcome.ALREADY_LINKED)
 class ThreadRegistry:
     """Per-map thread slots: register_thread() gives the calling thread the
     lowest free slot in range(max_threads), unregister_thread() gives it
-    back for a later thread to reuse."""
+    back for a later thread to reuse. Also the map's pause-hook seam: a
+    map calls the installed hook at its named pause points."""
 
     def __init__(self, max_threads: int) -> None:
         self.max_threads = max_threads
         self._tls = threading.local()
         self._free_slots = list(range(max_threads - 1, -1, -1))  # pop() gives the lowest
         self._reg_lock = threading.Lock()
+        self._pause_hook: Optional[Callable[[str], None]] = None
+
+    def set_pause_hook(self, hook: Optional[Callable[[str], None]]) -> None:
+        """Install a callback for the map's pause points, from the next operation on."""
+        self._pause_hook = hook
 
     def register_thread(self) -> int:
         if getattr(self._tls, "slot", None) is not None:
@@ -444,11 +450,6 @@ class KiwiMap(ThreadRegistry):
         first = Chunk(KEY_MIN, KEY_MAX, max_items, max_threads)
         self._first = first
         self._index: tuple[tuple, tuple] = ((KEY_MIN,), (first,))
-        self._pause_hook: Optional[Callable[[str], None]] = None
-
-    def set_pause_hook(self, hook: Optional[Callable[[str], None]]) -> None:
-        """Install a callback for put's lifecycle points, from the next put on."""
-        self._pause_hook = hook
 
     # ---------------- chunk location ----------------
 

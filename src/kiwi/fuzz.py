@@ -1,19 +1,23 @@
 """Fuzzed concurrent runs recorded as checkable histories.
 
 Few threads, few keys, short runs: collisions and overlap come from a
-tiny key range plus random sleeps injected at the put lifecycle's
-sensitive points (post-allocate, post-publish, pre-version-CAS,
-pre-list-CAS). Operation sequences are derived deterministically from
-the seed; only the interleaving varies run to run.
+tiny key range plus random sleeps that one pause hook injects at the
+recorded map's pause points: the put lifecycle's sensitive points
+(post-allocate, post-publish, pre-version-CAS, pre-list-CAS) on the
+concurrent map, inside the lock on the coarse-lock oracle. Operation
+sequences are derived deterministically from the seed; only the
+interleaving varies run to run. A history's metadata is its whole
+FuzzConfig, so FuzzConfig(**history.meta) rebuilds the recipe.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Optional
 
 from .core import TOMBSTONE, KiwiMap
@@ -23,6 +27,7 @@ from .reference import LockedSortedMap
 # op-mix weights (put, delete, get, scan); a mix may also weigh SIZE and
 # IS_EMPTY, as tests/helpers.with_size_ops does.
 DEFAULT_MIX = {PUT: 4, "delete": 3, GET: 4, SCAN: 1}
+MIX_KINDS = (PUT, "delete", GET, SCAN, SIZE, IS_EMPTY)
 
 
 @dataclass
@@ -50,6 +55,24 @@ class FuzzConfig:
             raise ValueError("threads must be >= 1")
         if self.key_range < 1:
             raise ValueError("key_range must be >= 1")
+        if self.ops_per_thread < 0:
+            raise ValueError("ops_per_thread must be >= 0")
+        if self.scan_span < 1:
+            raise ValueError("scan_span must be >= 1")
+        if self.max_items < 2:
+            raise ValueError("max_items must be >= 2")
+        if not 0 <= self.delay_prob <= 1:  # NaN fails too
+            raise ValueError("delay_prob must be within [0, 1]")
+        if not (math.isfinite(self.delay_max_s) and self.delay_max_s >= 0):
+            raise ValueError("delay_max_s must be finite and >= 0")
+        unknown = set(self.mix) - set(MIX_KINDS)
+        if unknown:
+            raise ValueError(f"mix has unknown kinds {sorted(unknown)}; choose from {MIX_KINDS}")
+        weights = self.mix.values()
+        if not all(math.isfinite(w) and w >= 0 for w in weights) or not sum(weights) > 0:
+            raise ValueError("mix weights must be finite, >= 0 and not all 0")
+        if not self.bounds_enabled and (self.mix.get(SIZE) or self.mix.get(IS_EMPTY)):
+            raise ValueError("size and is_empty ops in the mix need bounds_enabled")
 
 
 def generate_ops(config: FuzzConfig, thread_id: int) -> list[tuple]:
@@ -129,8 +152,7 @@ def record_run_with_map(
         if rng.random() < config.delay_prob:
             time.sleep(rng.uniform(0, config.delay_max_s))
 
-    if isinstance(target, KiwiMap):
-        target.set_pause_hook(pause)
+    target.set_pause_hook(pause)
 
     per_thread_ops = [generate_ops(config, tid) for tid in range(config.threads)]
     records: list[list[OpRecord]] = [[] for _ in range(config.threads)]
@@ -162,36 +184,20 @@ def record_run_with_map(
             t.join()
     finally:
         sys.setswitchinterval(old_interval)
-        if isinstance(target, KiwiMap):
-            target.set_pause_hook(None)
+        target.set_pause_hook(None)
     if errors:
         raise errors[0]
 
     merged = [rec for per in records for rec in per]
     merged.sort(key=lambda r: r.invoke_ts)
-    history = History(
-        records=merged,
-        meta={
-            "seed": config.seed,
-            "threads": config.threads,
-            "ops_per_thread": config.ops_per_thread,
-            "key_range": config.key_range,
-            "mix": {str(k): v for k, v in config.mix.items()},
-            "delay_prob": config.delay_prob,
-            "delay_max_s": config.delay_max_s,
-        },
-    )
+    history = History(records=merged, meta=asdict(config))
     history.validate()
     return history, target
 
 
 def record_locked_oracle_run(config: FuzzConfig) -> History:
     """Same workload through the coarse-lock map: linearizable by
-    construction, for checker soundness calibration. A small delay inside
-    the critical section makes the recorded intervals actually overlap."""
-    return record_run(
-        config,
-        map_factory=lambda: LockedSortedMap(
-            max_threads=config.threads, op_delay_s=config.delay_max_s / 4
-        ),
-    )
+    construction, for checker soundness calibration. The delay hook's
+    sleeps inside the critical section make the recorded intervals
+    actually overlap."""
+    return record_run(config, map_factory=lambda: LockedSortedMap(max_threads=config.threads))

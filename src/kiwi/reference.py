@@ -13,44 +13,40 @@ BoundsDisabledError for size queries on a map built with bounds off.
 from __future__ import annotations
 
 import threading
-import time
 from bisect import bisect_left, bisect_right, insort
 from typing import Any, Optional
 
 from .bounds import BoundsDisabledError
 from .core import TOMBSTONE, ThreadRegistry, refuse_unstorable
 
+# The one pause point: put, get and scan pass it inside the lock.
+IN_LOCK = "in-lock"
+
 
 class LockedSortedMap(ThreadRegistry):
     """Single-lock ordered map with the benchmark/fuzz interface.
 
-    op_delay_s > 0 stretches each operation inside the critical section;
-    the fuzz harness uses it to force overlapping intervals in known-good
-    recorded histories.
+    A pause hook (set_pause_hook) runs at IN_LOCK, so a delay it makes
+    stretches the operation inside the critical section; the fuzz harness
+    uses that to force overlapping intervals in known-good histories.
     """
 
-    def __init__(
-        self,
-        max_threads: int = 8,
-        bounds_enabled: bool = True,
-        op_delay_s: float = 0.0,
-    ) -> None:
+    def __init__(self, max_threads: int = 8, bounds_enabled: bool = True) -> None:
         super().__init__(max_threads)
         self.bounds_enabled = bounds_enabled
-        self.op_delay_s = op_delay_s
         self._lock = threading.Lock()
         self._data: dict[Any, Any] = {}
         self._keys: list[Any] = []
 
-    def _dally(self) -> None:
-        if self.op_delay_s:
-            time.sleep(self.op_delay_s)
+    def _pause(self) -> None:
+        if self._pause_hook is not None:
+            self._pause_hook(IN_LOCK)
 
     def put(self, key: Any, value: Any) -> None:
         refuse_unstorable(key, value)
         self._require_slot()
         with self._lock:
-            self._dally()
+            self._pause()
             if value is TOMBSTONE:
                 if key in self._data:
                     del self._data[key]
@@ -63,7 +59,7 @@ class LockedSortedMap(ThreadRegistry):
     def get(self, key: Any) -> Any:
         self._require_slot()
         with self._lock:
-            self._dally()
+            self._pause()
             return self._data.get(key)
 
     def scan(self, min_key: Any, max_key: Any) -> list[tuple[Any, Any]]:
@@ -71,7 +67,7 @@ class LockedSortedMap(ThreadRegistry):
         if min_key > max_key:
             raise ValueError("scan requires min_key <= max_key")
         with self._lock:
-            self._dally()
+            self._pause()
             lo = bisect_left(self._keys, min_key)
             hi = bisect_right(self._keys, max_key)
             return [(k, self._data[k]) for k in self._keys[lo:hi]]

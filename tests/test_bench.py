@@ -9,6 +9,7 @@ import threading
 import pytest
 
 from kiwi import (
+    FuzzConfig,
     LockedSortedMap,
     MeasurementResult,
     RegistrationError,
@@ -20,7 +21,7 @@ from kiwi import (
 )
 from kiwi import bench
 from kiwi.bench import drop_most_suspicious, make_map, prefill, run_iteration
-from kiwi.cli import main
+from kiwi.cli import build_parser, main
 
 from helpers import total_mean
 
@@ -326,6 +327,13 @@ def test_cli_usage_error_exits_2():
     assert excinfo.value.code == 2
 
 
+_SMALL_RUNS = {
+    "bench": ["bench", "--workload", "GetOnly", "--impl", "kiwi", "--key-range", "64",
+              "--seconds", "0.05", "--warmup-seconds", "0", "--iterations", "1"],
+    "fuzz": ["fuzz", "--ops", "4"],
+}
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -355,9 +363,8 @@ def test_cli_refuses_out_of_range_numbers_as_usage_errors(tmp_path, capsys, args
     history.write_text('{"meta":{}}\n{"thread":0,"kind":"get","args":[1],"result":null,"invoke":0,"response":1}\n')
     command, flag, value = args
     argv = {
-        "bench": ["bench", "--workload", "GetOnly", "--impl", "kiwi", "--key-range", "64",
-                  "--seconds", "0.05", "--warmup-seconds", "0", "--iterations", "1", "--out", str(out)],
-        "fuzz": ["fuzz", "--ops", "4", "--out", str(out)],
+        "bench": [*_SMALL_RUNS["bench"], "--out", str(out)],
+        "fuzz": [*_SMALL_RUNS["fuzz"], "--out", str(out)],
         "check": ["check", "--in", str(history)],
     }[command]
     with pytest.raises(SystemExit) as excinfo:
@@ -367,6 +374,39 @@ def test_cli_refuses_out_of_range_numbers_as_usage_errors(tmp_path, capsys, args
     assert flag in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, field",
+    [
+        ("bench", "--threads", "0", "threads"),
+        ("bench", "--key-range", "0", "key_range_max"),
+        ("bench", "--seconds", "0", "run_seconds"),
+        ("bench", "--seconds", "nan", "run_seconds"),
+        ("bench", "--warmup-seconds", "-5", "warmup_seconds"),
+        ("bench", "--warmup-seconds", "nan", "warmup_seconds"),
+        ("bench", "--iterations", "0", "iterations"),
+        ("bench", "--scan-span", "0", "scan_span"),
+        ("fuzz", "--threads", "0", "threads"),
+        ("fuzz", "--key-range", "0", "key_range"),
+    ],
+    ids=str,
+)
+def test_cli_range_refusals_match_the_config_refusals(tmp_path, capsys, command, flag, value, field):
+    """main checks ranges itself, to name the flag in its usage error; each
+    such refusal is the config's refusal of the same value, so the two
+    lists cannot drift apart unseen."""
+    argv = [*_SMALL_RUNS[command], "--out", str(tmp_path / "out"), flag, value]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert flag in capsys.readouterr().err
+    parsed = getattr(build_parser().parse_args(argv), flag[2:].replace("-", "_"))
+    recipe = {"bench": dict(name="GetOnly", threads=1), "fuzz": {}}[command]
+    recipe[field] = parsed
+    config = WorkloadConfig if command == "bench" else FuzzConfig
+    with pytest.raises(ValueError, match=field):
+        config(**recipe)
 
 
 def test_cli_entrypoint_runs_as_module():

@@ -1,5 +1,6 @@
-"""The fuzzed-run recorder: determinism, overlap, delay-point coverage,
-and the locked-oracle calibration runs."""
+"""The fuzzed-run recorder: determinism, overlap, delay-point coverage
+on both maps, the recipe a history records, the configs it refuses, and
+the locked-oracle calibration runs."""
 
 import sys
 import threading
@@ -8,19 +9,23 @@ import pytest
 
 from kiwi import (
     LINEARIZABLE,
+    TOMBSTONE,
     FuzzConfig,
     KiwiMap,
     LockedSortedMap,
     RegistrationError,
     check_linearizable,
     generate_ops,
+    load_history,
     record_locked_oracle_run,
     record_run,
+    save_history,
 )
 from kiwi.core import POST_ALLOCATE, POST_PUBLISH, PRE_LIST_CAS, PRE_VERSION_CAS
 from kiwi.history import PUT
+from kiwi.reference import IN_LOCK
 
-from helpers import with_size_ops
+from helpers import SIZE_MIX, with_size_ops
 
 
 def test_single_thread_run_records_sequentially():
@@ -68,6 +73,29 @@ def test_put_passes_every_pause_point_in_lifecycle_order():
     m.set_pause_hook(points.append)
     m.put(1, 10)
     assert points == [POST_ALLOCATE, POST_PUBLISH, PRE_VERSION_CAS, PRE_LIST_CAS]
+
+
+def test_locked_map_pauses_once_per_operation_inside_its_lock():
+    # The same hook seam stretches the oracle's operations: each put, get
+    # and scan calls it once, with the map's lock held.
+    m = LockedSortedMap(max_threads=1)
+    m.register_thread()
+    seen = []
+    m.set_pause_hook(lambda point: seen.append((point, m._lock.locked())))
+    m.put(1, 10)
+    m.get(1)
+    m.scan(0, 5)
+    m.put(1, TOMBSTONE)
+    assert seen == [(IN_LOCK, True)] * 4
+
+
+def test_history_metadata_rebuilds_the_whole_recipe(tmp_path):
+    cfg = with_size_ops(
+        FuzzConfig(threads=2, ops_per_thread=12, key_range=4, seed=17, max_items=8, scan_span=3)
+    )
+    path = str(tmp_path / "h.jsonl")
+    save_history(record_run(cfg), path)
+    assert FuzzConfig(**load_history(path).meta) == cfg
 
 
 def test_size_mix_records_size_ops():
@@ -136,3 +164,31 @@ def test_config_validation():
         FuzzConfig(threads=0)
     with pytest.raises(ValueError):
         FuzzConfig(key_range=0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("ops_per_thread", -3),
+        ("delay_prob", 2.0),
+        ("delay_prob", float("nan")),
+        ("scan_span", 0),
+        ("delay_max_s", -0.001),
+        ("delay_max_s", float("nan")),
+        ("delay_max_s", float("inf")),
+        ("mix", {"put": 0}),
+        ("mix", {"bogus": 1}),
+        ("mix", {"put": -1, "get": 2}),
+        ("max_items", 1),
+        ("bounds_enabled", False),  # with size ops in the mix
+    ],
+    ids=str,
+)
+def test_config_refuses_a_recipe_it_cannot_run(field, value):
+    """A recipe comes back from a history file as FuzzConfig(**meta), so
+    the config refuses, naming the field, what would otherwise fail late
+    inside a worker, or record a wrong run without complaint."""
+    recipe = dict(mix=dict(SIZE_MIX), bounds_enabled=True)
+    recipe[field] = value
+    with pytest.raises(ValueError, match=field):
+        FuzzConfig(**recipe)

@@ -118,9 +118,11 @@ def test_scan_refuses_a_reversed_range(target):
 
 
 def test_locked_map_rejects_unknown_keyword():
-    # A misspelled or kiwi-only option must not be silently dropped.
+    # A misspelled, kiwi-only or removed option must not be silently dropped.
     with pytest.raises(TypeError):
         LockedSortedMap(max_items=4)
+    with pytest.raises(TypeError):
+        LockedSortedMap(op_delay_s=0.1)  # delays come from the pause hook
 
 
 def test_locked_map_refuses_registration_past_capacity():
