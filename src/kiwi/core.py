@@ -11,8 +11,12 @@ A map-wide global version counter (incremented only by scans) defines
 snapshot boundaries; a pending-scans array (PSA) tells rebalance which
 old versions in-flight scans still need.
 
-Progress: put is lock-free (retries only through rebalance); get and scan
-are wait-free: their loops are bounded by chunk capacity and chunk count.
+Progress: put is lock-free; it retries only after a rebalance froze its
+chunk. get and scan never retry, and their walks only move forward: a
+list walk passes at most a chunk's capacity of entries, but find_chunk's
+chunk walk and scan's range walk take one more step for each concurrent
+rebalance that retires or splits a chunk ahead of them. So the reads are
+wait-free while no rebalance completes, and lock-free under rebalancing.
 
 Version word encoding; every transition is a CAS but the commit, a store:
     0    NONE       allocated, not yet visible
@@ -60,12 +64,6 @@ from .bounds import BoundsCounters
 
 VERSION_NONE = 0
 END = -1  # end-of-list order index
-
-# Pause points where a fuzz harness may inject delays (put lifecycle).
-POST_ALLOCATE = "post-allocate"
-POST_PUBLISH = "post-publish"
-PRE_VERSION_CAS = "pre-version-cas"
-PRE_LIST_CAS = "pre-list-cas"
 
 
 class _Marker:
@@ -377,19 +375,13 @@ _ALREADY_LINKED = InsertOutcome(InsertOutcome.ALREADY_LINKED)
 class ThreadRegistry:
     """Per-map thread slots: register_thread() gives the calling thread the
     lowest free slot in range(max_threads), unregister_thread() gives it
-    back for a later thread to reuse. Also the map's pause-hook seam: a
-    map calls the installed hook at its named pause points."""
+    back for a later thread to reuse."""
 
     def __init__(self, max_threads: int) -> None:
         self.max_threads = max_threads
         self._tls = threading.local()
         self._free_slots = list(range(max_threads - 1, -1, -1))  # pop() gives the lowest
         self._reg_lock = threading.Lock()
-        self._pause_hook: Optional[Callable[[str], None]] = None
-
-    def set_pause_hook(self, hook: Optional[Callable[[str], None]]) -> None:
-        """Install a callback for the map's pause points, from the next operation on."""
-        self._pause_hook = hook
 
     def register_thread(self) -> int:
         if getattr(self._tls, "slot", None) is not None:
@@ -505,7 +497,6 @@ class KiwiMap(ThreadRegistry):
         slot = self._require_slot()
         is_tomb = value is TOMBSTONE
         bounds = self.bounds
-        pause = self._pause_hook
         while True:
             chunk = self.find_chunk(key)
             keys = chunk.keys
@@ -523,19 +514,10 @@ class KiwiMap(ThreadRegistry):
             if idx is None:
                 self._rebalance_chunk(chunk)
                 continue
-            if pause is not None:
-                pause(POST_ALLOCATE)
             bounds.on_put_published(is_tomb)
             chunk.ppa[slot] = idx
             store_fence()
-            if pause is not None:
-                pause(POST_PUBLISH)
-            if chunk.frozen:
-                entry.cas_version(VERSION_NONE, FROZEN)
-            else:
-                if pause is not None:
-                    pause(PRE_VERSION_CAS)
-                entry.cas_version(VERSION_NONE, -self._gv.get())
+            entry.cas_version(VERSION_NONE, FROZEN if chunk.frozen else -self._gv.get())
             ver = entry.version
             if ver is FROZEN:
                 # FROZEN replaces only NONE, so no reader saw it: safe undo.
@@ -544,8 +526,6 @@ class KiwiMap(ThreadRegistry):
                 self._rebalance_chunk(chunk)
                 continue
             if ver < 0:
-                if pause is not None:
-                    pause(PRE_LIST_CAS)
                 self.add_to_linked_list(chunk, idx)
                 entry.version = -ver  # commit: a store, see the module docstring
             # ver > 0: a rebalancer already inserted and committed it.
@@ -585,7 +565,7 @@ class KiwiMap(ThreadRegistry):
             out: list[tuple[Any, Any]] = []
             cursor = min_key
             done = False
-            while not done:  # bounded: cursor advances one chunk range per pass
+            while not done:  # the cursor advances one chunk range per pass
                 chunk = self.find_chunk(cursor)
                 ppa_items = self.help_pending_puts(chunk, cursor, max_key)
                 out.extend(copy_range(chunk, cursor, max_key, scan_version, ppa_items))

@@ -1,12 +1,14 @@
 """Fuzzed concurrent runs recorded as checkable histories.
 
 Few threads, few keys, short runs: collisions and overlap come from a
-tiny key range plus random sleeps that one pause hook injects at the
-recorded map's pause points: the put lifecycle's sensitive points
-(post-allocate, post-publish, pre-version-CAS, pre-list-CAS) on the
-concurrent map, inside the lock on the coarse-lock oracle. Operation
-sequences are derived deterministically from the seed; only the
-interleaving varies run to run. A history's metadata is its whole
+tiny key range plus random sleeps at the recorded map's pause sites. The
+maps hold no hook for them: each worker thread installs a sys.settrace
+function that sleeps when the map calls a site function (PAUSE_SITES).
+On the concurrent map those calls mark the put lifecycle's sensitive
+points (post-allocate, post-publish, pre-version-CAS, pre-list-CAS); on
+the coarse-lock oracle, the slot check that opens put, get and scan.
+Operation sequences are derived deterministically from the seed; only
+the interleaving varies run to run. A history's metadata is its whole
 FuzzConfig, so FuzzConfig(**history.meta) rebuilds the recipe.
 """
 
@@ -29,12 +31,26 @@ from .reference import LockedSortedMap
 DEFAULT_MIX = {PUT: 4, "delete": 3, GET: 4, SCAN: 1}
 MIX_KINDS = (PUT, "delete", GET, SCAN, SIZE, IS_EMPTY)
 
+# Pause sites: a call of the named function from one of the listed callers.
+# KiwiMap.put's four are its lifecycle's sensitive points, in order:
+# post-allocate, post-publish, pre-version-CAS and pre-list-CAS. The locked
+# oracle's slot check opens put, get and scan, before the lock.
+_KIWI_PUT = (KiwiMap.put.__code__,)
+PAUSE_SITES = {
+    "on_put_published": _KIWI_PUT,
+    "store_fence": _KIWI_PUT,
+    "cas_version": _KIWI_PUT,
+    "add_to_linked_list": _KIWI_PUT,
+    "_require_slot": tuple(f.__code__ for f in (LockedSortedMap.put, LockedSortedMap.get, LockedSortedMap.scan)),
+}
+
 
 @dataclass
 class FuzzConfig:
     """Recipe for one recorded run.
 
-    delay_prob/delay_max_s apply independently at each sensitive point.
+    delay_prob/delay_max_s apply independently at each pause site a
+    thread reaches (PAUSE_SITES); a delay_prob of 0 installs no tracer.
     Short histories with two or three threads are the useful regime:
     longer ones are slow to check and hard to read when they fail.
     """
@@ -117,6 +133,19 @@ def _run_op(target: Any, kind: str, args: tuple) -> Any:
     raise ValueError(kind)
 
 
+def pause_tracer(pause: Callable[[str, str], None]) -> Callable[[Any, str, Any], None]:
+    """A sys.settrace function that calls pause(caller, site), by function
+    name, at each pause site its thread reaches. It sees only call events,
+    and returns None so that no frame is traced line by line."""
+
+    def tracer(frame: Any, event: str, arg: Any) -> None:
+        callers = PAUSE_SITES.get(frame.f_code.co_name)
+        if callers is not None and frame.f_back.f_code in callers:
+            pause(frame.f_back.f_code.co_name, frame.f_code.co_name)
+
+    return tracer
+
+
 def record_run(
     config: FuzzConfig,
     map_factory: Optional[Callable[[], Any]] = None,
@@ -144,26 +173,23 @@ def record_run_with_map(
     else:
         target = map_factory()
 
-    delay_rngs = [random.Random((config.seed * 7_777_777) ^ (tid + 101)) for tid in range(config.threads)]
-    tls = threading.local()
-
-    def pause(point: str) -> None:
-        rng = delay_rngs[tls.tid]
-        if rng.random() < config.delay_prob:
-            time.sleep(rng.uniform(0, config.delay_max_s))
-
-    target.set_pause_hook(pause)
-
     per_thread_ops = [generate_ops(config, tid) for tid in range(config.threads)]
     records: list[list[OpRecord]] = [[] for _ in range(config.threads)]
     barrier = threading.Barrier(config.threads)
     errors: list[BaseException] = []
 
     def worker(tid: int) -> None:
-        tls.tid = tid
+        delay_rng = random.Random((config.seed * 7_777_777) ^ (tid + 101))
+
+        def pause(caller: str, site: str) -> None:
+            if delay_rng.random() < config.delay_prob:
+                time.sleep(delay_rng.uniform(0, config.delay_max_s))
+
         try:
             target.register_thread()
             barrier.wait()
+            if config.delay_prob > 0:
+                sys.settrace(pause_tracer(pause))  # this thread only
             out = records[tid]
             for kind, args in per_thread_ops[tid]:
                 invoke = time.monotonic_ns()
@@ -184,7 +210,6 @@ def record_run_with_map(
             t.join()
     finally:
         sys.setswitchinterval(old_interval)
-        target.set_pause_hook(None)
     if errors:
         raise errors[0]
 
@@ -197,7 +222,6 @@ def record_run_with_map(
 
 def record_locked_oracle_run(config: FuzzConfig) -> History:
     """Same workload through the coarse-lock map: linearizable by
-    construction, for checker soundness calibration. The delay hook's
-    sleeps inside the critical section make the recorded intervals
-    actually overlap."""
+    construction, for checker soundness calibration. The sleeps at its
+    pause sites make the recorded intervals actually overlap."""
     return record_run(config, map_factory=lambda: LockedSortedMap(max_threads=config.threads))

@@ -20,6 +20,7 @@ SIZE = "size"
 IS_EMPTY = "is_empty"
 KINDS = (PUT, GET, SCAN, SIZE, IS_EMPTY)
 _KIND_CONSTANTS = {kind: kind for kind in KINDS}
+_ARGS_LEN = {PUT: 2, GET: 1, SCAN: 2, SIZE: 0, IS_EMPTY: 0}
 _BY_THREAD_THEN_INVOKE = operator.attrgetter("thread_id", "invoke_ts")
 
 
@@ -81,8 +82,8 @@ class OpRecord:
             raise HistoryFormatError(line_no, f"unknown op kind {name!r}")
         if type(thread) is not int or type(invoke) is not int or type(response) is not int:
             raise HistoryFormatError(line_no, "thread, invoke and response must be integers")
-        if type(args) is not list:
-            raise HistoryFormatError(line_no, f"args must be a list, not {args!r}")
+        if type(args) is not list or len(args) != _ARGS_LEN[kind]:
+            raise HistoryFormatError(line_no, f"{kind} args must be a list of {_ARGS_LEN[kind]}, not {args!r}")
         if kind == SCAN:
             if type(result) is not list or any(type(pair) is not list or len(pair) != 2 for pair in result):
                 raise HistoryFormatError(line_no, f"a scan result must be a list of [key, value] pairs: {result!r}")
@@ -151,6 +152,8 @@ def load_history(path: str) -> History:
         meta = header["meta"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise HistoryFormatError(1, "metadata line is not a {'meta': ...} object") from exc
+    if type(meta) is not dict:
+        raise HistoryFormatError(1, f"meta must be a JSON object, not {meta!r}")
     records = [
         OpRecord.from_json(line, line_no)
         for line_no, line in enumerate(lines[1:], start=2)

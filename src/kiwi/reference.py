@@ -8,6 +8,8 @@ RegistrationError on a second registration from one thread, past
 max_threads registrations, on releasing a slot the thread does not hold
 and on put, get, scan or items from a thread that never registered, and
 BoundsDisabledError for size queries on a map built with bounds off.
+The fuzz harness stretches put, get and scan from outside, with sleeps at
+their slot checks (kiwi.fuzz.PAUSE_SITES), so its histories overlap.
 """
 
 from __future__ import annotations
@@ -19,17 +21,9 @@ from typing import Any, Optional
 from .bounds import BoundsDisabledError
 from .core import TOMBSTONE, ThreadRegistry, refuse_unstorable
 
-# The one pause point: put, get and scan pass it inside the lock.
-IN_LOCK = "in-lock"
-
 
 class LockedSortedMap(ThreadRegistry):
-    """Single-lock ordered map with the benchmark/fuzz interface.
-
-    A pause hook (set_pause_hook) runs at IN_LOCK, so a delay it makes
-    stretches the operation inside the critical section; the fuzz harness
-    uses that to force overlapping intervals in known-good histories.
-    """
+    """Single-lock ordered map with the benchmark/fuzz interface."""
 
     def __init__(self, max_threads: int = 8, bounds_enabled: bool = True) -> None:
         super().__init__(max_threads)
@@ -38,15 +32,10 @@ class LockedSortedMap(ThreadRegistry):
         self._data: dict[Any, Any] = {}
         self._keys: list[Any] = []
 
-    def _pause(self) -> None:
-        if self._pause_hook is not None:
-            self._pause_hook(IN_LOCK)
-
     def put(self, key: Any, value: Any) -> None:
         refuse_unstorable(key, value)
         self._require_slot()
         with self._lock:
-            self._pause()
             if value is TOMBSTONE:
                 if key in self._data:
                     del self._data[key]
@@ -59,7 +48,6 @@ class LockedSortedMap(ThreadRegistry):
     def get(self, key: Any) -> Any:
         self._require_slot()
         with self._lock:
-            self._pause()
             return self._data.get(key)
 
     def scan(self, min_key: Any, max_key: Any) -> list[tuple[Any, Any]]:
@@ -67,7 +55,6 @@ class LockedSortedMap(ThreadRegistry):
         if min_key > max_key:
             raise ValueError("scan requires min_key <= max_key")
         with self._lock:
-            self._pause()
             lo = bisect_left(self._keys, min_key)
             hi = bisect_right(self._keys, max_key)
             return [(k, self._data[k]) for k in self._keys[lo:hi]]

@@ -5,7 +5,6 @@ the small hooks into a map's internals that only tests need."""
 from __future__ import annotations
 
 import dataclasses
-import threading
 from itertools import permutations
 from typing import Any, Iterable
 
@@ -171,46 +170,6 @@ def brute_force_range(
         if cur is None or rank > cur[0]:
             best[key] = (rank, value, data_index)
     return [(k, value) for k, (_, value, di) in sorted(best.items()) if di >= 0]
-
-
-class GateHook:
-    """Pause hook that parks chosen threads at chosen put lifecycle points.
-
-    gate(thread, point) arms a gate; the victim thread blocks there until
-    release(thread, point). Other threads and points pass through.
-    """
-
-    def __init__(self) -> None:
-        self._gates: dict[tuple[str, str], threading.Event] = {}
-        self._arrived: dict[tuple[str, str], threading.Event] = {}
-        self._once: set[tuple[str, str]] = set()
-        self._lock = threading.Lock()
-
-    def gate(self, thread_name: str, point: str, once: bool = True) -> None:
-        key = (thread_name, point)
-        self._gates[key] = threading.Event()
-        self._arrived[key] = threading.Event()
-        if once:
-            self._once.add(key)
-
-    def wait_arrived(self, thread_name: str, point: str, timeout: float = 5.0) -> None:
-        assert self._arrived[(thread_name, point)].wait(timeout), (
-            f"{thread_name} never reached {point}"
-        )
-
-    def release(self, thread_name: str, point: str) -> None:
-        self._gates[(thread_name, point)].set()
-
-    def __call__(self, point: str) -> None:
-        key = (threading.current_thread().name, point)
-        gate = self._gates.get(key)
-        if gate is None:
-            return
-        with self._lock:
-            if key in self._once and self._arrived[key].is_set():
-                return
-        self._arrived[key].set()
-        assert gate.wait(10.0), f"gate {key} never released"
 
 
 def brute_force_linearizations(history: History) -> list[list[OpRecord]]:

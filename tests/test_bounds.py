@@ -2,9 +2,7 @@
 exactness and bracketing, the composed size()/is_empty(), bound reads
 that puts landing mid-read cannot tear, and the disabled-mode contract."""
 
-import queue
 import random
-import sys
 import threading
 
 import pytest
@@ -12,9 +10,10 @@ import pytest
 from kiwi import BoundsDisabledError, KiwiMap, TOMBSTONE
 from kiwi import core
 from kiwi.bounds import BoundsCounters
-from kiwi.core import FROZEN, POST_ALLOCATE, POST_PUBLISH, PRE_LIST_CAS, PRE_VERSION_CAS
+from kiwi.core import FROZEN
 
-from helpers import GateHook, assert_map_invariants, force_rebalance, quiescent_items, walk_list
+from helpers import assert_map_invariants, force_rebalance, quiescent_items, walk_list
+from interleave import ParkedThread, PutGate, run_with_interference
 
 
 def make_counters(enabled=True):
@@ -185,17 +184,13 @@ def test_insert_whose_older_version_is_overwritten_meanwhile_stays_loose(monkeyp
     m = KiwiMap(max_threads=2, bounds_enabled=True, rng=lambda: 1.0)
     m.register_thread()
     m.put(7, 70)  # committed at the current global version
-    hook = GateHook()
-    hook.gate("tombstone", PRE_LIST_CAS)
-    m.set_pause_hook(hook)
 
     def tombstone():
         m.register_thread()
         m.put(7, TOMBSTONE)  # same version as the committed entry
 
-    b = threading.Thread(target=tombstone, name="tombstone", daemon=True)
-    b.start()
-    hook.wait_arrived("tombstone", PRE_LIST_CAS)
+    gate = PutGate("add_to_linked_list", tombstone)
+    gate.wait_arrived()
     m.scan(0, 10)  # the value put below gets a newer version
     real_advance = KiwiMap._advance_entry_next
     released = []
@@ -205,9 +200,7 @@ def test_insert_whose_older_version_is_overwritten_meanwhile_stays_loose(monkeyp
             # The value put has read the older entry's dataIndex; let the
             # tombstone overwrite that entry before the value put links.
             released.append(True)
-            hook.release("tombstone", PRE_LIST_CAS)
-            b.join(5.0)
-            assert not b.is_alive()
+            gate.finish()
         real_advance(chunk, entry, candidate)
 
     monkeypatch.setattr(KiwiMap, "_advance_entry_next", staticmethod(advance_after_overwrite))
@@ -284,29 +277,22 @@ def test_conservative_direction_with_parked_puts():
     """A tombstone put parked at any published lifecycle stage already
     counts as removed in the lower bound; a parked insert already counts
     as added in the upper bound. Before publish, nothing moves."""
-    import threading as _threading
-    from helpers import GateHook
-
-    for point in (POST_ALLOCATE, POST_PUBLISH, PRE_VERSION_CAS, PRE_LIST_CAS):
+    for point in ("on_put_published", "store_fence", "cas_version", "add_to_linked_list"):
         for tombstone in (True, False):
             m = KiwiMap(max_threads=4, bounds_enabled=True)
             m.register_thread()
             m.put(1, 10)
             m.put(2, 20)
             assert (m.size_lower_bound(), m.size_upper_bound()) == (2, 2)
-            hook = GateHook()
-            hook.gate("parked", point)
-            m.set_pause_hook(hook)
 
             def parked():
                 m.register_thread()
                 m.put(1 if tombstone else 9, TOMBSTONE if tombstone else 90)
 
-            t = _threading.Thread(target=parked, name="parked", daemon=True)
-            t.start()
-            hook.wait_arrived("parked", point)
+            gate = PutGate(point, parked)
+            gate.wait_arrived()
             lower, upper = m.size_lower_bound(), m.size_upper_bound()
-            if point == POST_ALLOCATE:  # not yet published: untouched
+            if point == "on_put_published":  # not yet published: untouched
                 assert (lower, upper) == (2, 2), point
             elif tombstone:
                 # present-and-not-pending-tombstone keys: just key 2
@@ -316,8 +302,7 @@ def test_conservative_direction_with_parked_puts():
                 # present-or-pending keys: 1, 2 and the incoming 9
                 assert upper >= 3, (point, upper)
                 assert lower == 2, (point, lower)
-            hook.release("parked", point)
-            t.join(5.0)
+            gate.finish()
             expected = 1 if tombstone else 3
             assert m.size_lower_bound() == expected == m.size_upper_bound()
 
@@ -374,25 +359,19 @@ def test_put_that_finds_its_chunk_frozen_after_publish_seals_undoes_and_retries(
         real_freeze(c)
 
     monkeypatch.setattr(core, "freeze_chunk", traced_freeze)
-    hook = GateHook()
-    hook.gate("parked", POST_PUBLISH)
-    m.set_pause_hook(hook)
     del calls[:]
 
     def parked():
         m.register_thread()
         m.put(9, 90)
 
-    t = threading.Thread(target=parked, name="parked", daemon=True)
-    t.start()
-    hook.wait_arrived("parked", POST_PUBLISH)
+    gate = PutGate("store_fence", parked)  # after its PPA publish
+    gate.wait_arrived()
     chunk = m.find_chunk(9)
     (idx,) = [i for i in chunk.ppa if i is not None]
     entry = chunk.order[idx]
     chunk.frozen = True  # freeze_chunk's first step; no seal pass has run
-    hook.release("parked", POST_PUBLISH)
-    t.join(5.0)
-    assert not t.is_alive()
+    gate.finish()
 
     assert entry_at_freeze == [FROZEN]  # sealed by the put before any seal pass
     assert calls.count("on_put_undone") == 1
@@ -464,65 +443,7 @@ def test_size_second_lower_read_can_close():
     assert Scripted().size() == 7
 
 
-class ParkedThread:
-    """A thread registered on m that runs each job it is sent to
-    completion while the sender waits: no sleeps, no races. A job that
-    raises ends the thread, and the sender's wait then times out."""
-
-    def __init__(self, m):
-        self._jobs, self._done = queue.Queue(), queue.Queue()
-        self._thread = threading.Thread(target=self._serve, args=(m,), daemon=True)
-        self._thread.start()
-        self._done.get(timeout=5.0)  # registered: slots go out in start order
-
-    def _serve(self, m):
-        m.register_thread()
-        self._done.put(None)
-        for job in iter(self._jobs.get, None):
-            job()
-            self._done.put(None)
-
-    def run(self, job):
-        self._jobs.put(job)
-        self._done.get(timeout=5.0)
-
-    def stop(self):
-        self._jobs.put(None)
-        self._thread.join(5.0)
-
-
 _TRACED_MODULES = ("kiwi.bounds", "kiwi.atomics")
-
-
-def run_with_interference(read, interfere, k):
-    """Call read() with interfere() run at its k-th opcode boundary inside
-    kiwi.bounds or kiwi.atomics. Returns (result, whether k was reached)."""
-    seen = 0
-    reached = False
-
-    def local(frame, event, arg):
-        nonlocal seen, reached
-        if event == "opcode":
-            if seen == k:
-                reached = True
-                interfere()  # the trace function itself is not traced
-            seen += 1
-        return local
-
-    def on_call(frame, event, arg):
-        if frame.f_globals.get("__name__") in _TRACED_MODULES:
-            frame.f_trace_opcodes = True
-            return local
-        return None
-
-    previous = sys.gettrace()
-    sys.settrace(on_call)
-    try:
-        result = read()
-    finally:
-        sys.settrace(previous)
-    return result, reached
-
 
 # Key 1 is present. Tombstone first: the map holds 1, 0, 1 keys and the
 # lower bound reads 1, 0, 0, 0, 1. Value first: the map holds 1, 2, 1
@@ -555,7 +476,7 @@ def test_bound_read_is_not_torn(read, puts, allowed):
                 for worker, (key, value) in zip(workers, puts):
                     worker.run(lambda: m.put(key, value))
 
-            result, reached = run_with_interference(getattr(m, read), interfere, k)
+            result, reached = run_with_interference(getattr(m, read), interfere, k, _TRACED_MODULES)
         finally:
             for worker in workers:
                 worker.stop()

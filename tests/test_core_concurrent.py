@@ -8,10 +8,11 @@ import threading
 import pytest
 
 from kiwi import KiwiMap, TOMBSTONE, validate_put_only_final_state
-from kiwi.core import FROZEN, PRE_LIST_CAS, PRE_VERSION_CAS, InsertOutcome, OrderEntry, logical_version
+from kiwi.core import FROZEN, InsertOutcome, OrderEntry, logical_version
 from kiwi.fuzz import FuzzConfig, record_run_with_map
 
-from helpers import GateHook, assert_map_invariants, force_rebalance, global_version, quiescent_items, walk_list
+from helpers import assert_map_invariants, force_rebalance, global_version, quiescent_items, walk_list
+from interleave import PutGate
 
 # structure-inspecting tests pin the probabilistic rebalance off with
 # rng=lambda: 1.0 (a draw of 1.0 is never below the 2% rebalance rate),
@@ -30,24 +31,20 @@ def test_get_serves_versioned_put_from_ppa_before_list_insert():
     absent from the linked list."""
     m = KiwiMap(max_threads=4, rng=lambda: 1.0)
     m.register_thread()
-    hook = GateHook()
-    hook.gate("writer", PRE_LIST_CAS)
-    m.set_pause_hook(hook)
 
     def writer():
         m.register_thread()
         m.put(3, 1)
 
-    t = _spawn("writer", writer)
-    hook.wait_arrived("writer", PRE_LIST_CAS)
+    gate = PutGate("add_to_linked_list", writer, name="writer")
+    gate.wait_arrived()
 
     chunk = m.find_chunk(3)
     assert all(e.key != 3 for e in walk_list(chunk)), "key must not be in the list yet"
     assert m.get(3) == 1
     assert m.scan(0, 10) == [(3, 1)]
 
-    hook.release("writer", PRE_LIST_CAS)
-    t.join(5.0)
+    gate.finish()
     assert m.get(3) == 1
     assert_map_invariants(m)
 
@@ -57,16 +54,13 @@ def test_reader_helps_unversioned_put_and_writer_adopts():
     stalled writer must adopt the helper's version, not pick a new one."""
     m = KiwiMap(max_threads=4)
     m.register_thread()
-    hook = GateHook()
-    hook.gate("writer", PRE_VERSION_CAS)
-    m.set_pause_hook(hook)
 
     def writer():
         m.register_thread()
         m.put(3, 1)
 
-    t = _spawn("writer", writer)
-    hook.wait_arrived("writer", PRE_VERSION_CAS)
+    gate = PutGate("cas_version", writer, name="writer")
+    gate.wait_arrived()
 
     gv_before = global_version(m)
     assert m.get(3) == 1  # the help itself
@@ -76,8 +70,7 @@ def test_reader_helps_unversioned_put_and_writer_adopts():
     helped_version = logical_version(entry.version)
     assert helped_version == gv_before
 
-    hook.release("writer", PRE_VERSION_CAS)
-    t.join(5.0)
+    gate.finish()
     assert logical_version(entry.version) == helped_version  # adopted, not replaced
     assert entry.version > 0  # committed
     assert m.get(3) == 1
@@ -123,16 +116,13 @@ def test_freeze_loses_version_race_and_entry_survives_rebalance():
     must be carried through compaction into the replacement chunks."""
     m = KiwiMap(max_threads=4)
     m.register_thread()
-    hook = GateHook()
-    hook.gate("writer", PRE_VERSION_CAS)
-    m.set_pause_hook(hook)
 
     def writer():
         m.register_thread()
         m.put(7, 42)
 
-    t = _spawn("writer", writer)
-    hook.wait_arrived("writer", PRE_VERSION_CAS)
+    gate = PutGate("cas_version", writer, name="writer")
+    gate.wait_arrived()
 
     old_chunk = m.find_chunk(7)
     assert m.get(7) == 42  # helper assigns the version
@@ -140,8 +130,7 @@ def test_freeze_loses_version_race_and_entry_survives_rebalance():
     assert m.find_chunk(7) is not old_chunk
     assert m.get(7) == 42  # survived into the replacement
 
-    hook.release("writer", PRE_VERSION_CAS)
-    t.join(5.0)
+    gate.finish()
     assert m.get(7) == 42
     assert quiescent_items(m) == {7: 42}
     assert_map_invariants(m)
@@ -152,16 +141,13 @@ def test_freeze_seals_unhelped_put_which_retries():
     retry invisibly; its retried attempt lands in the replacement."""
     m = KiwiMap(max_threads=4)
     m.register_thread()
-    hook = GateHook()
-    hook.gate("writer", PRE_VERSION_CAS)
-    m.set_pause_hook(hook)
 
     def writer():
         m.register_thread()
         m.put(7, 42)
 
-    t = _spawn("writer", writer)
-    hook.wait_arrived("writer", PRE_VERSION_CAS)
+    gate = PutGate("cas_version", writer, name="writer")
+    gate.wait_arrived()
 
     chunk = m.find_chunk(7)
     (idx,) = [i for i in chunk.ppa if i is not None]
@@ -170,8 +156,7 @@ def test_freeze_seals_unhelped_put_which_retries():
     assert sealed_entry.version is FROZEN
     assert m.get(7) is None
 
-    hook.release("writer", PRE_VERSION_CAS)
-    t.join(5.0)
+    gate.finish()
     assert m.get(7) == 42  # retried attempt completed in the new chunk
     assert_map_invariants(m)
 
@@ -186,25 +171,22 @@ def test_commit_store_of_a_put_parked_before_its_list_insert(helped):
     are exact."""
     m = KiwiMap(max_threads=4, bounds_enabled=True, rng=lambda: 1.0)
     m.register_thread()
-    hook = GateHook()
-    hook.gate("writer", PRE_LIST_CAS)
-    m.set_pause_hook(hook)
     outcomes = []
     insert = m.add_to_linked_list
 
-    def recording_insert(chunk, idx):
+    def add_to_linked_list(chunk, idx):  # the pause site's name, so the gate parks here
         outcome = insert(chunk, idx)
         outcomes.append((threading.current_thread().name, outcome.kind))
         return outcome
 
-    m.add_to_linked_list = recording_insert  # rebalance and put both call it through the map
+    m.add_to_linked_list = add_to_linked_list  # rebalance and put both call it through the map
 
     def writer():
         m.register_thread()
         m.put(7, 42)
 
-    t = _spawn("writer", writer)
-    hook.wait_arrived("writer", PRE_LIST_CAS)
+    gate = PutGate("add_to_linked_list", writer, name="writer")
+    gate.wait_arrived()
     chunk = m.find_chunk(7)
     (idx,) = [i for i in chunk.ppa if i is not None]
     entry = chunk.order[idx]
@@ -214,9 +196,7 @@ def test_commit_store_of_a_put_parked_before_its_list_insert(helped):
         assert force_rebalance(m, 7)
         assert m.find_chunk(7) is not chunk
         assert entry.version == version  # the help pass committed it
-    hook.release("writer", PRE_LIST_CAS)
-    t.join(5.0)
-    assert not t.is_alive()
+    gate.finish()
 
     assert entry.version == version
     if helped:
@@ -237,16 +217,13 @@ def test_tombstone_inserted_even_when_key_absent_from_list():
     would resurface once the pending put lands."""
     m = KiwiMap(max_threads=4, rng=lambda: 1.0)
     m.register_thread()
-    hook = GateHook()
-    hook.gate("writer", PRE_VERSION_CAS)
-    m.set_pause_hook(hook)
 
     def writer():
         m.register_thread()
         m.put(3, 11)
 
-    t = _spawn("writer", writer)
-    hook.wait_arrived("writer", PRE_VERSION_CAS)
+    gate = PutGate("cas_version", writer, name="writer")
+    gate.wait_arrived()
 
     assert m.get(3) == 11  # helper gives the pending put version 1
     m.scan(100, 100)  # bump the global version to 2
@@ -257,8 +234,7 @@ def test_tombstone_inserted_even_when_key_absent_from_list():
     assert len(tombstones) == 1 and tombstones[0].data_index < 0
     assert m.get(3) is None
 
-    hook.release("writer", PRE_VERSION_CAS)
-    t.join(5.0)
+    gate.finish()
     assert m.get(3) is None  # the older data never resurfaces
     entries = [e for e in walk_list(m.find_chunk(3)) if e.key == 3]
     versions = [logical_version(e.version) for e in entries]

@@ -1,4 +1,4 @@
-"""The fuzzed-run recorder: determinism, overlap, delay-point coverage
+"""The fuzzed-run recorder: determinism, overlap, pause-site coverage
 on both maps, the recipe a history records, the configs it refuses, and
 the locked-oracle calibration runs."""
 
@@ -9,7 +9,6 @@ import pytest
 
 from kiwi import (
     LINEARIZABLE,
-    TOMBSTONE,
     FuzzConfig,
     KiwiMap,
     LockedSortedMap,
@@ -21,11 +20,10 @@ from kiwi import (
     record_run,
     save_history,
 )
-from kiwi.core import POST_ALLOCATE, POST_PUBLISH, PRE_LIST_CAS, PRE_VERSION_CAS
 from kiwi.history import PUT
-from kiwi.reference import IN_LOCK
 
 from helpers import SIZE_MIX, with_size_ops
+from interleave import pause_sites_met
 
 
 def test_single_thread_run_records_sequentially():
@@ -64,29 +62,22 @@ def test_different_threads_get_different_streams():
     assert generate_ops(cfg, 0) != generate_ops(cfg, 1)
 
 
-def test_put_passes_every_pause_point_in_lifecycle_order():
-    # The fuzz delay hook fires wherever put calls it; one put must reach
-    # all four sensitive points, each once, in lifecycle order.
+def test_the_fuzz_tracer_meets_each_pause_site_once_in_lifecycle_order():
+    """The fuzzer's delays come from a trace function that matches pause
+    sites by function name, so a renamed or moved site would turn them off
+    without an error. One put on the concurrent map meets its four sites
+    once each, in lifecycle order; a put, a get and a scan on the locked
+    oracle meet its one site once each."""
     m = KiwiMap(max_threads=1)
     m.register_thread()
-    points = []
-    m.set_pause_hook(points.append)
-    m.put(1, 10)
-    assert points == [POST_ALLOCATE, POST_PUBLISH, PRE_VERSION_CAS, PRE_LIST_CAS]
-
-
-def test_locked_map_pauses_once_per_operation_inside_its_lock():
-    # The same hook seam stretches the oracle's operations: each put, get
-    # and scan calls it once, with the map's lock held.
-    m = LockedSortedMap(max_threads=1)
-    m.register_thread()
-    seen = []
-    m.set_pause_hook(lambda point: seen.append((point, m._lock.locked())))
-    m.put(1, 10)
-    m.get(1)
-    m.scan(0, 5)
-    m.put(1, TOMBSTONE)
-    assert seen == [(IN_LOCK, True)] * 4
+    assert pause_sites_met(lambda: m.put(1, 10)) == [
+        ("put", "on_put_published"), ("put", "store_fence"), ("put", "cas_version"), ("put", "add_to_linked_list"),
+    ]
+    oracle = LockedSortedMap(max_threads=1)
+    oracle.register_thread()
+    assert pause_sites_met(lambda: (oracle.put(1, 10), oracle.get(1), oracle.scan(0, 5))) == [
+        ("put", "_require_slot"), ("get", "_require_slot"), ("scan", "_require_slot"),
+    ]
 
 
 def test_history_metadata_rebuilds_the_whole_recipe(tmp_path):

@@ -9,9 +9,10 @@ import pytest
 
 from kiwi import TOMBSTONE, KiwiMap, OpRecord, core
 from kiwi.atomics import AtomicInt
-from kiwi.core import FROZEN, POST_ALLOCATE, PRE_LIST_CAS, VERSION_NONE, OrderEntry, logical_version
+from kiwi.core import FROZEN, VERSION_NONE, OrderEntry, logical_version
 
-from helpers import GateHook, assert_map_invariants
+from helpers import assert_map_invariants
+from interleave import PutGate, pause_sites_met
 
 
 def help_at(m, chunk, version):
@@ -147,7 +148,7 @@ def test_scan_fences_once_per_chunk():
     ],
 )
 def test_get_prefers_a_put_parked_before_its_list_cas(value, newer_version, listed):
-    """A put parked at PRE_LIST_CAS over a key the list already holds is
+    """A put parked before its list insert over a key the list already holds is
     versioned but not linked: get finds it only through the PPA, and it
     must outrank the list's entry, by version or (at an equal version) by
     its larger dataIndex magnitude. Unlisted, the parked put is the key's
@@ -159,51 +160,41 @@ def test_get_prefers_a_put_parked_before_its_list_cas(value, newer_version, list
         m.put(5, 1)  # in the list, committed
     if newer_version:
         m.scan(0, 10)  # the parked put gets a newer version
-    hook = GateHook()
-    hook.gate("parked", PRE_LIST_CAS)
-    m.set_pause_hook(hook)
 
     def parked():
         m.register_thread()
         m.put(5, value)
 
-    t = threading.Thread(target=parked, name="parked", daemon=True)
-    t.start()
-    hook.wait_arrived("parked", PRE_LIST_CAS)
+    gate = PutGate("add_to_linked_list", parked)
+    gate.wait_arrived()
     expected = None if value is TOMBSTONE else value
     try:
         assert m.get(5) == expected
         assert m.scan(5, 5) == ([] if expected is None else [(5, expected)])
     finally:
-        hook.release("parked", PRE_LIST_CAS)
-        t.join(5.0)
-    assert not t.is_alive()
+        gate.finish()
     assert m.get(5) == expected
     assert_map_invariants(m)
 
 
 def test_a_delete_of_a_never_written_key_returns_before_allocating():
     """A key's chunk holds no value of it, so the key is absent and its
-    delete changes nothing: it returns before POST_ALLOCATE, with the
+    delete changes nothing: it returns before its first pause site, with the
     chunk's allocated bound, its PPA and both size bounds as they were.
     A delete of a key that held a value takes the whole put path."""
     m = KiwiMap(max_threads=2, bounds_enabled=True, rng=lambda: 1.0)
     m.register_thread()
     m.put(4, 40)
-    points = []
-    m.set_pause_hook(points.append)
     chunk = m.find_chunk(5)
 
     def state():
         return chunk.allocated_bound(), list(chunk.ppa), m.size_lower_bound(), m.size_upper_bound()
 
     before = state()
-    m.put(5, TOMBSTONE)
-    assert points == []
+    assert pause_sites_met(lambda: m.put(5, TOMBSTONE)) == []
     assert state() == before == (2, [None, None], 1, 1)
     assert m.get(5) is None and m.items() == [(4, 40)]
-    m.put(4, TOMBSTONE)
-    assert points[0] == POST_ALLOCATE
+    assert pause_sites_met(lambda: m.put(4, TOMBSTONE))[0] == ("put", "on_put_published")
     assert state() == (3, [None, None], 0, 0)
     assert m.items() == []
     assert_map_invariants(m)

@@ -62,6 +62,10 @@ CORRUPT_LINES = {
     "invoke-not-int": '{"thread":0,"kind":"get","args":[1],"result":null,"invoke":"x","response":2}',
     "kind-unhashable": '{"thread":0,"kind":["get"],"args":[1],"result":null,"invoke":1,"response":2}',
     "no-response": '{"thread":0,"kind":"get","args":[1],"result":null,"invoke":1}',
+    "put-one-arg": '{"thread":0,"kind":"put","args":[1],"result":null,"invoke":1,"response":2}',
+    "get-two-args": '{"thread":0,"kind":"get","args":[1,2],"result":null,"invoke":1,"response":2}',
+    "scan-one-arg": '{"thread":0,"kind":"scan","args":[1],"result":[],"invoke":1,"response":2}',
+    "size-one-arg": '{"thread":0,"kind":"size","args":[1],"result":0,"invoke":1,"response":2}',
 }
 
 
@@ -93,7 +97,11 @@ def test_check_exits_2_on_a_corrupt_line(tmp_path, capsys):
 
 def test_loaded_kinds_are_the_module_constants(tmp_path):
     path = str(tmp_path / "h.jsonl")
-    records = [rec(0, kind, (), () if kind == SCAN else None, 2 * i, 2 * i + 1) for i, kind in enumerate(KINDS)]
+    args = {"put": (1, 2), "get": (1,), "scan": (0, 5)}
+    records = [
+        rec(0, kind, args.get(kind, ()), () if kind == SCAN else None, 2 * i, 2 * i + 1)
+        for i, kind in enumerate(KINDS)
+    ]
     save_history(History(records=records), path)
     loaded = load_history(path).records
     assert [r.kind for r in loaded] == list(KINDS)
@@ -112,7 +120,8 @@ def test_unknown_kind_rejected(tmp_path):
 
 def test_missing_metadata_rejected(tmp_path):
     path = str(tmp_path / "bad.jsonl")
-    for body in ('{"thread":0}\n', ""):  # a record first, or an empty file
+    # a record first, an empty file, or a meta that is not an object
+    for body in ('{"thread":0}\n', "", '{"meta":5}\n', '{"meta":[1]}\n'):
         with open(path, "w") as fh:
             fh.write(body)
         with pytest.raises(HistoryFormatError) as excinfo:

@@ -3,9 +3,9 @@ module level, so no function pays for an import statement on each call,
 and each module still imports first in a fresh interpreter. A budget test
 pins the map's construction knobs, a chunk's slots, the size bounds'
 parameters and slots, the list insert's, compaction's and the bench map
-factory's parameters, the atomic counter's methods, the fuzz recipe's
-and the bench config's fields and the package exports, so adding one
-has to edit it openly."""
+factory's parameters, the atomic counter's and the thread registry's
+methods, the fuzz recipe's and the bench config's fields and the package
+exports, so adding one has to edit it openly."""
 
 import ast
 import dataclasses
@@ -55,6 +55,10 @@ def test_knob_and_export_budget():
     assert list(inspect.signature(bench.make_map).parameters) == ["impl", "threads", "bounds_enabled"]
     public = {name for name in vars(atomics.AtomicInt) if not name.startswith("_")}
     assert public == {"get", "fetch_add"}
+    # Thread slots only: the fuzzer pauses a map from outside, by sys.settrace.
+    assert {name for name in vars(core.ThreadRegistry) if not name.startswith("_")} == {
+        "register_thread", "unregister_thread",
+    }
     assert [field.name for field in dataclasses.fields(kiwi.FuzzConfig)] == [
         "threads", "ops_per_thread", "key_range", "seed", "mix",
         "delay_prob", "delay_max_s", "max_items", "bounds_enabled", "scan_span",

@@ -122,7 +122,7 @@ def test_locked_map_rejects_unknown_keyword():
     with pytest.raises(TypeError):
         LockedSortedMap(max_items=4)
     with pytest.raises(TypeError):
-        LockedSortedMap(op_delay_s=0.1)  # delays come from the pause hook
+        LockedSortedMap(op_delay_s=0.1)  # delays come from the fuzz tracer
 
 
 def test_locked_map_refuses_registration_past_capacity():

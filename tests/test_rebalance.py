@@ -25,6 +25,7 @@ from helpers import (
     raw_chunk,
     walk_list,
 )
+from interleave import ParkedThread, run_with_interference
 
 INF = float("inf")
 
@@ -300,6 +301,48 @@ def test_reader_mid_scan_survives_replacement():
     m._psa[1] = None
     assert m.scan(0, 30) == expected
     assert_map_invariants(m)
+
+
+# (key 2, key 7) before, between and after the interfering job's three puts.
+_SCAN_RACE_STATES = {(2, 7), ("a", 7), ("a", "b"), ("c", "b")}
+_SCAN_MODULES = ("kiwi.core", "kiwi.rebalance")
+
+
+def test_scan_is_a_snapshot_whatever_opcode_a_compaction_lands_on():
+    """Three puts, each followed by a compaction of its key's chunk, land
+    at each opcode boundary of one scan in turn, in kiwi.core and
+    kiwi.rebalance frames. Compaction keeps the versions the scan's PSA
+    entry asks for, so the scan returns every key, and keys 2 and 7 as
+    they stood together at some instant. A compaction that ran before the
+    scan published its version, or that ignored it, would drop the
+    version the scan needs and lose key 2."""
+    k = 0
+    while True:
+        m = KiwiMap(max_items=64, rng=lambda: 1.0)
+        m.register_thread()
+        for key in range(10):
+            m.put(key, key)
+        worker = ParkedThread(m)
+
+        def interfere():
+            def job():
+                for key, value in ((2, "a"), (7, "b"), (2, "c")):
+                    m.put(key, value)
+                    force_rebalance(m, key)
+
+            worker.run(job)
+
+        try:
+            result, reached = run_with_interference(lambda: m.scan(0, 9), interfere, k, _SCAN_MODULES)
+        finally:
+            worker.stop()
+        d = dict(result)
+        assert [key for key, _ in result] == list(range(10)), (k, result)
+        assert (d[2], d[7]) in _SCAN_RACE_STATES, (k, result)
+        if not reached:
+            break
+        k += 1
+    assert k > 0
 
 
 def test_data_preservation_under_forced_rebalances():
