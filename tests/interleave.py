@@ -12,12 +12,17 @@ import threading
 from kiwi.fuzz import pause_tracer
 
 
-def pause_sites_met(fn):
+def pause_sites_met(fn, state=None):
     """The (caller, site) pairs the fuzzer's tracer meets, in order, while
-    fn runs on this thread."""
+    fn runs on this thread; with state given, (caller, site, state())
+    triples, state being called at each pause."""
     met = []
+
+    def note(caller, site):
+        met.append((caller, site) if state is None else (caller, site, state()))
+
     previous = sys.gettrace()
-    sys.settrace(pause_tracer(lambda caller, site: met.append((caller, site))))
+    sys.settrace(pause_tracer(note))
     try:
         fn()
     finally:

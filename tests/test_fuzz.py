@@ -12,6 +12,7 @@ from kiwi import (
     FuzzConfig,
     KiwiMap,
     LockedSortedMap,
+    TOMBSTONE,
     RegistrationError,
     check_linearizable,
     generate_ops,
@@ -62,21 +63,27 @@ def test_different_threads_get_different_streams():
     assert generate_ops(cfg, 0) != generate_ops(cfg, 1)
 
 
-def test_the_fuzz_tracer_meets_each_pause_site_once_in_lifecycle_order():
+def test_put_passes_every_pause_point_in_lifecycle_order():
     """The fuzzer's delays come from a trace function that matches pause
     sites by function name, so a renamed or moved site would turn them off
     without an error. One put on the concurrent map meets its four sites
-    once each, in lifecycle order; a put, a get and a scan on the locked
-    oracle meet its one site once each."""
+    once each, in lifecycle order."""
     m = KiwiMap(max_threads=1)
     m.register_thread()
     assert pause_sites_met(lambda: m.put(1, 10)) == [
         ("put", "on_put_published"), ("put", "store_fence"), ("put", "cas_version"), ("put", "add_to_linked_list"),
     ]
+
+
+def test_locked_map_pauses_once_per_operation_before_its_lock():
+    # Each put, delete, get and scan on the oracle meets its one pause
+    # site once, at the slot check, with the map's lock not yet held.
     oracle = LockedSortedMap(max_threads=1)
     oracle.register_thread()
-    assert pause_sites_met(lambda: (oracle.put(1, 10), oracle.get(1), oracle.scan(0, 5))) == [
-        ("put", "_require_slot"), ("get", "_require_slot"), ("scan", "_require_slot"),
+    ops = lambda: (oracle.put(1, 10), oracle.get(1), oracle.scan(0, 5), oracle.put(1, TOMBSTONE))
+    assert pause_sites_met(ops, state=oracle._lock.locked) == [
+        ("put", "_require_slot", False), ("get", "_require_slot", False),
+        ("scan", "_require_slot", False), ("put", "_require_slot", False),
     ]
 
 
