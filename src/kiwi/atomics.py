@@ -2,9 +2,8 @@
 
 One rule covers every shared word: a read is a plain attribute load, and
 every read-modify-write goes through `cas` or `AtomicInt.fetch_add`, or
-is a store made under `word_lock(owner)`, but for the version commit, a
-store no CAS can race (see `core`). CPython guarantees torn-free reads
-and writes of object attributes, so reads take no lock.
+is a store made under `word_lock(owner)`. CPython guarantees torn-free
+reads and writes of object attributes, so reads take no lock.
 Each read-modify-write takes a striped word lock: one lock from a fixed
 table, picked by the owning object's identity. Two words that share a
 stripe are merely serialized against each other; every word still sees

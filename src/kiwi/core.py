@@ -18,25 +18,23 @@ chunk walk and scan's range walk take one more step for each concurrent
 rebalance that retires or splits a chunk ahead of them. So the reads are
 wait-free while no rebalance completes, and lock-free under rebalancing.
 
-Version word encoding; every transition is a CAS but the commit, a store:
-    0    NONE       allocated, not yet visible
-    -v   Pending(v) version assigned (by owner or helper), not yet in list
-    +v   Committed(v)
-    FROZEN          sealed by rebalance before any version was assigned
-Every CAS expects NONE, which a word never returns to, and each committer
-(owner or rebalance helper) stores the same +v once its list insert has
-returned, so the store races no CAS. CPython makes a slot store whole on
-both builds, and a release store on a free-threaded one, so whoever
-reads +v sees the link made before it.
+Version word, changed only by a CAS that expects NONE:
+    0    NONE     allocated, not yet visible
+    v    version v (>= 1), assigned by the owner or a helper
+    FROZEN        sealed by rebalance before any version was assigned
+The word does not say whether the entry is linked; the list does. A put
+whose entry a rebalance linked first gets ALREADY_LINKED from its own
+insert, and a rebalance finds the versioned entries not yet linked
+through the PPA (see rebalance.help_frozen_chunk_puts).
 
-dataIndex encoding: +slot for a value stored at data[slot]; -slot for a
-tombstone (its data cell holds None). Magnitude equals the allocation slot,
-so |dataIndex| orders same-(key, version) items by recency; overwrites
-raise the magnitude monotonically. Every slot number a chunk stores (a
-dataIndex, a next link, the index alloc hands out) is the int object from
-the shared slot tables below. CPython caches only the ints up to 256, so
-without them each entry would hold ints of its own, and every step of a
-list walk would load a cold int before it could index the order array.
+dataIndex: the slot of the item's data cell, always >= 1, so it orders
+same-(key, version) items by recency; overwrites only raise it. A
+tombstone's cell holds None, which no put may store. Every slot number a
+chunk stores (a dataIndex, a next link, the index alloc hands out) is
+the int object from the shared slot table below. CPython caches only the
+ints up to 256, so without it each entry would hold ints of its own, and
+every step of a list walk would load a cold int before it could index
+the order array.
 
 Value bits: every chunk has eight bits per slot of capacity (one
 byte), and the bit value_bit names for a key is set for each key the
@@ -118,28 +116,24 @@ KEY_MIN = _KeyBound(-1, "-inf")
 KEY_MAX = _KeyBound(1, "inf")
 
 
-# Shared slot-number ints: _SLOTS[i] is i and _NEG_SLOTS[i] is -i, one
-# object per number for every chunk. They grow by extend only, under
-# _SLOTS_LOCK, to cover the highest slot any chunk has used, so an int
-# once handed out stays the shared one and readers index without a lock.
-# _NEG_SLOTS grows first: any i below len(_SLOTS) is in both tables.
-# Chunk.alloc takes the lock inside its stripe; code that holds the lock
-# never takes a stripe, so the two cannot deadlock.
+# Shared slot-number ints: _SLOTS[i] is i, one object per number for
+# every chunk. It grows by extend only, under _SLOTS_LOCK, to cover the
+# highest slot any chunk has used, so an int once handed out stays the
+# shared one and readers index without a lock. Chunk.alloc takes the
+# lock inside its stripe; code that holds the lock never takes a stripe,
+# so the two cannot deadlock.
 _SLOTS: list[int] = [0]
-_NEG_SLOTS: list[int] = [0]
 _SLOTS_LOCK = threading.Lock()
 
 
 def cover_slots(bound: int) -> None:
-    """Grow the shared slot tables to cover every slot below bound."""
+    """Grow the shared slot table to cover every slot below bound."""
     if bound <= len(_SLOTS):
         return
     with _SLOTS_LOCK:
         size = len(_SLOTS)
         if bound > size:
-            new = list(range(size, bound))
-            _NEG_SLOTS.extend([-i for i in new])
-            _SLOTS.extend(new)
+            _SLOTS.extend(range(size, bound))
 
 
 class RegistrationError(RuntimeError):
@@ -147,7 +141,7 @@ class RegistrationError(RuntimeError):
 
 
 class OrderEntry:
-    """One versioned key slot. key is immutable; the rest change by CAS but the commit."""
+    """One versioned key slot. key is immutable; the rest change by CAS."""
 
     __slots__ = ("key", "version", "data_index", "next")
 
@@ -170,19 +164,13 @@ class OrderEntry:
         return f"OrderEntry(key={self.key!r}, ver={self.version!r}, di={self.data_index}, next={self.next})"
 
 
-def logical_version(word: Any) -> int:
-    """Pending(-v) and Committed(+v) rank equally as version v."""
-    return -word if word < 0 else word
-
-
 def overwrite_data_index(entry: OrderEntry, new_data_index: int) -> Optional[int]:
-    """Raise entry.data_index to new_data_index while it is newer (larger
-    magnitude). Returns the word THIS call's CAS replaced, or None when
+    """Raise entry.data_index to new_data_index while it is newer (a
+    later slot). Returns the word THIS call's CAS replaced, or None when
     the call changed nothing (the entry already held a newer word)."""
-    new_mag = abs(new_data_index)
     while True:
         old = entry.data_index
-        if new_mag <= abs(old):
+        if new_data_index <= old:
             return None
         if entry.cas_data_index(old, new_data_index):
             return old
@@ -250,8 +238,8 @@ class Chunk:
 
     def alloc(self, entry: OrderEntry, value: Any) -> Optional[int]:
         """Claim one slot and write it whole: entry, key and value (None
-        for a TOMBSTONE, whose dataIndex is negative), and set the key's
-        value bit for a value. None when full or frozen.
+        for a TOMBSTONE), with the slot as the entry's dataIndex, and set
+        the key's value bit for a value. None when full or frozen.
 
         Freezing is one flag, set under this chunk's word lock, and alloc
         reads it under the same lock, so no slot is handed out once it is
@@ -272,12 +260,10 @@ class Chunk:
                 return None
             if idx >= len(_SLOTS):
                 cover_slots(idx + 1)
-            idx = _SLOTS[idx]
+            idx = entry.data_index = _SLOTS[idx]
             if value is TOMBSTONE:
-                entry.data_index = _NEG_SLOTS[idx]
                 value = None
             else:
-                entry.data_index = idx
                 self.bits[h >> 3] |= 1 << (h & 7)
             self.order.append(entry)
             self.keys.append(entry.key)
@@ -295,7 +281,7 @@ class Chunk:
         if idx == END:
             return (KEY_MAX, 0)
         e = self.order[idx]
-        return (e.key, -logical_version(e.version))
+        return (e.key, -e.version)
 
     def __repr__(self) -> str:
         return f"Chunk([{self.min_key!r}, {self.range_end!r}), n={len(self.order) - 1}, frozen={self.frozen})"
@@ -336,7 +322,7 @@ def find_insertion_location(chunk: Chunk, key: Any, version: int) -> tuple[int, 
         if e.key > key:
             break
         # get and scan pass version +inf: the first entry of the key stops.
-        if e.key == key and (version == _INF or logical_version(e.version) <= version):
+        if e.key == key and (version == _INF or e.version <= version):
             break
         prev = nxt
         nxt = e.next
@@ -417,8 +403,11 @@ class KiwiMap(ThreadRegistry):
     back by unregister_thread() carries nothing over to its next thread.
     put(key, TOMBSTONE) discards a key; put raises ValueError for a None
     value, a None key or a key holding a NaN, and TypeError for an
-    unhashable key or a key that does not compare with a stored key,
-    before it changes anything. get returns None for absent keys and
+    unhashable key, before it changes anything. So it does for a key that
+    does not compare with its chunk's first stored key, but it checks no
+    other: a key that compares with that one and not with another stored
+    key raises after publishing its slot, and then so do the chunk's
+    readers. get returns None for absent keys and
     raises TypeError for an unhashable one. scan(lo, hi) is an atomic
     snapshot of the inclusive key range, sorted ascending.
     """
@@ -483,7 +472,7 @@ class KiwiMap(ThreadRegistry):
                 continue
             ver = entry.version
             if ver == VERSION_NONE:
-                entry.cas_version(VERSION_NONE, -help_version)
+                entry.cas_version(VERSION_NONE, help_version)
                 ver = entry.version
             if ver is FROZEN:
                 continue
@@ -517,18 +506,16 @@ class KiwiMap(ThreadRegistry):
             bounds.on_put_published(is_tomb)
             chunk.ppa[slot] = idx
             store_fence()
-            entry.cas_version(VERSION_NONE, FROZEN if chunk.frozen else -self._gv.get())
-            ver = entry.version
-            if ver is FROZEN:
+            entry.cas_version(VERSION_NONE, FROZEN if chunk.frozen else self._gv.get())
+            if entry.version is FROZEN:
                 # FROZEN replaces only NONE, so no reader saw it: safe undo.
                 bounds.on_put_undone(is_tomb)
                 chunk.ppa[slot] = None
                 self._rebalance_chunk(chunk)
                 continue
-            if ver < 0:
-                self.add_to_linked_list(chunk, idx)
-                entry.version = -ver  # commit: a store, see the module docstring
-            # ver > 0: a rebalancer already inserted and committed it.
+            # ALREADY_LINKED when a rebalance's help pass linked it first;
+            # the PPA cell stays set until the insert returns, for that pass.
+            self.add_to_linked_list(chunk, idx)
             chunk.ppa[slot] = None
             if check_rebalance(chunk, self._rng):
                 self._rebalance_chunk(chunk)
@@ -548,8 +535,7 @@ class KiwiMap(ThreadRegistry):
         # newest; equal-version duplicates cannot exist.
         nxt = find_insertion_location(chunk, key, _INF)[1]
         if nxt != END and chunk.keys[nxt] == key:
-            di = chunk.order[nxt].data_index
-            return None if di < 0 else chunk.data[di]
+            return chunk.data[chunk.order[nxt].data_index]  # None for a tombstone
         return None
 
     def scan(self, min_key: Any, max_key: Any) -> list[tuple[Any, Any]]:
@@ -599,8 +585,8 @@ class KiwiMap(ThreadRegistry):
     # ---------------- linked-list insertion ----------------
 
     def add_to_linked_list(self, chunk: Chunk, idx: int) -> InsertOutcome:
-        """Insert a Pending/Committed entry into the chunk's list, or raise
-        the dataIndex of an existing equal-(key, version) entry. The thread
+        """Insert a versioned entry into the chunk's list, or raise the
+        dataIndex of an existing equal-(key, version) entry. The thread
         whose CAS physically lands runs the size-bound accounting.
 
         The same order index may be inserted concurrently by its owner and
@@ -611,9 +597,11 @@ class KiwiMap(ThreadRegistry):
         holds exactly the candidate that was linked.
         """
         order = chunk.order
+        data = chunk.data
         entry = order[idx]
         key = entry.key
-        version = logical_version(entry.version)
+        version = entry.version
+        is_tomb = data[idx] is None
         bounds = self.bounds
         while True:
             prev_idx, next_idx = find_insertion_location(chunk, key, version)
@@ -621,14 +609,14 @@ class KiwiMap(ThreadRegistry):
             if next_idx == idx:
                 return _ALREADY_LINKED
             nxt = order[next_idx] if next_idx != END else None
-            if nxt is not None and nxt.key == key and logical_version(nxt.version) == version:
+            if nxt is not None and nxt.key == key and nxt.version == version:
                 old = overwrite_data_index(nxt, entry.data_index)
                 if old is not None:
                     # An unchanged prev.next proves the overwritten entry
                     # was the key's newest, so its old data says whether
                     # the key was present.
-                    absent = old < 0 if prev.next == next_idx else None
-                    bounds.update_count_after_overwrite(entry.data_index < 0, prev.key == key, absent)
+                    absent = data[old] is None if prev.next == next_idx else None
+                    bounds.update_count_after_overwrite(is_tomb, prev.key == key, absent)
                 return _OVERWROTE
             next_di_seen = nxt.data_index if (nxt is not None and nxt.key == key) else None
             self._advance_entry_next(chunk, entry, next_idx)
@@ -643,10 +631,10 @@ class KiwiMap(ThreadRegistry):
                 if next_di_seen is None:
                     absent = True
                 elif nxt.data_index == next_di_seen:
-                    absent = next_di_seen < 0
+                    absent = data[next_di_seen] is None
                 else:
                     absent = None
-                bounds.update_count_after_insert(entry.data_index < 0, prev.key == key, absent)
+                bounds.update_count_after_insert(is_tomb, prev.key == key, absent)
                 return _INSERTED
 
     @staticmethod

@@ -22,6 +22,7 @@ KINDS = (PUT, GET, SCAN, SIZE, IS_EMPTY)
 _KIND_CONSTANTS = {kind: kind for kind in KINDS}
 _ARGS_LEN = {PUT: 2, GET: 1, SCAN: 2, SIZE: 0, IS_EMPTY: 0}
 _BY_THREAD_THEN_INVOKE = operator.attrgetter("thread_id", "invoke_ts")
+_NESTED = (list, dict)  # JSON arrays and objects: never a key or a value
 
 
 class HistoryFormatError(ValueError):
@@ -64,8 +65,9 @@ class OpRecord:
     @staticmethod
     def from_json(line: str, line_no: int) -> "OpRecord":
         """Parse one record line. Anything but the shape to_json writes
-        raises HistoryFormatError naming line_no. The kind becomes its
-        module constant, so loaded records share the five kind strings."""
+        raises HistoryFormatError naming line_no, a key or value that is a
+        JSON array or object included. The kind becomes its module
+        constant, so loaded records share the five kind strings."""
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -84,10 +86,18 @@ class OpRecord:
             raise HistoryFormatError(line_no, "thread, invoke and response must be integers")
         if type(args) is not list or len(args) != _ARGS_LEN[kind]:
             raise HistoryFormatError(line_no, f"{kind} args must be a list of {_ARGS_LEN[kind]}, not {args!r}")
+        for arg in args:
+            if type(arg) in _NESTED:
+                raise HistoryFormatError(line_no, f"{kind} keys and values must be scalars, not {args!r}")
         if kind == SCAN:
-            if type(result) is not list or any(type(pair) is not list or len(pair) != 2 for pair in result):
+            if type(result) is not list:
                 raise HistoryFormatError(line_no, f"a scan result must be a list of [key, value] pairs: {result!r}")
-            result = tuple((k, v) for k, v in result)
+            for pair in result:
+                if type(pair) is not list or len(pair) != 2 or type(pair[0]) in _NESTED or type(pair[1]) in _NESTED:
+                    raise HistoryFormatError(line_no, f"a scan result must be a list of scalar [key, value] pairs: {result!r}")
+            result = tuple(map(tuple, result))
+        elif kind == GET and type(result) in _NESTED:
+            raise HistoryFormatError(line_no, f"a get result must be a scalar value, not {result!r}")
         return OpRecord(thread, kind, tuple(args), result, invoke, response)
 
 

@@ -2,8 +2,8 @@
 
 Rebalance of a chunk proceeds in idempotent stages any thread may run:
 freeze (one flag, which is also the allocation cut-off, then sealing
-unversioned entries), help (insert every Pending entry into the frozen
-list and commit it), compact (copy surviving versions into fresh
+unversioned entries), help (insert every versioned entry the PPA names
+into the frozen list), compact (copy surviving versions into fresh
 half-filled chunks, sized like the input chunk). KiwiMap._rebalance_chunk
 runs them, then a single replacement CAS decides the winner whose chunks
 get spliced in. Losers discard their copies; publication (splice,
@@ -18,7 +18,6 @@ from typing import Any, Callable, Optional
 from .atomics import AtomicInt, store_fence, word_lock
 from .core import (
     _INF,
-    _NEG_SLOTS,
     _SLOTS,
     END,
     FROZEN,
@@ -28,7 +27,6 @@ from .core import (
     KiwiMap,
     OrderEntry,
     find_insertion_location,
-    logical_version,
     value_bit,
 )
 
@@ -57,7 +55,7 @@ def freeze_chunk(chunk: Chunk) -> None:
     it is set allocated_bound() is the exact bound of handed-out slots
     (the order appends happen under the same lock), and the sealing pass
     covers every entry that could still be unversioned. After this pass no
-    entry can move NONE->Pending, which makes the helping pass complete.
+    entry can gain a version, which makes the helping pass complete.
     """
     with word_lock(chunk):
         chunk.frozen = True
@@ -68,17 +66,19 @@ def freeze_chunk(chunk: Chunk) -> None:
 
 
 def help_frozen_chunk_puts(kiwi: KiwiMap, chunk: Chunk) -> None:
-    """Insert every Pending entry into the frozen chunk's list and commit
-    it. Duplicate helping degrades to an overwrite or no-op through the
-    dataIndex rule, so concurrent rebalancers are safe. The index passed
-    on is the shared slot int, which a list CAS may store as a next link;
-    alloc grew the table to cover every slot below the bound."""
-    bound = chunk.allocated_bound()
-    for idx, entry in enumerate(chunk.order[1:bound], 1):
-        ver = entry.version
-        if ver is not FROZEN and ver < 0:
-            kiwi.add_to_linked_list(chunk, _SLOTS[idx])
-            entry.version = -ver  # commit: a store, see core's docstring
+    """Insert every versioned entry the frozen chunk's PPA names into its
+    list. That reaches every versioned entry not yet linked, because
+    - a put publishes its slot before anyone can version it;
+    - it clears the slot only after its list insert returns;
+    - sealing turned every remaining NONE into FROZEN.
+    An entry already linked comes back ALREADY_LINKED, and one whose
+    (key, version) is linked degrades to an overwrite or a no-op, so
+    concurrent rebalancers are safe. A PPA cell holds the shared slot
+    int alloc returned, which a list CAS may store as a next link."""
+    order = chunk.order
+    for idx in chunk.ppa:
+        if idx is not None and order[idx].version is not FROZEN:
+            kiwi.add_to_linked_list(chunk, idx)
 
 
 def copy_compact(chunk: Chunk, min_active_scan: float) -> list[Chunk]:
@@ -105,7 +105,7 @@ def copy_compact(chunk: Chunk, min_active_scan: float) -> list[Chunk]:
     nbits = chunk.capacity << 3
     order = chunk.order
     data = chunk.data
-    slots, neg_slots = _SLOTS, _NEG_SLOTS
+    slots = _SLOTS
     fresh = Chunk(chunk.min_key, chunk.range_end, chunk.capacity, len(chunk.ppa))
     new_chunks = [fresh]
     fresh_order, fresh_keys, fresh_data = fresh.order, fresh.keys, fresh.data
@@ -119,11 +119,10 @@ def copy_compact(chunk: Chunk, min_active_scan: float) -> list[Chunk]:
         entry = order[idx]
         idx = entry.next
         ver = entry.version
-        ver = -ver if ver < 0 else ver
-        di = entry.data_index
+        value = data[entry.data_index]
         if entry.key != key:  # the key's newest version
             key = entry.key
-            if di < 0 and ver < min_active_scan:
+            if value is None and ver < min_active_scan:
                 keep = False
                 continue
             start = slot
@@ -139,16 +138,12 @@ def copy_compact(chunk: Chunk, min_active_scan: float) -> list[Chunk]:
             last = fresh_order[-1]
             slot = len(fresh_order)
             start = 1
-        if di >= 0:
-            fresh_data.append(data[di])
-            di = slots[slot]
+        if value is not None:
             h = hash(key) % nbits  # value_bit, inline
             fresh_bits[h >> 3] |= 1 << (h & 7)
-        else:
-            fresh_data.append(None)
-            di = neg_slots[slot]
-        last.next = slots[slot]
-        last = OrderEntry(key, ver, di)
+        fresh_data.append(value)
+        last.next = slot_int = slots[slot]
+        last = OrderEntry(key, ver, slot_int)
         fresh_order.append(last)
         fresh_keys.append(key)
         slot += 1
@@ -176,13 +171,9 @@ def _split_before(fresh: Chunk, start: int, key: Any) -> Chunk:
     order = nxt.order
     byte, mask = value_bit(nxt.bits, key)
     for slot in range(1, len(order)):
-        entry = order[slot]
-        if entry.data_index >= 0:
-            entry.data_index = _SLOTS[slot]
+        if nxt.data[slot] is not None:
             nxt.bits[byte] |= mask
-        else:
-            entry.data_index = _NEG_SLOTS[slot]
-        order[slot - 1].next = _SLOTS[slot]
+        order[slot].data_index = order[slot - 1].next = _SLOTS[slot]
     return nxt
 
 
@@ -196,19 +187,19 @@ def copy_range(
     """One ordered walk of the chunk's list from the first key >= lo: for
     each key in [lo, hi], the first entry with version <= scan_version
     (versions sort descending, so it is the newest such), unless a helped
-    PPA item ranks higher by (version, |dataIndex|); PPA items are
+    PPA item ranks higher by (version, dataIndex); PPA items are
     versioned entries, as help_pending_puts returns them. Tombstone
-    winners suppress their key. Output ascending, unique keys."""
-    ppa_best: dict[Any, tuple[int, int, int]] = {}
+    winners (a None data cell) suppress their key. Output ascending,
+    unique keys."""
+    ppa_best: dict[Any, tuple[int, int]] = {}
     for entry in ppa_items or ():
         key = entry.key
         if key < lo or key > hi:
             continue
-        ver = logical_version(entry.version)
+        ver = entry.version
         if ver > scan_version:
             continue
-        di = entry.data_index
-        rank = (ver, abs(di), di)
+        rank = (ver, entry.data_index)
         cur = ppa_best.get(key)
         if cur is None or rank > cur:
             ppa_best[key] = rank
@@ -226,18 +217,18 @@ def copy_range(
         if key == taken:
             continue
         ver = entry.version
-        ver = -ver if ver < 0 else ver
         if ver > scan_version:
             continue
         taken = key
         di = entry.data_index  # read once; rank and payload must agree
         if ppa_best:
             cur = ppa_best.pop(key, None)
-            if cur is not None and cur[:2] > (ver, abs(di)):
-                di = cur[2]
-        if di >= 0:
-            out.append((key, data[di]))
+            if cur is not None and cur > (ver, di):
+                di = cur[1]
+        value = data[di]
+        if value is not None:
+            out.append((key, value))
     if ppa_best:  # keys only PPA items hold: at most one per thread slot
-        out.extend((key, data[di]) for key, (_, _, di) in ppa_best.items() if di >= 0)
+        out.extend((key, data[di]) for key, (_, di) in ppa_best.items() if data[di] is not None)
         out.sort()
     return out

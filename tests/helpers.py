@@ -10,7 +10,7 @@ from typing import Any, Iterable
 
 from kiwi.bench import MeasurementResult
 from kiwi.atomics import AtomicInt
-from kiwi.core import END, TOMBSTONE, Chunk, KiwiMap, OrderEntry, cover_slots, logical_version, value_bit
+from kiwi.core import END, TOMBSTONE, Chunk, KiwiMap, OrderEntry, cover_slots, value_bit
 from kiwi.fuzz import FuzzConfig
 from kiwi.history import GET, IS_EMPTY, PUT, SIZE, History, OpRecord
 
@@ -45,8 +45,10 @@ def raw_chunk(
 ) -> tuple[Chunk, list[OrderEntry]]:
     """Hand-built chunk: `listed` items (key, version, value-or-TOMBSTONE)
     wired into the linked list in the given order (caller supplies sorted
-    input), `pending` items allocated and versioned but NOT linked, as if
-    published to the PPA and helped. Like alloc, it grows the shared slot
+    input), `pending` items allocated and versioned but NOT linked, each
+    published in its own PPA cell as if by its put and then helped (so
+    max_threads must cover them). Like alloc, it stores each slot as its
+    entry's dataIndex, None as a tombstone's data, grows the shared slot
     table to cover its slots and sets each value's bit. Returns the chunk
     and the pending entries."""
     chunk = Chunk(float("-inf"), float("inf"), capacity, max_threads)
@@ -55,7 +57,7 @@ def raw_chunk(
         slot = len(chunk.order)
         entry = OrderEntry(key)
         entry.version = version
-        entry.data_index = -slot if value is TOMBSTONE else slot
+        entry.data_index = slot
         chunk.order.append(entry)
         chunk.keys.append(key)
         chunk.data.append(None if value is TOMBSTONE else value)
@@ -71,8 +73,10 @@ def raw_chunk(
     prev.next = END
     chunk.sorted_prefix_len = len(chunk.order) - 1
     chunk.list_size = AtomicInt(chunk.sorted_prefix_len)
-    # pending entries carry the pending (negative) version encoding
-    pending_entries = [append(key, -version, value) for key, version, value in pending]
+    pending_entries = []
+    for cell, (key, version, value) in enumerate(pending):
+        chunk.ppa[cell] = len(chunk.order)
+        pending_entries.append(append(key, version, value))
     cover_slots(len(chunk.order))
     return chunk, pending_entries
 
@@ -91,7 +95,7 @@ def walk_list(chunk: Chunk) -> list[OrderEntry]:
 
 
 def assert_chunk_invariants(chunk: Chunk) -> None:
-    """List strictly sorted by (key asc, version desc, |dataIndex| desc),
+    """List strictly sorted by (key asc, version desc, dataIndex desc),
     no duplicate (key, version), keys inside the chunk range; the order,
     key and data arrays run parallel over exactly the allocated slots."""
     bound = chunk.allocated_bound()
@@ -99,9 +103,9 @@ def assert_chunk_invariants(chunk: Chunk) -> None:
     for i in range(1, bound):
         assert chunk.keys[i] is chunk.order[i].key, f"slot {i} key array out of step"
     entries = walk_list(chunk)
-    ranks = [(e.key, -logical_version(e.version), -abs(e.data_index)) for e in entries]
+    ranks = [(e.key, -e.version, -e.data_index) for e in entries]
     assert ranks == sorted(ranks), f"list out of order: {ranks}"
-    pairs = [(e.key, logical_version(e.version)) for e in entries]
+    pairs = [(e.key, e.version) for e in entries]
     assert len(pairs) == len(set(pairs)), f"duplicate (key, version): {pairs}"
     for e in entries:
         assert chunk.min_key <= e.key < chunk.range_end
@@ -122,10 +126,10 @@ def assert_map_invariants(kiwi: KiwiMap) -> None:
     for chunk in chunks:
         assert_chunk_invariants(chunk)
         for entry in walk_list(chunk):
-            assert logical_version(entry.version) <= gv, "version beyond the global counter"
+            assert entry.version <= gv, "version beyond the global counter"
         assert all(idx is None or 0 < idx < chunk.allocated_bound() for idx in chunk.ppa)
         for i in range(1, chunk.allocated_bound()):
-            if chunk.order[i].data_index >= 0 or chunk.data[i] is not None:
+            if chunk.data[i] is not None:
                 key = chunk.keys[i]
                 assert has_value_bit(chunk, key), f"slot {i}: a value of {key!r} without its bit"
     boundaries = [(c.min_key, c.range_end) for c in chunks]
@@ -135,20 +139,19 @@ def assert_map_invariants(kiwi: KiwiMap) -> None:
 
 def quiescent_items(kiwi: KiwiMap) -> dict:
     """Independent drain: walk every chunk list directly, take the newest
-    (version, |dataIndex|) item per key, drop tombstones. Valid only with
-    no in-flight operations."""
-    best: dict[Any, tuple[int, int, int, Chunk]] = {}
+    (version, dataIndex) item per key, drop tombstones (a None data
+    cell). Valid only with no in-flight operations."""
+    best: dict[Any, tuple[int, int, Chunk]] = {}
     for chunk in kiwi.chunks():
         for entry in walk_list(chunk):
-            di = entry.data_index
-            rank = (logical_version(entry.version), abs(di))
+            rank = (entry.version, entry.data_index)
             cur = best.get(entry.key)
             if cur is None or rank > cur[:2]:
-                best[entry.key] = (rank[0], rank[1], di, chunk)
+                best[entry.key] = (*rank, chunk)
     return {
         key: chunk.data[di]
-        for key, (_, _, di, chunk) in best.items()
-        if di >= 0
+        for key, (_, di, chunk) in best.items()
+        if chunk.data[di] is not None
     }
 
 
@@ -159,17 +162,17 @@ def brute_force_range(
     scan_version: int,
 ) -> list[tuple[Any, Any]]:
     """Oracle for copy_range: items are (key, version, data_index, value);
-    per key in [lo, hi] pick the newest (version, |dataIndex|) with
-    version <= scan_version, suppress tombstone winners."""
-    best: dict[Any, tuple[tuple[int, int], Any, int]] = {}
+    per key in [lo, hi] pick the newest (version, dataIndex) with
+    version <= scan_version, suppress TOMBSTONE winners."""
+    best: dict[Any, tuple[tuple[int, int], Any]] = {}
     for key, version, data_index, value in items:
         if not lo <= key <= hi or version > scan_version:
             continue
-        rank = (version, abs(data_index))
+        rank = (version, data_index)
         cur = best.get(key)
         if cur is None or rank > cur[0]:
-            best[key] = (rank, value, data_index)
-    return [(k, value) for k, (_, value, di) in sorted(best.items()) if di >= 0]
+            best[key] = (rank, value)
+    return [(k, value) for k, (_, value) in sorted(best.items()) if value is not TOMBSTONE]
 
 
 def brute_force_linearizations(history: History) -> list[list[OpRecord]]:

@@ -91,11 +91,17 @@ class ParkedThread:
         self._thread.join(5.0)
 
 
-def run_with_interference(call, interfere, k, modules):
+def run_with_interference(call, interfere, k, modules, skip=()):
     """Call call() with interfere() run at its k-th opcode boundary inside
-    frames of the named modules. Returns (result, whether k was reached)."""
+    frames of the named modules. Returns (result, whether k was reached).
+
+    No boundary is counted inside a call of a function named in skip, nor
+    in anything it calls. Name there each function that holds a stripe
+    the interference may want: Chunk.alloc holds its chunk's, and a
+    freeze landing inside it would wait on the traced thread forever."""
     seen = 0
     reached = False
+    skipping = 0  # depth of skipped calls on the stack
 
     def local(frame, event, arg):
         nonlocal seen, reached
@@ -106,8 +112,18 @@ def run_with_interference(call, interfere, k, modules):
             seen += 1
         return local
 
+    def leave_skipped(frame, event, arg):
+        nonlocal skipping
+        if event == "return":  # also when the call raises
+            skipping -= 1
+        return leave_skipped
+
     def on_call(frame, event, arg):
-        if frame.f_globals.get("__name__") in modules:
+        nonlocal skipping
+        if frame.f_code.co_name in skip:
+            skipping += 1
+            return leave_skipped
+        if not skipping and frame.f_globals.get("__name__") in modules:
             frame.f_trace_opcodes = True
             return local
         return None

@@ -317,7 +317,6 @@ def test_c10_wait_free_structural_audit():
         "_index_floor": KiwiMap._index_floor,
         "copy_range": rebalance.copy_range,
         "_prefix_search_before": core._prefix_search_before,
-        "logical_version": core.logical_version,
         "size_lower_bound": bounds.BoundsCounters.size_lower_bound,
         "size_upper_bound": bounds.BoundsCounters.size_upper_bound,
         "size": bounds.BoundsCounters.size,

@@ -183,11 +183,11 @@ def test_insert_whose_older_version_is_overwritten_meanwhile_stays_loose(monkeyp
     loosely instead of claiming the value was already present."""
     m = KiwiMap(max_threads=2, bounds_enabled=True, rng=lambda: 1.0)
     m.register_thread()
-    m.put(7, 70)  # committed at the current global version
+    m.put(7, 70)  # linked at the current global version
 
     def tombstone():
         m.register_thread()
-        m.put(7, TOMBSTONE)  # same version as the committed entry
+        m.put(7, TOMBSTONE)  # same version as the linked entry
 
     gate = PutGate("add_to_linked_list", tombstone)
     gate.wait_arrived()

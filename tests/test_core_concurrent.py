@@ -8,7 +8,7 @@ import threading
 import pytest
 
 from kiwi import KiwiMap, TOMBSTONE, validate_put_only_final_state
-from kiwi.core import FROZEN, InsertOutcome, OrderEntry, logical_version
+from kiwi.core import FROZEN, InsertOutcome, OrderEntry
 from kiwi.fuzz import FuzzConfig, record_run_with_map
 
 from helpers import assert_map_invariants, force_rebalance, global_version, quiescent_items, walk_list
@@ -67,12 +67,12 @@ def test_reader_helps_unversioned_put_and_writer_adopts():
     chunk = m.find_chunk(3)
     slot_entries = [chunk.order[i] for i in chunk.ppa if i is not None]
     (entry,) = [e for e in slot_entries if e.key == 3]
-    helped_version = logical_version(entry.version)
+    helped_version = entry.version
     assert helped_version == gv_before
 
     gate.finish()
-    assert logical_version(entry.version) == helped_version  # adopted, not replaced
-    assert entry.version > 0  # committed
+    assert entry.version == helped_version  # adopted, not replaced
+    assert [e for e in walk_list(chunk) if e.key == 3] == [entry]  # linked
     assert m.get(3) == 1
 
 
@@ -91,11 +91,10 @@ def test_same_key_same_version_insert_and_overwrite_outcomes():
         entry = OrderEntry(5)
         idx = chunk.alloc(entry, value)
         chunk.ppa[slot] = idx
-        entry.cas_version(0, -global_version(m))
+        entry.cas_version(0, global_version(m))
         staged[name] = (idx, value)
         barrier.wait()
         outcomes[name] = m.add_to_linked_list(chunk, idx)
-        entry.cas_version(entry.version, abs(entry.version))
         chunk.ppa[slot] = None
 
     threads = [_spawn("a", racer, "a", 111), _spawn("b", racer, "b", 222)]
@@ -112,7 +111,7 @@ def test_same_key_same_version_insert_and_overwrite_outcomes():
 
 
 def test_freeze_loses_version_race_and_entry_survives_rebalance():
-    """freeze seals only unversioned entries: one helped to Pending first
+    """freeze seals only unversioned entries: one a reader versioned first
     must be carried through compaction into the replacement chunks."""
     m = KiwiMap(max_threads=4)
     m.register_thread()
@@ -162,13 +161,13 @@ def test_freeze_seals_unhelped_put_which_retries():
 
 
 @pytest.mark.parametrize("helped", [True, False], ids=["helped", "unhelped"])
-def test_commit_store_of_a_put_parked_before_its_list_insert(helped):
-    """The commit -v -> +v is a plain store. Helped: a rebalance of the
-    parked put's chunk links its entry and commits it by store; the put,
-    released, finds the entry already linked in the retired chunk, and
-    its own store leaves the word at +v. Unhelped: the owner's store
-    turns -v into +v. Either way the entry is linked once and the bounds
-    are exact."""
+def test_put_parked_before_its_list_insert_is_linked_once(helped):
+    """A put parked after its version CAS, before its list insert, keeps
+    its PPA cell. Helped: a rebalance of its chunk finds the entry
+    through that cell and links it; the put, released, finds it already
+    linked in the retired chunk. Unhelped: the put links it. Either way
+    the version word is never touched again, the entry is linked once
+    and the bounds are exact."""
     m = KiwiMap(max_threads=4, bounds_enabled=True, rng=lambda: 1.0)
     m.register_thread()
     outcomes = []
@@ -190,12 +189,12 @@ def test_commit_store_of_a_put_parked_before_its_list_insert(helped):
     chunk = m.find_chunk(7)
     (idx,) = [i for i in chunk.ppa if i is not None]
     entry = chunk.order[idx]
-    version = -entry.version
-    assert version > 0, "parked with a Pending version"
+    version = entry.version
+    assert version == global_version(m), "parked with a version"
     if helped:
         assert force_rebalance(m, 7)
         assert m.find_chunk(7) is not chunk
-        assert entry.version == version  # the help pass committed it
+        assert [e for e in walk_list(chunk) if e.key == 7] == [entry]  # the help pass linked it
     gate.finish()
 
     assert entry.version == version
@@ -231,13 +230,13 @@ def test_tombstone_inserted_even_when_key_absent_from_list():
 
     chunk = m.find_chunk(3)
     tombstones = [e for e in walk_list(chunk) if e.key == 3]
-    assert len(tombstones) == 1 and tombstones[0].data_index < 0
+    assert len(tombstones) == 1 and chunk.data[tombstones[0].data_index] is None
     assert m.get(3) is None
 
     gate.finish()
     assert m.get(3) is None  # the older data never resurfaces
     entries = [e for e in walk_list(m.find_chunk(3)) if e.key == 3]
-    versions = [logical_version(e.version) for e in entries]
+    versions = [e.version for e in entries]
     assert versions == sorted(versions, reverse=True)
     assert m.scan(0, 10) == []
     assert_map_invariants(m)
@@ -255,7 +254,7 @@ def test_overwrite_updates_data_while_order_index_stays():
     m.put(5, 9)
     (entry_after,) = [e for e in walk_list(chunk) if e.key == 5]
     assert entry_after is entry  # same order entry
-    assert abs(entry.data_index) > abs(original_di)
+    assert entry.data_index > original_di
     assert m.get(5) == 9
 
 
@@ -281,7 +280,7 @@ def test_concurrent_distinct_key_inserts_keep_list_sorted():
 
 
 def test_data_index_monotone_under_same_key_churn():
-    """The dataIndex of a list entry only ever moves to larger magnitudes,
+    """The dataIndex of a list entry only ever moves to later slots,
     even with two writers hammering the same key at one version."""
     m = KiwiMap(max_threads=4)
     m.register_thread()
@@ -311,8 +310,7 @@ def test_data_index_monotone_under_same_key_churn():
     for value in observations:
         if not distinct or value != distinct[-1]:
             distinct.append(value)
-    magnitudes = [abs(v) for v in distinct]
-    assert magnitudes == sorted(magnitudes)
+    assert distinct == sorted(distinct)
     assert m.get(1) in set(range(1000, 1300)) | set(range(2000, 2300))
 
 

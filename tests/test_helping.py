@@ -9,7 +9,7 @@ import pytest
 
 from kiwi import TOMBSTONE, KiwiMap, OpRecord, core
 from kiwi.atomics import AtomicInt
-from kiwi.core import FROZEN, VERSION_NONE, OrderEntry, logical_version
+from kiwi.core import FROZEN, VERSION_NONE, OrderEntry
 
 from helpers import assert_map_invariants
 from interleave import PutGate, pause_sites_met
@@ -37,7 +37,7 @@ def test_help_assigns_requested_version():
     chunk.ppa[0] = idx
     helped = help_at(m, chunk, 12)
     assert helped == [entry]
-    assert entry.version == -12  # pending at the helper's version
+    assert entry.version == 12  # the helper's version
 
 
 def test_help_ignores_out_of_range_keys():
@@ -67,11 +67,11 @@ def test_help_returns_already_versioned_entries_unchanged():
     chunk = m.find_chunk(5)
     entry = OrderEntry(5)
     idx = chunk.alloc(entry, 50)
-    entry.version = -3
+    entry.version = 3
     chunk.ppa[0] = idx
     helped = help_at(m, chunk, 12)
     assert helped == [entry]
-    assert logical_version(entry.version) == 3
+    assert entry.version == 3
 
 
 def fences_during(fn):
@@ -151,13 +151,13 @@ def test_get_prefers_a_put_parked_before_its_list_cas(value, newer_version, list
     """A put parked before its list insert over a key the list already holds is
     versioned but not linked: get finds it only through the PPA, and it
     must outrank the list's entry, by version or (at an equal version) by
-    its larger dataIndex magnitude. Unlisted, the parked put is the key's
+    its larger dataIndex. Unlisted, the parked put is the key's
     only item, and get must find it with nothing in the list. (An unlisted
     delete never parks: see the never-written-key test below.)"""
     m = KiwiMap(max_threads=2, rng=lambda: 1.0)
     m.register_thread()
     if listed:
-        m.put(5, 1)  # in the list, committed
+        m.put(5, 1)  # in the list
     if newer_version:
         m.scan(0, 10)  # the parked put gets a newer version
 

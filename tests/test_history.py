@@ -66,6 +66,10 @@ CORRUPT_LINES = {
     "get-two-args": '{"thread":0,"kind":"get","args":[1,2],"result":null,"invoke":1,"response":2}',
     "scan-one-arg": '{"thread":0,"kind":"scan","args":[1],"result":[],"invoke":1,"response":2}',
     "size-one-arg": '{"thread":0,"kind":"size","args":[1],"result":0,"invoke":1,"response":2}',
+    "get-key-array": '{"thread":0,"kind":"get","args":[[1]],"result":null,"invoke":1,"response":2}',
+    "put-value-array": '{"thread":0,"kind":"put","args":[1,[2]],"result":null,"invoke":1,"response":2}',
+    "scan-result-key-array": '{"thread":0,"kind":"scan","args":[0,5],"result":[[[1],2]],"invoke":1,"response":2}',
+    "get-result-object": '{"thread":0,"kind":"get","args":[1],"result":{"a":1},"invoke":1,"response":2}',
 }
 
 

@@ -75,11 +75,14 @@ def test_overwrite_refuses_smaller_magnitude():
 
 
 def test_overwrite_tombstone_beats_older_data_by_magnitude():
-    entry = OrderEntry(5)
-    entry.data_index = 2
-    assert overwrite_data_index(entry, -4) == 2  # |−4| > |2|
-    assert entry.data_index == -4
-    assert overwrite_data_index(entry, 3) is None  # |3| < |−4|
+    # A tombstone's dataIndex is its slot like any other: a later slot
+    # wins, and the data cell it names holds None.
+    chunk, _ = raw_chunk([(5, 1, 50)], capacity=8)
+    (entry,) = walk_list(chunk)
+    tomb = chunk.alloc(OrderEntry(5), TOMBSTONE)
+    assert overwrite_data_index(entry, tomb) == 1
+    assert entry.data_index == tomb == 2 and chunk.data[entry.data_index] is None
+    assert overwrite_data_index(entry, 1) is None
 
 
 def test_overwrite_race_converges_to_max_magnitude():
@@ -114,14 +117,13 @@ def test_overwrite_race_converges_to_max_magnitude():
         for value in observations[1:]:
             if value != distinct[-1]:
                 distinct.append(value)
-        magnitudes = [abs(v) for v in distinct]
-        assert magnitudes == sorted(magnitudes), f"non-monotonic: {distinct}"
+        assert distinct == sorted(distinct), f"non-monotonic: {distinct}"
 
 
 def test_raw_chunk_helper_is_sane():
     chunk, pending = raw_chunk([(1, 1, 10), (2, 1, TOMBSTONE)], pending=[(3, 2, 30)])
     entries = walk_list(chunk)
     assert [e.key for e in entries] == [1, 2]
-    assert entries[1].data_index < 0
-    assert pending[0].version == -2
-    assert chunk.data[abs(pending[0].data_index)] == 30
+    assert [e.data_index for e in entries] == [1, 2] and chunk.data[2] is None
+    assert (pending[0].version, pending[0].data_index) == (2, 3)
+    assert chunk.data[3] == 30 and chunk.ppa[0] == 3  # published, not linked

@@ -1,12 +1,11 @@
 """The two ordered list walks of rebalance: copy_compact against an oracle
 of retained versions, on hand-built chunks and on the chunks of a real
-map, and copy_range over lists whose entries still carry
-Pending version words, with PPA items that tie a listed version."""
+map, and copy_range with PPA items that tie a listed version."""
 
 import random
 
 from kiwi import TOMBSTONE, KiwiMap
-from kiwi.core import Chunk, logical_version
+from kiwi.core import Chunk
 from kiwi.rebalance import FILL_FACTOR, copy_compact, copy_range, freeze_chunk, help_frozen_chunk_puts
 
 from helpers import assert_chunk_invariants, brute_force_range, raw_chunk, walk_list
@@ -70,9 +69,7 @@ def test_copy_compact_against_oracle():
             assert_chunk_invariants(fresh)
             keys = {entry.key for entry in entries}
             assert len(entries) <= target or len(keys) == 1, context
-            for entry in entries:
-                di = entry.data_index
-                copied.append((entry.key, entry.version, TOMBSTONE if di < 0 else fresh.data[di]))
+            copied += listed_items(fresh)
         assert copied == oracle_retained(listed, min_active_scan), context
 
         assert new_chunks[0].min_key == -5 and new_chunks[-1].range_end == 100, context
@@ -91,10 +88,17 @@ def compacted_items(new_chunks):
     copied = []
     for fresh in new_chunks:
         assert_chunk_invariants(fresh)
-        for entry in walk_list(fresh):
-            di = entry.data_index
-            copied.append((entry.key, entry.version, TOMBSTONE if di < 0 else fresh.data[di]))
+        copied += listed_items(fresh)
     return copied
+
+
+def listed_items(chunk):
+    """(key, version, value-or-TOMBSTONE) of each entry in list order."""
+    items = []
+    for entry in walk_list(chunk):
+        value = chunk.data[entry.data_index]
+        items.append((entry.key, entry.version, TOMBSTONE if value is None else value))
+    return items
 
 
 def test_copy_compact_of_real_chunks_against_oracle():
@@ -117,10 +121,7 @@ def test_copy_compact_of_real_chunks_against_oracle():
         for chunk in chunks:
             freeze_chunk(chunk)
             help_frozen_chunk_puts(kiwi, chunk)
-            listed = []
-            for entry in walk_list(chunk):
-                di = entry.data_index
-                listed.append((entry.key, logical_version(entry.version), TOMBSTONE if di < 0 else chunk.data[di]))
+            listed = listed_items(chunk)
             multi_version_keys += len(listed) - len({key for key, _, _ in listed})
             versions = sorted({version for _, version, _ in listed})
             for min_active_scan in rng.sample(versions, min(3, len(versions))) + [INF]:
@@ -144,7 +145,7 @@ def test_copy_range_with_pending_list_entries_against_brute_force_oracle():
     for round_no in range(500):
         listed = random_listed(rng, rng.randrange(1, 8), key_space=16)
         # PPA items: some tie a listed (key, version) with a later slot,
-        # hence a larger |dataIndex|; the rest are arbitrary.
+        # hence a larger dataIndex; the rest are arbitrary.
         pending = []
         for _ in range(rng.randrange(0, 4)):
             if rng.random() < 0.5:
@@ -153,10 +154,6 @@ def test_copy_range_with_pending_list_entries_against_brute_force_oracle():
                 key, version = rng.randrange(16), rng.randrange(1, 9)
             pending.append((key, version, TOMBSTONE if rng.random() < 0.25 else rng.randrange(1000)))
         chunk, pending_entries = raw_chunk(listed, pending=pending)
-        # Linked but not yet committed: the list entry holds Pending(-v).
-        for idx in range(1, len(listed) + 1):
-            if rng.random() < 0.4:
-                chunk.order[idx].version = -chunk.order[idx].version
         lo = rng.randrange(-2, 18)
         hi = lo + rng.randrange(0, 20)
         scan_version = rng.randrange(1, 10)

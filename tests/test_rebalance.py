@@ -5,6 +5,8 @@ import random
 import sys
 import threading
 
+import pytest
+
 from kiwi import KiwiMap, TOMBSTONE, core
 from kiwi.core import FROZEN, VERSION_NONE
 from kiwi.rebalance import (
@@ -61,13 +63,13 @@ def test_freeze_without_pending_sets_flag_only():
     assert chunk.frozen
     assert chunk.is_full()  # allocation cut off
     (entry,) = walk_list(chunk)
-    assert entry.version == 1  # committed entries untouched
+    assert entry.version == 1  # versioned entries untouched
 
 
 def test_alloc_writes_the_whole_slot():
     # Before any put publishes its index, a reader of the slot already
-    # finds the entry, its key and its value: a tombstone holds None and
-    # a negative dataIndex.
+    # finds the entry, its key and its value: the dataIndex is the slot,
+    # and a tombstone's data cell holds None.
     chunk, _ = raw_chunk([(1, 1, 10)], capacity=8)
     from kiwi.core import OrderEntry
 
@@ -76,7 +78,7 @@ def test_alloc_writes_the_whole_slot():
     assert chunk.alloc(tomb, TOMBSTONE) == 3
     assert chunk.ppa == [None] * 4
     assert (value.version, value.data_index) == (VERSION_NONE, 2)
-    assert (tomb.version, tomb.data_index) == (VERSION_NONE, -3)
+    assert (tomb.version, tomb.data_index) == (VERSION_NONE, 3)
     assert chunk.order[2:] == [value, tomb] and chunk.keys[2:] == [5, 6]
     assert chunk.data[2:] == [50, None]
 
@@ -111,7 +113,7 @@ def test_frozen_chunk_rejects_allocation():
 
 # ---------------- helping ----------------
 
-def test_help_frozen_inserts_and_commits_pending():
+def test_help_frozen_inserts_pending_from_the_ppa():
     m = KiwiMap(max_threads=2)
     m.register_thread()
     chunk, (pending,) = raw_chunk([(1, 1, 10)], pending=[(5, 1, 50)])
@@ -119,7 +121,7 @@ def test_help_frozen_inserts_and_commits_pending():
     help_frozen_chunk_puts(m, chunk)
     entries = walk_list(chunk)
     assert [e.key for e in entries] == [1, 5]
-    assert pending.version == 1  # committed
+    assert pending.version == 1  # the word is not touched
     help_frozen_chunk_puts(m, chunk)  # no-op second time
     assert [e.key for e in walk_list(chunk)] == [1, 5]
 
@@ -131,6 +133,7 @@ def test_concurrent_rebalancers_insert_pending_once():
         chunk, _ = raw_chunk(
             [(k, 1, k) for k in range(0, 20, 2)],
             pending=[(k, 1, k) for k in range(1, 20, 2)],
+            max_threads=10,  # one PPA cell per pending entry
         )
         freeze_chunk(chunk)
         barrier = threading.Barrier(2)
@@ -343,6 +346,59 @@ def test_scan_is_a_snapshot_whatever_opcode_a_compaction_lands_on():
             break
         k += 1
     assert k > 0
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        pytest.param(9, "v", id="new-value"),
+        pytest.param(3, "v", id="same-version-overwrite"),
+        pytest.param(3, TOMBSTONE, id="tombstone"),
+    ],
+)
+def test_put_takes_effect_once_whatever_opcode_a_rebalance_lands_on(key, value):
+    """A rebalance of the key's chunk lands at each opcode boundary of one
+    put in turn, in kiwi.core frames, but never inside Chunk.alloc, which
+    holds the stripe a freeze takes. Sealed before its version CAS, the
+    put retries into the replacement; versioned, it is linked by the help
+    pass, which finds it through the PPA cell the put keeps until its own
+    insert returns. Either way the put takes effect once: get, items()
+    and both exact bounds match a dict, the key is linked at most once,
+    and each live chunk's count equals its list."""
+    expected = {j: j for j in range(6)}  # all at version 1, as is the put
+    if value is TOMBSTONE:
+        del expected[key]
+    else:
+        expected[key] = value
+    k = 0
+    while True:
+        m = KiwiMap(max_items=8, bounds_enabled=True, rng=lambda: 1.0)
+        m.register_thread()
+        for j in range(6):
+            m.put(j, j)
+        worker = ParkedThread(m)
+        try:
+            _, reached = run_with_interference(
+                lambda: m.put(key, value),
+                lambda: worker.run(lambda: force_rebalance(m, key)),
+                k,
+                ("kiwi.core",),
+                skip=("alloc",),
+            )
+        finally:
+            worker.stop()
+        assert m.get(key) == expected.get(key), k
+        assert m.size_lower_bound() == m.size_upper_bound() == len(expected), k
+        chunks = m.chunks()
+        linked = [entry for chunk in chunks for entry in walk_list(chunk) if entry.key == key]
+        assert len(linked) == 1 if key in expected else len(linked) <= 1, (k, linked)
+        assert [c.list_size.get() for c in chunks] == [len(walk_list(c)) for c in chunks], k
+        assert m.items() == sorted(expected.items()), k
+        assert_map_invariants(m)
+        if not reached:
+            break
+        k += 1
+    assert k > 50
 
 
 def test_data_preservation_under_forced_rebalances():

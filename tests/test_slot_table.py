@@ -9,13 +9,9 @@ import threading
 import pytest
 
 from kiwi import TOMBSTONE, KiwiMap
-from kiwi.core import _NEG_SLOTS, _SLOTS, END
+from kiwi.core import _SLOTS, END
 
 NEVER_REBALANCE = lambda: 1.0  # the probabilistic trigger needs rng() < 0.02
-
-
-def shared_slot(i):
-    return _SLOTS[i] if i >= 0 else _NEG_SLOTS[-i]
 
 
 def assert_slots_shared(kiwi):
@@ -23,7 +19,7 @@ def assert_slots_shared(kiwi):
     table's object for its number."""
     for chunk in kiwi.chunks():
         for entry in chunk.order:
-            assert entry.data_index is shared_slot(entry.data_index), entry
+            assert entry.data_index is _SLOTS[entry.data_index], entry
             assert entry.next == END or entry.next is _SLOTS[entry.next], entry
 
 
@@ -80,16 +76,16 @@ def fill_descending(m, count):
     """count puts, one slot each: put i takes slot i + 1. Keys descend, so
     each value links after the head. When i % 3 == 2, put i deletes the
     key put i - 1 wrote: a delete at the value's version, which takes a
-    slot and overwrites the listed entry's dataIndex. Returns the items
-    left and the dataIndex each slot's entry ends with, by slot."""
+    slot and overwrites the listed entry's dataIndex with it. Returns the
+    items left and the dataIndex each slot's entry ends with, by slot."""
     left, data_index = {}, [0]
     for i, k in enumerate(range(count, 0, -1)):
         slot = i + 1
         if i % 3 == 2:
             m.put(k + 1, TOMBSTONE)
             del left[k + 1]
-            data_index[slot - 1] = -slot
-            data_index.append(-slot)
+            data_index[slot - 1] = slot
+            data_index.append(slot)
         else:
             m.put(k, k)
             left[k] = k
@@ -103,8 +99,8 @@ def test_a_slot_beyond_the_table_grows_it():
     m.register_thread()
     left, data_index = fill_descending(m, size + 5)
     assert len(m.chunks()) == 1
-    assert len(_SLOTS) == len(_NEG_SLOTS) == size + 6
-    assert all(_SLOTS[i] == i and _NEG_SLOTS[i] == -i for i in range(size + 6))
+    assert len(_SLOTS) == size + 6
+    assert all(_SLOTS[i] == i for i in range(size + 6))
     assert_slots_shared(m)
     (chunk,) = m.chunks()
     assert [entry.data_index for entry in chunk.order] == data_index
@@ -132,14 +128,14 @@ def test_threads_filling_chunks_past_the_table_read_right_numbers():
         for slot in range(1, count + 1):
             entry = chunk.order[slot]
             expected = data_index[slot]
-            if entry.data_index != expected or entry.data_index is not shared_slot(expected):
+            if entry.data_index is not _SLOTS[expected]:
                 errors.append((slot, entry.data_index))
         if m.scan(1, count) != left:
             errors.append("scan")
 
     run_threads([threading.Thread(target=fill) for _ in range(4)])
     assert not errors, errors[:5]
-    assert all(_SLOTS[i] == i and _NEG_SLOTS[i] == -i for i in range(len(_SLOTS)))
+    assert all(_SLOTS[i] == i for i in range(len(_SLOTS)))
 
 
 def test_compaction_does_not_grow_the_table():
@@ -167,7 +163,7 @@ def test_compaction_does_not_grow_the_table():
     for chunk in old_chunks:
         assert m._rebalance_chunk(chunk)
     m._psa[1] = None
-    assert len(_SLOTS) == len(_NEG_SLOTS) == size
+    assert len(_SLOTS) == size
     assert all(c not in old_chunks for c in m.chunks())
     assert_slots_shared(m)
     assert m.items() == before_items

@@ -141,12 +141,13 @@ def sections():
 @pytest.mark.parametrize("bounds", [True, False], ids=["bounds-on", "bounds-off"])
 def test_lock_sections_per_operation(sections, bounds):
     """The put path's lock budget, fence included. A landed value put of
-    a new key: alloc, the store fence, the NONE -> Pending CAS, two list
-    CASes and the list-size add, plus one bound add on publish and one on
-    settlement with the bounds on; the commit is a plain store. A
-    same-version overwrite swaps the list work for one dataIndex CAS. A
-    delete of a never-written key and a get on a clear bit stop before
-    any section, and a full-path get takes only its fence."""
+    a new key: alloc, the store fence, the version CAS (NONE -> v), two
+    list CASes and the list-size add, plus one bound add on publish and
+    one on settlement with the bounds on. No commit step follows: the
+    list alone says the entry is linked. A same-version overwrite swaps
+    the list work for one dataIndex CAS. A delete of a never-written key
+    and a get on a clear bit stop before any section, and a full-path
+    get takes only its fence."""
     m = KiwiMap(max_threads=2, bounds_enabled=bounds, rng=lambda: 1.0)
     m.register_thread()
 
