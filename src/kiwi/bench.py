@@ -72,6 +72,8 @@ class WorkloadConfig:
             raise ValueError("run_seconds must be > 0")
         if not self.warmup_seconds >= 0:
             raise ValueError("warmup_seconds must be >= 0")
+        if self.ops_budget is not None and self.ops_budget < 1:
+            raise ValueError("ops_budget must be >= 1 when given")
 
     @property
     def init_size(self) -> int:  # the steady state of a 50/50 put/delete mix

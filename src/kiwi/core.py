@@ -1,22 +1,38 @@
 """Chunked multi-version concurrent sorted map.
 
-Layout: a linked list of fixed-capacity chunks, each covering a key range
-[min_key, range_end). A chunk holds an order array (versioned key slots
-forming a sorted linked list with a presorted prefix), a key array
-parallel to it (the prefix search bisects it directly), a data array of
-immutable value cells, and a pending-puts array (PPA) with one slot per
-registered thread. The order, key and data arrays grow by one append per
-allocated slot, so a chunk pays for the slots it uses, not its capacity.
-A map-wide global version counter (incremented only by scans) defines
+Layout: fixed-capacity chunks, each covering a key range [min_key,
+range_end). A chunk holds an order array (versioned key slots forming a
+sorted linked list with a presorted prefix), a key array parallel to it
+(the prefix search bisects it directly), a data array of immutable value
+cells, and a pending-puts array (PPA) with one slot per registered
+thread. The order, key and data arrays grow by one append per allocated
+slot, so a chunk pays for the slots it uses, not its capacity. A
+map-wide global version counter (incremented only by scans) defines
 snapshot boundaries; a pending-scans array (PSA) tells rebalance which
 old versions in-flight scans still need.
 
+Index: one immutable (min keys, chunks) pair, swapped whole by CAS, is
+the only record of which chunks are live, and find_chunk is one bisect
+of one snapshot of it. A rebalance retires a chunk by the decision CAS on
+its replacement tuple, the retired chunk's only forward pointer, and
+then rebuilds the index (KiwiMap._index_replace); winners and losers
+alike rebuild, so a stalled winner blocks no put. The invariant: a put
+allocates only in a chunk that some published index held. A put that
+meets a retired chunk fails alloc, because the chunk is frozen, and its
+rebalance call rebuilds the index before the put retries. So a reader
+holding a stale snapshot reads a frozen chunk that no later put has
+bypassed: every put in its replacement read a newer index, so it began
+its allocation after the reader's index read, and it takes a version
+above every scan that read the older index.
+
 Progress: put is lock-free; it retries only after a rebalance froze its
-chunk. get and scan never retry, and their walks only move forward: a
-list walk passes at most a chunk's capacity of entries, but find_chunk's
-chunk walk and scan's range walk take one more step for each concurrent
-rebalance that retires or splits a chunk ahead of them. So the reads are
-wait-free while no rebalance completes, and lock-free under rebalancing.
+chunk. get and scan never retry. find_chunk is one bisect, a list walk
+passes at most a chunk's capacity of entries, and the PPA has one cell
+per thread, so get takes a bounded number of steps whatever other
+threads do: it is wait-free. scan reads each chunk its range meets once,
+its cursor moving past each chunk's range_end, so its steps grow only
+with the chunks in its range: concurrent puts add to those only by
+bringing new keys that split a chunk ahead of it.
 
 Version word, changed only by a CAS that expects NONE:
     0    NONE     allocated, not yet visible
@@ -57,7 +73,7 @@ import threading
 from bisect import bisect_left, bisect_right
 from typing import Any, Callable, Optional
 
-from .atomics import _WORD_LOCKS, AtomicInt, cas, full_fence, store_fence, word_lock
+from .atomics import _WORD_LOCKS, AtomicInt, cas, full_fence, store_fence
 from .bounds import BoundsCounters
 
 VERSION_NONE = 0
@@ -214,7 +230,6 @@ class Chunk:
         "sorted_prefix_len",
         "frozen",
         "replacement",
-        "next",
         "list_size",
     )
 
@@ -230,7 +245,6 @@ class Chunk:
         self.sorted_prefix_len = 0
         self.frozen = False
         self.replacement: Optional[tuple["Chunk", ...]] = None
-        self.next: Optional["Chunk"] = None
         self.list_size = AtomicInt(0)  # entries linked into the list
 
     def is_full(self) -> bool:
@@ -429,27 +443,17 @@ class KiwiMap(ThreadRegistry):
         self._gv = AtomicInt(1)
         self._psa: list[Optional[int]] = [None] * max_threads
         first = Chunk(KEY_MIN, KEY_MAX, max_items, max_threads)
-        self._first = first
         self._index: tuple[tuple, tuple] = ((KEY_MIN,), (first,))
 
     # ---------------- chunk location ----------------
 
-    def _index_floor(self, key: Any) -> Chunk:
+    def find_chunk(self, key: Any) -> Chunk:
+        """The chunk covering key in one snapshot of the index: live, or
+        retired after the snapshot was published (see the module
+        docstring for why a reader may use it)."""
         keys, chunks = self._index
         # keys[0] is KEY_MIN, below every key, so the search starts past it.
-        i = bisect_right(keys, key, 1) - 1
-        return chunks[i]
-
-    def find_chunk(self, key: Any) -> Chunk:
-        """Live-or-freshly-retired chunk covering key. The index is only an
-        accelerator; correctness comes from the next-walk (retired chunks
-        forward their next pointer into the replacement list)."""
-        cur = self._index_floor(key)
-        nxt = cur.next
-        while nxt is not None and nxt.min_key <= key:
-            cur = nxt
-            nxt = cur.next
-        return cur
+        return chunks[bisect_right(keys, key, 1) - 1]
 
     # ---------------- helping ----------------
 
@@ -491,8 +495,8 @@ class KiwiMap(ThreadRegistry):
             keys = chunk.keys
             if len(keys) > 1:
                 # Raise TypeError for a key of another type before the put
-                # changes anything: on a one-chunk map the index search and
-                # the chunk walk above compared key with no stored key.
+                # changes anything: on a one-chunk map the index search
+                # above compared key with no stored key.
                 _ = keys[1] < key
             if is_tomb:
                 h = hash(key) % (chunk.capacity << 3)  # value_bit, inline
@@ -659,55 +663,22 @@ class KiwiMap(ThreadRegistry):
     def _rebalance_chunk(self, chunk: Chunk) -> bool:
         """Freeze, help, compact, decide, publish; True if this call's
         replacement won the decision CAS. Losers' chunks are discarded
-        unreferenced; publication runs for winners and losers alike."""
+        unreferenced; winners and losers alike rebuild the index, so a put
+        that meets the retired chunk never waits for the winner."""
         won = False
         if chunk.replacement is None:
             freeze_chunk(chunk)
             help_frozen_chunk_puts(self, chunk)
             new_chunks = copy_compact(chunk, self._min_active_scan_version())
             won = cas(chunk, "replacement", None, tuple(new_chunks))
-        self._finish_replacement(chunk)
+        self._index_replace()
         return won
 
-    def _find_pred(self, chunk: Chunk) -> Optional[Chunk]:
-        """Live-list predecessor of chunk, or None if already unreachable.
-        The caller has moved _first off chunk, and a retired chunk never
-        becomes _first again, so the walk starts past it."""
-        cur = self._first
-        while True:
-            nxt = cur.next
-            if nxt is chunk:
-                return cur
-            if nxt is None or nxt.min_key > chunk.min_key:
-                return None
-            cur = nxt
-
-    def _finish_replacement(self, old: Chunk) -> None:
-        """Publish a decided replacement: splice, forward, index. Idempotent
-        and callable by any thread, so a stalled winner never blocks puts.
-        Callers pass a chunk whose replacement is already decided."""
-        new_chunks = old.replacement
-        first = new_chunks[0]
-        if self._first is old:
-            cas(self, "_first", old, first)
-        while True:
-            pred = self._find_pred(old)
-            if pred is None:
-                break
-            if cas(pred, "next", old, first):
-                break
-        # Forward retired chunk into the new list for in-flight readers;
-        # under the word's stripe, so a concurrent cas on it stays atomic.
-        if old.next is not first:
-            with word_lock(old):
-                old.next = first
-        self._index_replace()
-
     def _index_replace(self) -> None:
-        """Rebuild the index from the live list. Every publisher calls this
-        after its own splice and forward, and a CAS lost to another rebuild
-        walks again, so the last rebuild to land reflects every finished
-        splice and a late helper's rebuild cannot reinstall a retired chunk."""
+        """Swap the index for its expansion (see chunks()). A CAS lost to
+        another rebuild expands again, so on return no index chunk has a
+        replacement decided before the call, and as each rebuild only
+        expands the one it replaces, no retired chunk comes back."""
         while True:
             snapshot = self._index
             chunks = tuple(self.chunks())
@@ -719,18 +690,17 @@ class KiwiMap(ThreadRegistry):
     # ---------------- introspection ----------------
 
     def chunks(self) -> list[Chunk]:
-        """Live chunk list, in ascending min_key order. Safe under
-        concurrent rebalance: each listed chunk was reachable and not yet
-        forwarded when the walk passed it."""
-        out = []
-        cur: Optional[Chunk] = self._first
-        while cur is not None:
-            nxt = cur.next
-            # A retired chunk forwards into its replacement (nxt.min_key
-            # below its range_end): walk through it, but do not list it.
-            if nxt is None or nxt.min_key >= cur.range_end:
-                out.append(cur)
-            cur = nxt
+        """Live chunks in ascending min_key order: the index, with each
+        chunk whose replacement is decided swapped, recursively, for its
+        replacement's chunks."""
+        out: list[Chunk] = []
+        pending = list(reversed(self._index[1]))
+        while pending:
+            chunk = pending.pop()
+            if chunk.replacement is None:
+                out.append(chunk)
+            else:
+                pending += reversed(chunk.replacement)
         return out
 
 

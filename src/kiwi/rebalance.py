@@ -6,9 +6,9 @@ unversioned entries), help (insert every versioned entry the PPA names
 into the frozen list), compact (copy surviving versions into fresh
 half-filled chunks, sized like the input chunk). KiwiMap._rebalance_chunk
 runs them, then a single replacement CAS decides the winner whose chunks
-get spliced in. Losers discard their copies; publication (splice,
-next-forwarding, index) is re-runnable by anyone so a stalled winner
-never blocks writers.
+replace the input. Losers discard their copies; publication (the index
+rebuild) is re-runnable by anyone, so a stalled winner never blocks
+writers.
 """
 
 from __future__ import annotations
@@ -147,7 +147,6 @@ def copy_compact(chunk: Chunk, min_active_scan: float) -> list[Chunk]:
         fresh_order.append(last)
         fresh_keys.append(key)
         slot += 1
-    fresh.next = chunk.next
     for new_chunk in new_chunks:
         new_chunk.sorted_prefix_len = len(new_chunk.order) - 1
         new_chunk.list_size = AtomicInt(new_chunk.sorted_prefix_len)
@@ -162,7 +161,6 @@ def _split_before(fresh: Chunk, start: int, key: Any) -> Chunk:
     false positive for a key no longer in its range."""
     nxt = Chunk(key, fresh.range_end, fresh.capacity, len(fresh.ppa))
     fresh.range_end = key
-    fresh.next = nxt
     nxt.order += fresh.order[start:]
     nxt.keys += fresh.keys[start:]
     nxt.data += fresh.data[start:]

@@ -99,16 +99,40 @@ def run_with_interference(call, interfere, k, modules, skip=()):
     in anything it calls. Name there each function that holds a stripe
     the interference may want: Chunk.alloc holds its chunk's, and a
     freeze landing inside it would wait on the traced thread forever."""
-    seen = 0
     reached = False
+
+    def at_boundary(seen):
+        nonlocal reached
+        if seen == k:
+            reached = True
+            interfere()
+
+    return trace_boundaries(call, at_boundary, modules, skip)[0], reached
+
+
+def count_boundaries(call, interfere, rounds, modules, skip=()):
+    """Call call() with interfere() run at each of its first rounds opcode
+    boundaries, counted as run_with_interference counts them. Returns
+    (result, the number of boundaries the call passed)."""
+
+    def at_boundary(seen):
+        if seen < rounds:
+            interfere()
+
+    return trace_boundaries(call, at_boundary, modules, skip)
+
+
+def trace_boundaries(call, at_boundary, modules, skip):
+    """Call call() with at_boundary(n) run at its n-th opcode boundary,
+    for each n, counted as run_with_interference describes. Returns
+    (result, the number of boundaries)."""
+    seen = 0
     skipping = 0  # depth of skipped calls on the stack
 
     def local(frame, event, arg):
-        nonlocal seen, reached
+        nonlocal seen
         if event == "opcode":
-            if seen == k:
-                reached = True
-                interfere()  # the trace function itself is not traced
+            at_boundary(seen)  # the trace function itself is not traced
             seen += 1
         return local
 
@@ -134,4 +158,4 @@ def run_with_interference(call, interfere, k, modules, skip=()):
         result = call()
     finally:
         sys.settrace(previous)
-    return result, reached
+    return result, seen

@@ -302,9 +302,9 @@ def test_c09_benchmark_trend_check():
 def test_c10_wait_free_structural_audit():
     """get, scan and the size-bound reads must contain no retry loop: no
     while-True anywhere on their call graph, and every while loop there is
-    one of the known forward-only walks (list walk to END / chunk walk by
-    key / range walk by range_end). put's retry loops are exempt by
-    contract."""
+    one of the known forward-only walks (list walk to END / range walk by
+    range_end). find_chunk is one bisect, with no loop at all. put's retry
+    loops are exempt by contract."""
     from kiwi import atomics, bounds, core, rebalance
 
     wait_free_functions = {
@@ -314,7 +314,6 @@ def test_c10_wait_free_structural_audit():
         "help_pending_puts": KiwiMap.help_pending_puts,
         "find_insertion_location": core.find_insertion_location,
         "_min_active_scan_version": KiwiMap._min_active_scan_version,
-        "_index_floor": KiwiMap._index_floor,
         "copy_range": rebalance.copy_range,
         "_prefix_search_before": core._prefix_search_before,
         "size_lower_bound": bounds.BoundsCounters.size_lower_bound,
@@ -324,7 +323,6 @@ def test_c10_wait_free_structural_audit():
         "AtomicInt.get": atomics.AtomicInt.get,
     }
     allowed_while_loops = {
-        "find_chunk": 1,  # next-link walk; each concurrent rebalance ahead can add a step
         "scan": 1,  # chunk-range walk, cursor strictly advances
         "find_insertion_location": 1,  # list walk, bounded by chunk capacity
         "copy_range": 1,  # list walk, bounded by chunk capacity

@@ -13,11 +13,11 @@ def test_atomic_int_fetch_add_returns_prior():
 
 def test_cas_on_a_chunk_link_is_identity_based():
     owner, a, b = (Chunk(0, 10, 4, 2) for _ in range(3))
-    owner.next = a
-    assert not cas(owner, "next", Chunk(0, 10, 4, 2), b)
-    assert owner.next is a
-    assert cas(owner, "next", a, b)
-    assert owner.next is b
+    owner.replacement = (a,)
+    assert not cas(owner, "replacement", (Chunk(0, 10, 4, 2),), (b,))
+    assert owner.replacement[0] is a
+    assert cas(owner, "replacement", (a,), (b,))
+    assert owner.replacement[0] is b
 
 
 def test_fetch_add_under_contention():

@@ -82,6 +82,10 @@ def test_workload_config_validation():
     ]:
         with pytest.raises(ValueError):
             WorkloadConfig(name=name, threads=threads, **kw)
+    # A budget below one op would measure nothing: no rows, a bare CSV header.
+    for budget in (0, -3):
+        with pytest.raises(ValueError, match="ops_budget"):
+            WorkloadConfig(name="GetOnly", threads=1, ops_budget=budget)
 
 
 # ---------------- measurement protocol ----------------

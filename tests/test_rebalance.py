@@ -8,7 +8,8 @@ import threading
 import pytest
 
 from kiwi import KiwiMap, TOMBSTONE, core
-from kiwi.core import FROZEN, VERSION_NONE
+from kiwi.atomics import word_lock
+from kiwi.core import FROZEN, KEY_MAX, KEY_MIN, VERSION_NONE
 from kiwi.rebalance import (
     check_rebalance,
     copy_compact,
@@ -203,7 +204,6 @@ def test_copy_compact_splits_and_partitions_range():
     assert new_chunks[-1].range_end == chunk.range_end
     for a, b in zip(new_chunks, new_chunks[1:]):
         assert a.range_end == b.min_key
-        assert a.next is b
     for c in new_chunks:
         assert_chunk_invariants(c)
         assert c.sorted_prefix_len == len(walk_list(c))
@@ -239,12 +239,17 @@ def test_replace_chunks_uncontended_and_routing():
     for k in range(10):
         m.put(k, k)
     old = m.find_chunk(5)
+    stale = m._index
     assert m._rebalance_chunk(old)
     new_chunks = old.replacement
     assert len(new_chunks) == 1 and new_chunks[0].capacity == 64
     assert m.find_chunk(5) is new_chunks[0]
-    assert old.next is new_chunks[0]  # forwarding for in-flight readers
     assert dict(m.items()) == {k: k for k in range(10)}
+    # A reader still holding the index from before the rebuild gets the
+    # retired chunk, frozen; chunks() expands it into its replacement.
+    m._index = stale
+    assert m.find_chunk(5) is old and old.frozen
+    assert m.chunks() == list(new_chunks)
 
 
 def test_replace_chunks_single_winner_under_race(monkeypatch):
@@ -401,6 +406,60 @@ def test_put_takes_effect_once_whatever_opcode_a_rebalance_lands_on(key, value):
     assert k > 50
 
 
+def test_put_lands_whatever_opcode_of_a_rebalance_it_runs_at():
+    """A put and a get of a value, then of a tombstone, run at each opcode
+    boundary of one rebalance in turn, in kiwi.core and kiwi.rebalance
+    frames, except where the freeze holds the chunk's stripe. Between the
+    decision CAS and the index rebuild the index still names the retired
+    chunk: the put's alloc fails there, and its rebalance call rebuilds
+    the index before the put retries, so the get that follows finds the
+    put. Each run ends with the map and both exact bounds as a dict says,
+    and with no retired chunk in the index."""
+    original = {j: j for j in range(12)}
+    expected = {**original, 5: "new"}
+    del expected[6]
+    k = ran = skipped = 0
+    while True:
+        m = KiwiMap(max_items=8, bounds_enabled=True, rng=lambda: 1.0)
+        m.register_thread()
+        for j in range(12):
+            m.put(j, j)
+        chunk = m.find_chunk(5)
+        worker = ParkedThread(m)
+        seen = []
+
+        def job():
+            m.put(5, "new")
+            seen.append(m.get(5))
+            m.put(6, TOMBSTONE)
+            seen.append(m.get(6))
+
+        def interfere():
+            nonlocal ran, skipped
+            if word_lock(chunk).locked():  # the freeze's with body: alloc would wait
+                skipped += 1
+            else:
+                worker.run(job)
+                ran += 1
+
+        try:
+            _, reached = run_with_interference(
+                lambda: m._rebalance_chunk(chunk), interfere, k, _SCAN_MODULES
+            )
+        finally:
+            worker.stop()
+        want = expected if seen else original
+        assert seen in ([], ["new", None]), (k, seen)
+        assert m.items() == sorted(want.items()), k
+        assert m.size_lower_bound() == m.size_upper_bound() == len(want), k
+        assert all(c.replacement is None for c in m._index[1]), k
+        assert_map_invariants(m)
+        if not reached:
+            break
+        k += 1
+    assert ran + skipped == k and ran > 500 and 0 < skipped < 20
+
+
 def test_data_preservation_under_forced_rebalances():
     rng = random.Random(99)
     m = KiwiMap(max_threads=2, max_items=64)
@@ -426,10 +485,16 @@ def test_data_preservation_under_forced_rebalances():
 
 # ---------------- chunk index ----------------
 
-def assert_index_follows_list(m):
-    chunks = m.chunks()
-    assert m._index == (tuple(c.min_key for c in chunks), tuple(chunks))
-    assert all(c.replacement is None for c in m._index[1])
+def assert_index_is_live(m):
+    """The index chunks are live, and their ranges partition
+    [KEY_MIN, KEY_MAX)."""
+    keys, chunks = m._index
+    assert all(c.replacement is None for c in chunks)
+    assert list(chunks) == m.chunks()
+    assert keys == tuple(c.min_key for c in chunks)
+    assert chunks[0].min_key is KEY_MIN and chunks[-1].range_end is KEY_MAX
+    for left, right in zip(chunks, chunks[1:]):
+        assert left.range_end == right.min_key
 
 
 def concurrent_churn():
@@ -470,7 +535,7 @@ def concurrent_churn():
 def test_index_equals_live_list_after_concurrent_churn():
     m = concurrent_churn()
     assert len(m.chunks()) > 2
-    assert_index_follows_list(m)
+    assert_index_is_live(m)
     m.register_thread()
     assert_map_invariants(m)
 
@@ -485,8 +550,9 @@ def test_list_size_counts_the_live_list_after_concurrent_churn():
 
 
 def test_late_helper_leaves_the_index_on_the_live_list():
-    """A helper that republishes P's replacement after the chunk replacing
-    P was itself replaced must not put a retired chunk back in the index."""
+    """A helper that rebalances P again after the chunk replacing P was
+    itself replaced loses the decision and must not put a retired chunk
+    back in the index."""
     m = KiwiMap(max_threads=2, max_items=16)
     m.register_thread()
     for k in range(40):
@@ -497,9 +563,10 @@ def test_late_helper_leaves_the_index_on_the_live_list():
     assert q is p.replacement[0]
     m._rebalance_chunk(q)
     assert q.replacement is not None
-    before = m.items()
-    m._finish_replacement(p)
-    assert_index_follows_list(m)
+    before, index = m.items(), m._index
+    assert not m._rebalance_chunk(p)
+    assert m._index is index
+    assert_index_is_live(m)
     assert m.items() == before
 
 
