@@ -13,26 +13,28 @@ old versions in-flight scans still need.
 
 Index: one immutable (min keys, chunks) pair, swapped whole by CAS, is
 the only record of which chunks are live, and find_chunk is one bisect
-of one snapshot of it. A rebalance retires a chunk by the decision CAS on
-its replacement tuple, the retired chunk's only forward pointer, and
-then rebuilds the index (KiwiMap._index_replace); winners and losers
-alike rebuild, so a stalled winner blocks no put. The invariant: a put
-allocates only in a chunk that some published index held. A put that
-meets a retired chunk fails alloc, because the chunk is frozen, and its
-rebalance call rebuilds the index before the put retries. So a reader
-holding a stale snapshot reads a frozen chunk that no later put has
-bypassed: every put in its replacement read a newer index, so it began
-its allocation after the reader's index read, and it takes a version
-above every scan that read the older index.
+of one snapshot of it. A rebalance retires a chunk by one index CAS
+that swaps the chunk for its new chunks (KiwiMap._rebalance_chunk): the
+CAS both picks the winner among rival rebalancers of the chunk and
+publishes its chunks. A chunk becomes reachable only through the index,
+so one the index no longer holds is retired for good and needs no
+forward pointer. The invariant: a put allocates only in a chunk that
+some published index held. A put that meets a retired chunk fails
+alloc, because the chunk is frozen, and its rebalance call lands the
+index CAS itself or finds the chunk gone before the put retries. So a
+reader holding a stale snapshot reads a frozen chunk that no later put
+has bypassed: every put in the chunks that took its place read a newer
+index, so it began its allocation after the reader's index read, and it
+takes a version above every scan that read the older index.
 
 Progress: put is lock-free; it retries only after a rebalance froze its
 chunk. get and scan never retry. find_chunk is one bisect, a list walk
 passes at most a chunk's capacity of entries, and the PPA has one cell
 per thread, so get takes a bounded number of steps whatever other
-threads do: it is wait-free. scan reads each chunk its range meets once,
-its cursor moving past each chunk's range_end, so its steps grow only
-with the chunks in its range: concurrent puts add to those only by
-bringing new keys that split a chunk ahead of it.
+threads do: it is wait-free. scan reads one index snapshot, taken after
+its version, and each chunk of its range there once, so its steps are
+fixed by the chunks its range met when it started. Puts that split
+chunks ahead of it add none: scan is wait-free too.
 
 Version word, changed only by a CAS that expects NONE:
     0    NONE     allocated, not yet visible
@@ -57,7 +59,7 @@ byte), and the bit value_bit names for a key is set for each key the
 chunk holds a value of (never for a tombstone alone). Chunk.alloc sets a
 value put's bit under the chunk's stripe before it returns the slot, so
 before the put publishes anything; copy_compact sets every bit of an
-output chunk before the replacement CAS publishes the chunk. A live
+output chunk before the index CAS publishes the chunk. A live
 chunk's bits are only ever set. So a clear bit proves the chunk held no
 value of the key, in its list, its PPA or any allocated slot, when the
 bit was read: get returns None and a delete returns at once. That read
@@ -229,7 +231,6 @@ class Chunk:
         "ppa",
         "sorted_prefix_len",
         "frozen",
-        "replacement",
         "list_size",
     )
 
@@ -244,7 +245,6 @@ class Chunk:
         self.ppa: list[Optional[int]] = [None] * max_threads
         self.sorted_prefix_len = 0
         self.frozen = False
-        self.replacement: Optional[tuple["Chunk", ...]] = None
         self.list_size = AtomicInt(0)  # entries linked into the list
 
     def is_full(self) -> bool:
@@ -553,15 +553,14 @@ class KiwiMap(ThreadRegistry):
         self._psa[slot] = scan_version
         try:
             out: list[tuple[Any, Any]] = []
+            # One index snapshot, read after the version: the chunks of
+            # the range when the scan starts are all it reads.
+            keys, chunks = self._index
             cursor = min_key
-            done = False
-            while not done:  # the cursor advances one chunk range per pass
-                chunk = self.find_chunk(cursor)
+            for chunk in chunks[bisect_right(keys, min_key, 1) - 1 : bisect_right(keys, max_key, 1)]:
                 ppa_items = self.help_pending_puts(chunk, cursor, max_key)
                 out.extend(copy_range(chunk, cursor, max_key, scan_version, ppa_items))
-                done = chunk.range_end is KEY_MAX or chunk.range_end > max_key
-                if not done:
-                    cursor = chunk.range_end
+                cursor = chunk.range_end
             return out
         finally:
             self._psa[slot] = None
@@ -661,47 +660,34 @@ class KiwiMap(ThreadRegistry):
         return min(versions) if versions else _INF
 
     def _rebalance_chunk(self, chunk: Chunk) -> bool:
-        """Freeze, help, compact, decide, publish; True if this call's
-        replacement won the decision CAS. Losers' chunks are discarded
-        unreferenced; winners and losers alike rebuild the index, so a put
-        that meets the retired chunk never waits for the winner."""
-        won = False
-        if chunk.replacement is None:
-            freeze_chunk(chunk)
-            help_frozen_chunk_puts(self, chunk)
-            new_chunks = copy_compact(chunk, self._min_active_scan_version())
-            won = cas(chunk, "replacement", None, tuple(new_chunks))
-        self._index_replace()
-        return won
-
-    def _index_replace(self) -> None:
-        """Swap the index for its expansion (see chunks()). A CAS lost to
-        another rebuild expands again, so on return no index chunk has a
-        replacement decided before the call, and as each rebuild only
-        expands the one it replaces, no retired chunk comes back."""
+        """Freeze, help and compact chunk, then swap it in the index for
+        its new chunks by one CAS, which both decides and publishes the
+        rebalance; True if this call's CAS landed. A chunk becomes
+        reachable only through the index, so once the index no longer
+        holds it, it is retired and the call returns False; so does a
+        call whose CAS lost to a rival rebalance of the chunk, whose copy
+        is discarded unreferenced. A CAS lost to a rebalance of another
+        chunk reads the index again."""
+        new_chunks = None
         while True:
-            snapshot = self._index
-            chunks = tuple(self.chunks())
-            if chunks == snapshot[1]:
-                return
-            if cas(self, "_index", snapshot, (tuple(c.min_key for c in chunks), chunks)):
-                return
+            snapshot = keys, chunks = self._index
+            i = bisect_right(keys, chunk.min_key, 1) - 1  # min keys are unique
+            if chunks[i] is not chunk:
+                return False
+            if new_chunks is None:
+                freeze_chunk(chunk)
+                help_frozen_chunk_puts(self, chunk)
+                new_chunks = tuple(copy_compact(chunk, self._min_active_scan_version()))
+                new_keys = tuple(c.min_key for c in new_chunks)
+            index = (keys[:i] + new_keys + keys[i + 1 :], chunks[:i] + new_chunks + chunks[i + 1 :])
+            if cas(self, "_index", snapshot, index):
+                return True
 
     # ---------------- introspection ----------------
 
     def chunks(self) -> list[Chunk]:
-        """Live chunks in ascending min_key order: the index, with each
-        chunk whose replacement is decided swapped, recursively, for its
-        replacement's chunks."""
-        out: list[Chunk] = []
-        pending = list(reversed(self._index[1]))
-        while pending:
-            chunk = pending.pop()
-            if chunk.replacement is None:
-                out.append(chunk)
-            else:
-                pending += reversed(chunk.replacement)
-        return out
+        """Live chunks in ascending min_key order: the index's."""
+        return list(self._index[1])
 
 
 # rebalance imports this module's names at its top, so its own come last.

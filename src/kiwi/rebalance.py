@@ -5,10 +5,11 @@ freeze (one flag, which is also the allocation cut-off, then sealing
 unversioned entries), help (insert every versioned entry the PPA names
 into the frozen list), compact (copy surviving versions into fresh
 half-filled chunks, sized like the input chunk). KiwiMap._rebalance_chunk
-runs them, then a single replacement CAS decides the winner whose chunks
-replace the input. Losers discard their copies; publication (the index
-rebuild) is re-runnable by anyone, so a stalled winner never blocks
-writers.
+runs them, then one CAS of the map's index swaps the input for the new
+chunks: it decides the winner and publishes its chunks in one step.
+Losers discard their copies. Nothing lies between decision and
+publication, so a stalled rebalancer never blocks writers: a put that
+meets the frozen chunk runs the stages itself.
 """
 
 from __future__ import annotations
@@ -99,7 +100,7 @@ def copy_compact(chunk: Chunk, min_active_scan: float) -> list[Chunk]:
     cover them already: no output slot exceeds the input's allocated bound.
     Each kept value sets its key's value bit in its output chunk, and a
     dropped key sets none. Nothing else sees a new chunk, or its bits,
-    before the replacement CAS publishes it.
+    before the index CAS publishes it.
     """
     target = max(1, int(chunk.capacity * FILL_FACTOR))
     nbits = chunk.capacity << 3

@@ -18,8 +18,8 @@ SIZE_MIX = {PUT: 3, "delete": 3, GET: 2, SIZE: 1, IS_EMPTY: 1}
 
 
 def force_rebalance(kiwi: KiwiMap, key: Any) -> bool:
-    """Rebalance the chunk covering key now; True if this call's
-    replacement won."""
+    """Rebalance the chunk covering key now; True if this call's index
+    CAS landed."""
     return kiwi._rebalance_chunk(kiwi.find_chunk(key))
 
 

@@ -302,9 +302,9 @@ def test_c09_benchmark_trend_check():
 def test_c10_wait_free_structural_audit():
     """get, scan and the size-bound reads must contain no retry loop: no
     while-True anywhere on their call graph, and every while loop there is
-    one of the known forward-only walks (list walk to END / range walk by
-    range_end). find_chunk is one bisect, with no loop at all. put's retry
-    loops are exempt by contract."""
+    one of the known forward-only list walks to END. find_chunk is one
+    bisect, and scan walks the chunks of one index snapshot by a for loop,
+    with no while loop at all. put's retry loops are exempt by contract."""
     from kiwi import atomics, bounds, core, rebalance
 
     wait_free_functions = {
@@ -323,7 +323,6 @@ def test_c10_wait_free_structural_audit():
         "AtomicInt.get": atomics.AtomicInt.get,
     }
     allowed_while_loops = {
-        "scan": 1,  # chunk-range walk, cursor strictly advances
         "find_insertion_location": 1,  # list walk, bounded by chunk capacity
         "copy_range": 1,  # list walk, bounded by chunk capacity
     }

@@ -1,7 +1,7 @@
 import threading
 
 from kiwi.atomics import AtomicInt, cas, full_fence, store_fence
-from kiwi.core import Chunk
+from kiwi.core import KEY_MIN, Chunk, KiwiMap
 
 
 def test_atomic_int_fetch_add_returns_prior():
@@ -12,12 +12,12 @@ def test_atomic_int_fetch_add_returns_prior():
 
 
 def test_cas_on_a_chunk_link_is_identity_based():
-    owner, a, b = (Chunk(0, 10, 4, 2) for _ in range(3))
-    owner.replacement = (a,)
-    assert not cas(owner, "replacement", (Chunk(0, 10, 4, 2),), (b,))
-    assert owner.replacement[0] is a
-    assert cas(owner, "replacement", (a,), (b,))
-    assert owner.replacement[0] is b
+    owner = KiwiMap()
+    a, b = owner._index[1][0], Chunk(KEY_MIN, 10, 4, 2)
+    assert not cas(owner, "_index", ((KEY_MIN,), (Chunk(KEY_MIN, 10, 4, 2),)), ((KEY_MIN,), (b,)))
+    assert owner._index[1][0] is a
+    assert cas(owner, "_index", ((KEY_MIN,), (a,)), ((KEY_MIN,), (b,)))
+    assert owner._index[1][0] is b
 
 
 def test_fetch_add_under_contention():

@@ -377,7 +377,7 @@ def test_put_that_finds_its_chunk_frozen_after_publish_seals_undoes_and_retries(
     assert calls.count("on_put_undone") == 1
     assert calls.count("on_put_published") == 2  # the undone attempt and the retry
     new_chunk = m.find_chunk(9)
-    assert chunk.replacement == (new_chunk,)
+    assert m.chunks() == [new_chunk] and new_chunk is not chunk
     assert [e.key for e in walk_list(new_chunk)] == [1, 2, 9]
     assert m.get(9) == 90
     assert m.size_lower_bound() == 3 == m.size_upper_bound()

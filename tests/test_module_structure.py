@@ -40,7 +40,7 @@ def test_knob_and_export_budget():
     ]
     assert core.Chunk.__slots__ == (
         "min_key", "range_end", "capacity", "order", "keys", "data", "bits", "ppa",
-        "sorted_prefix_len", "frozen", "replacement", "list_size",
+        "sorted_prefix_len", "frozen", "list_size",
     )
     # One atomic counter per bound, so no hook or list insert takes a thread slot.
     assert list(inspect.signature(kiwi.BoundsCounters.__init__).parameters) == ["self", "enabled"]

@@ -241,20 +241,21 @@ def test_replace_chunks_uncontended_and_routing():
     old = m.find_chunk(5)
     stale = m._index
     assert m._rebalance_chunk(old)
-    new_chunks = old.replacement
-    assert len(new_chunks) == 1 and new_chunks[0].capacity == 64
+    new_chunks = m.chunks()
+    assert len(new_chunks) == 1 and new_chunks[0] is not old and new_chunks[0].capacity == 64
     assert m.find_chunk(5) is new_chunks[0]
     assert dict(m.items()) == {k: k for k in range(10)}
-    # A reader still holding the index from before the rebuild gets the
-    # retired chunk, frozen; chunks() expands it into its replacement.
-    m._index = stale
-    assert m.find_chunk(5) is old and old.frozen
-    assert m.chunks() == list(new_chunks)
+    # A reader still holding the index from before the CAS gets the
+    # retired chunk, frozen; a later rebalance of it changes nothing.
+    assert old in stale[1] and old.frozen
+    index = m._index
+    assert not m._rebalance_chunk(old)
+    assert m._index is index
 
 
 def test_replace_chunks_single_winner_under_race(monkeypatch):
-    # Both racers find the replacement undecided and compact before either
-    # tries the decision CAS, so the CAS alone picks the winner.
+    # Both racers find the chunk in the index and compact before either
+    # tries the index CAS, so the CAS alone picks the winner.
     barrier = threading.Barrier(2, timeout=10)
 
     def compact_then_meet(chunk, min_active_scan):
@@ -409,12 +410,12 @@ def test_put_takes_effect_once_whatever_opcode_a_rebalance_lands_on(key, value):
 def test_put_lands_whatever_opcode_of_a_rebalance_it_runs_at():
     """A put and a get of a value, then of a tombstone, run at each opcode
     boundary of one rebalance in turn, in kiwi.core and kiwi.rebalance
-    frames, except where the freeze holds the chunk's stripe. Between the
-    decision CAS and the index rebuild the index still names the retired
-    chunk: the put's alloc fails there, and its rebalance call rebuilds
-    the index before the put retries, so the get that follows finds the
-    put. Each run ends with the map and both exact bounds as a dict says,
-    and with no retired chunk in the index."""
+    frames, except where the freeze holds the chunk's stripe. Once the
+    chunk is frozen the put's alloc fails there, and its own rebalance
+    call either lands the index CAS first or finds the chunk retired, so
+    the put retries into a live chunk and the get that follows finds it.
+    Each run ends with the map and both exact bounds as a dict says, and
+    with no frozen chunk in the index."""
     original = {j: j for j in range(12)}
     expected = {**original, 5: "new"}
     del expected[6]
@@ -452,12 +453,91 @@ def test_put_lands_whatever_opcode_of_a_rebalance_it_runs_at():
         assert seen in ([], ["new", None]), (k, seen)
         assert m.items() == sorted(want.items()), k
         assert m.size_lower_bound() == m.size_upper_bound() == len(want), k
-        assert all(c.replacement is None for c in m._index[1]), k
+        assert not any(c.frozen for c in m._index[1]), k
         assert_map_invariants(m)
         if not reached:
             break
         k += 1
     assert ran + skipped == k and ran > 500 and 0 < skipped < 20
+
+
+def test_one_of_two_rebalancers_of_a_chunk_lands_whatever_opcode_the_second_starts_at():
+    """A second rebalance of the same chunk runs at each opcode boundary
+    of a first one in turn, in kiwi.core and kiwi.rebalance frames, except
+    where the freeze holds the chunk's stripe. The index CAS alone picks
+    the winner: exactly one call returns True, whichever lands first, and
+    the other finds the chunk gone from the index, also when its own CAS
+    lost. A loser that swapped its copy into a fresh snapshot without
+    looking for the chunk again would replace the winner's chunks. Each
+    run ends with items() unchanged and no frozen chunk in the index."""
+    k = ran = skipped = 0
+    while True:
+        m = KiwiMap(max_items=8, rng=lambda: 1.0)
+        m.register_thread()
+        for j in range(12):
+            m.put(j, j)
+        before = m.items()
+        chunk = m.find_chunk(5)
+        worker = ParkedThread(m)
+        wins = []
+
+        def interfere():
+            nonlocal ran, skipped
+            if word_lock(chunk).locked():  # the freeze's with body: a freeze would wait
+                skipped += 1
+            else:
+                worker.run(lambda: wins.append(m._rebalance_chunk(chunk)))
+                ran += 1
+
+        try:
+            won, reached = run_with_interference(
+                lambda: m._rebalance_chunk(chunk), interfere, k, _SCAN_MODULES
+            )
+        finally:
+            worker.stop()
+        assert sorted([won, *wins]) == ([False, True] if wins else [True]), (k, won, wins)
+        assert chunk not in m.chunks(), k
+        assert m.items() == before, k
+        assert not any(c.frozen for c in m._index[1]), k
+        assert_map_invariants(m)
+        if not reached:
+            break
+        k += 1
+    assert ran + skipped == k and ran > 500 and 0 < skipped < 20
+
+
+@pytest.mark.parametrize("key, want", [(5, "new"), (6, None), (20, None)], ids=["value", "tombstone", "absent"])
+def test_get_reads_its_key_whatever_opcode_a_rebalance_of_its_chunk_lands_on(key, want):
+    """A rebalance of the key's chunk lands at each opcode boundary of one
+    get in turn, in kiwi.core and kiwi.rebalance frames. Key 5 holds an
+    older version beside its newest one, and key 6 a tombstone over a
+    value; the compaction keeps only each newest, and drops the tombstone
+    and its value bit. The get reads the chunk of its index snapshot,
+    retired or live, and returns the key's newest value at every one."""
+    k = 0
+    while True:
+        m = KiwiMap(max_items=8, rng=lambda: 1.0)
+        m.register_thread()
+        for j in range(12):
+            m.put(j, j)
+        m.scan(0, 0)  # the next puts take a newer version
+        m.put(5, "new")
+        m.put(6, TOMBSTONE)
+        worker = ParkedThread(m)
+        try:
+            got, reached = run_with_interference(
+                lambda: m.get(key),
+                lambda: worker.run(lambda: force_rebalance(m, key)),
+                k,
+                _SCAN_MODULES,
+            )
+        finally:
+            worker.stop()
+        assert got == want, k
+        if not reached:
+            break
+        k += 1
+    assert k > 50
 
 
 def test_data_preservation_under_forced_rebalances():
@@ -486,11 +566,10 @@ def test_data_preservation_under_forced_rebalances():
 # ---------------- chunk index ----------------
 
 def assert_index_is_live(m):
-    """The index chunks are live, and their ranges partition
-    [KEY_MIN, KEY_MAX)."""
+    """No index chunk is frozen once every rebalance has returned, and
+    the index chunks' ranges partition [KEY_MIN, KEY_MAX)."""
     keys, chunks = m._index
-    assert all(c.replacement is None for c in chunks)
-    assert list(chunks) == m.chunks()
+    assert not any(c.frozen for c in chunks)
     assert keys == tuple(c.min_key for c in chunks)
     assert chunks[0].min_key is KEY_MIN and chunks[-1].range_end is KEY_MAX
     for left, right in zip(chunks, chunks[1:]):
@@ -551,8 +630,8 @@ def test_list_size_counts_the_live_list_after_concurrent_churn():
 
 def test_late_helper_leaves_the_index_on_the_live_list():
     """A helper that rebalances P again after the chunk replacing P was
-    itself replaced loses the decision and must not put a retired chunk
-    back in the index."""
+    itself replaced finds P gone from the index, returns False and must
+    not put a retired chunk back in the index."""
     m = KiwiMap(max_threads=2, max_items=16)
     m.register_thread()
     for k in range(40):
@@ -560,9 +639,9 @@ def test_late_helper_leaves_the_index_on_the_live_list():
     p = m.find_chunk(20)
     m._rebalance_chunk(p)
     q = m.find_chunk(p.min_key)
-    assert q is p.replacement[0]
+    assert q is not p and p not in m.chunks()
     m._rebalance_chunk(q)
-    assert q.replacement is not None
+    assert q.frozen and q not in m.chunks()
     before, index = m.items(), m._index
     assert not m._rebalance_chunk(p)
     assert m._index is index
