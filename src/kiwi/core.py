@@ -1,19 +1,21 @@
 """Chunked multi-version concurrent sorted map.
 
-Layout: fixed-capacity chunks, each covering a key range [min_key,
-range_end). A chunk holds an order array (versioned key slots forming a
-sorted linked list with a presorted prefix), a key array parallel to it
-(the prefix search bisects it directly), a data array of immutable value
-cells, and a pending-puts array (PPA) with one slot per registered
-thread. The order, key and data arrays grow by one append per allocated
-slot, so a chunk pays for the slots it uses, not its capacity. A
-map-wide global version counter (incremented only by scans) defines
-snapshot boundaries; a pending-scans array (PSA) tells rebalance which
-old versions in-flight scans still need.
+Layout: fixed-capacity chunks, each holding the keys of the stretch of
+key space the index gives it. A chunk holds an order array (versioned
+key slots forming a sorted linked list with a presorted prefix), a key
+array parallel to it (the prefix search bisects it directly), a data
+array of immutable value cells, and a pending-puts array (PPA) with one
+slot per registered thread. The order, key and data arrays grow by one
+append per allocated slot, so a chunk pays for the slots it uses, not
+its capacity. A map-wide global version counter (incremented only by
+scans) defines snapshot boundaries; a pending-scans array (PSA) tells
+rebalance which old versions in-flight scans still need.
 
-Index: one immutable (min keys, chunks) pair, swapped whole by CAS, is
-the only record of which chunks are live, and find_chunk is one bisect
-of one snapshot of it. A rebalance retires a chunk by one index CAS
+Index: one immutable (keys, chunks) pair, swapped whole by CAS, is the
+only record of which chunks are live and of the bounds of each: chunk j
+covers [keys[j], keys[j + 1]), the last one up to KEY_MAX. They stay
+fixed while the index holds the chunk, and find_chunk is one bisect of
+one snapshot of the index. A rebalance retires a chunk by one index CAS
 that swaps the chunk for its new chunks (KiwiMap._rebalance_chunk): the
 CAS both picks the winner among rival rebalancers of the chunk and
 publishes its chunks. A chunk becomes reachable only through the index,
@@ -208,7 +210,7 @@ def value_bit(bits: bytearray, key: Any) -> tuple[int, int]:
 
 
 class Chunk:
-    """Fixed-capacity segment covering [min_key, range_end).
+    """Fixed-capacity segment of the map; the index says which keys it covers.
 
     Slot 0 of the order array is a permanent head sentinel, so allocation
     slots run 1..capacity and every insert CAS has a real predecessor.
@@ -221,8 +223,6 @@ class Chunk:
     """
 
     __slots__ = (
-        "min_key",
-        "range_end",
         "capacity",
         "order",
         "keys",
@@ -234,9 +234,7 @@ class Chunk:
         "list_size",
     )
 
-    def __init__(self, min_key: Any, range_end: Any, capacity: int, max_threads: int) -> None:
-        self.min_key = min_key
-        self.range_end = range_end
+    def __init__(self, capacity: int, max_threads: int) -> None:
         self.capacity = capacity
         self.order: list[OrderEntry] = [OrderEntry(None)]
         self.keys: list[Any] = [None]
@@ -298,7 +296,7 @@ class Chunk:
         return (e.key, -e.version)
 
     def __repr__(self) -> str:
-        return f"Chunk([{self.min_key!r}, {self.range_end!r}), n={len(self.order) - 1}, frozen={self.frozen})"
+        return f"Chunk(n={len(self.order) - 1}, capacity={self.capacity}, frozen={self.frozen})"
 
 
 _INF = float("inf")  # a version bound: above every version
@@ -442,7 +440,7 @@ class KiwiMap(ThreadRegistry):
         self._rng = rng
         self._gv = AtomicInt(1)
         self._psa: list[Optional[int]] = [None] * max_threads
-        first = Chunk(KEY_MIN, KEY_MAX, max_items, max_threads)
+        first = Chunk(max_items, max_threads)
         self._index: tuple[tuple, tuple] = ((KEY_MIN,), (first,))
 
     # ---------------- chunk location ----------------
@@ -554,13 +552,12 @@ class KiwiMap(ThreadRegistry):
         try:
             out: list[tuple[Any, Any]] = []
             # One index snapshot, read after the version: the chunks of
-            # the range when the scan starts are all it reads.
+            # the range when the scan starts are all it reads, each over
+            # the whole range, as each holds only keys of its own bounds.
             keys, chunks = self._index
-            cursor = min_key
             for chunk in chunks[bisect_right(keys, min_key, 1) - 1 : bisect_right(keys, max_key, 1)]:
-                ppa_items = self.help_pending_puts(chunk, cursor, max_key)
-                out.extend(copy_range(chunk, cursor, max_key, scan_version, ppa_items))
-                cursor = chunk.range_end
+                ppa_items = self.help_pending_puts(chunk, min_key, max_key)
+                out.extend(copy_range(chunk, min_key, max_key, scan_version, ppa_items))
             return out
         finally:
             self._psa[slot] = None
@@ -662,31 +659,33 @@ class KiwiMap(ThreadRegistry):
     def _rebalance_chunk(self, chunk: Chunk) -> bool:
         """Freeze, help and compact chunk, then swap it in the index for
         its new chunks by one CAS, which both decides and publishes the
-        rebalance; True if this call's CAS landed. A chunk becomes
-        reachable only through the index, so once the index no longer
-        holds it, it is retired and the call returns False; so does a
-        call whose CAS lost to a rival rebalance of the chunk, whose copy
-        is discarded unreferenced. A CAS lost to a rebalance of another
-        chunk reads the index again."""
+        rebalance; True if this call's CAS landed. The first new chunk
+        keeps chunk's index key, and each later one takes its slot 1 key,
+        where copy_compact split. A chunk becomes reachable only through
+        the index, so once the index no longer holds it, it is retired and
+        the call returns False; so does a call whose CAS lost to a rival
+        rebalance of the chunk, whose copy is discarded unreferenced. A
+        CAS lost to a rebalance of another chunk reads the index again."""
         new_chunks = None
         while True:
             snapshot = keys, chunks = self._index
-            i = bisect_right(keys, chunk.min_key, 1) - 1  # min keys are unique
-            if chunks[i] is not chunk:
+            try:
+                i = chunks.index(chunk)  # chunks compare by identity
+            except ValueError:
                 return False
             if new_chunks is None:
                 freeze_chunk(chunk)
                 help_frozen_chunk_puts(self, chunk)
                 new_chunks = tuple(copy_compact(chunk, self._min_active_scan_version()))
-                new_keys = tuple(c.min_key for c in new_chunks)
-            index = (keys[:i] + new_keys + keys[i + 1 :], chunks[:i] + new_chunks + chunks[i + 1 :])
+                split_keys = tuple(c.keys[1] for c in new_chunks[1:])
+            index = (keys[: i + 1] + split_keys + keys[i + 1 :], chunks[:i] + new_chunks + chunks[i + 1 :])
             if cas(self, "_index", snapshot, index):
                 return True
 
     # ---------------- introspection ----------------
 
     def chunks(self) -> list[Chunk]:
-        """Live chunks in ascending min_key order: the index's."""
+        """Live chunks in ascending key order: the index's."""
         return list(self._index[1])
 
 

@@ -95,9 +95,10 @@ def copy_compact(chunk: Chunk, min_active_scan: float) -> list[Chunk]:
     New chunks take the input's capacity and PPA width. They are presorted
     (sorted_prefix_len == entry count), filled greedily to at most
     FILL_FACTOR x capacity, and never split one key's versions across a
-    chunk boundary. Their ranges partition the old range. Their slot
-    numbers (next links, dataIndex words) are the shared slot ints, which
-    cover them already: no output slot exceeds the input's allocated bound.
+    chunk boundary, so each one after the first holds the key it split
+    before at slot 1. Their slot numbers (next links, dataIndex words) are
+    the shared slot ints, which cover them already: no output slot exceeds
+    the input's allocated bound.
     Each kept value sets its key's value bit in its output chunk, and a
     dropped key sets none. Nothing else sees a new chunk, or its bits,
     before the index CAS publishes it.
@@ -107,7 +108,7 @@ def copy_compact(chunk: Chunk, min_active_scan: float) -> list[Chunk]:
     order = chunk.order
     data = chunk.data
     slots = _SLOTS
-    fresh = Chunk(chunk.min_key, chunk.range_end, chunk.capacity, len(chunk.ppa))
+    fresh = Chunk(chunk.capacity, len(chunk.ppa))
     new_chunks = [fresh]
     fresh_order, fresh_keys, fresh_data = fresh.order, fresh.keys, fresh.data
     fresh_bits = fresh.bits
@@ -159,9 +160,8 @@ def _split_before(fresh: Chunk, start: int, key: Any) -> Chunk:
     begins, and return the chunk that follows it from key on, holding the
     versions of key already at slots start.., renumbered from slot 1, and
     key's value bit if one of them holds a value. fresh keeps that bit: a
-    false positive for a key no longer in its range."""
-    nxt = Chunk(key, fresh.range_end, fresh.capacity, len(fresh.ppa))
-    fresh.range_end = key
+    false positive for a key it no longer holds."""
+    nxt = Chunk(fresh.capacity, len(fresh.ppa))
     nxt.order += fresh.order[start:]
     nxt.keys += fresh.keys[start:]
     nxt.data += fresh.data[start:]

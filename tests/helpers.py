@@ -10,7 +10,7 @@ from typing import Any, Iterable
 
 from kiwi.bench import MeasurementResult
 from kiwi.atomics import AtomicInt
-from kiwi.core import END, TOMBSTONE, Chunk, KiwiMap, OrderEntry, cover_slots, value_bit
+from kiwi.core import END, KEY_MAX, KEY_MIN, TOMBSTONE, Chunk, KiwiMap, OrderEntry, cover_slots, value_bit
 from kiwi.fuzz import FuzzConfig
 from kiwi.history import GET, IS_EMPTY, PUT, SIZE, History, OpRecord
 
@@ -51,7 +51,7 @@ def raw_chunk(
     entry's dataIndex, None as a tombstone's data, grows the shared slot
     table to cover its slots and sets each value's bit. Returns the chunk
     and the pending entries."""
-    chunk = Chunk(float("-inf"), float("inf"), capacity, max_threads)
+    chunk = Chunk(capacity, max_threads)
 
     def append(key, version, value):
         slot = len(chunk.order)
@@ -94,10 +94,11 @@ def walk_list(chunk: Chunk) -> list[OrderEntry]:
     return out
 
 
-def assert_chunk_invariants(chunk: Chunk) -> None:
+def assert_chunk_invariants(chunk: Chunk, lo: Any = KEY_MIN, hi: Any = KEY_MAX) -> None:
     """List strictly sorted by (key asc, version desc, dataIndex desc),
-    no duplicate (key, version), keys inside the chunk range; the order,
-    key and data arrays run parallel over exactly the allocated slots."""
+    no duplicate (key, version), listed keys inside [lo, hi), the bounds
+    the index gives the chunk; the order, key and data arrays run
+    parallel over exactly the allocated slots."""
     bound = chunk.allocated_bound()
     assert len(chunk.order) == len(chunk.keys) == len(chunk.data) == bound
     for i in range(1, bound):
@@ -108,7 +109,7 @@ def assert_chunk_invariants(chunk: Chunk) -> None:
     pairs = [(e.key, e.version) for e in entries]
     assert len(pairs) == len(set(pairs)), f"duplicate (key, version): {pairs}"
     for e in entries:
-        assert chunk.min_key <= e.key < chunk.range_end
+        assert lo <= e.key < hi, f"key {e.key!r} outside [{lo!r}, {hi!r})"
 
 
 def has_value_bit(chunk: Chunk, key: Any) -> bool:
@@ -116,15 +117,25 @@ def has_value_bit(chunk: Chunk, key: Any) -> bool:
     return bool(chunk.bits[byte] & mask)
 
 
+def chunk_bounds(keys: tuple) -> list[tuple[Any, Any]]:
+    """The [lo, hi) bounds that index keys give their chunks, in order."""
+    return list(zip(keys, keys[1:] + (KEY_MAX,)))
+
+
 def assert_map_invariants(kiwi: KiwiMap) -> None:
-    """Every chunk's invariants, versions within the global counter, chunk
-    ranges that tile, and value bits: every key with a value entry in a
-    chunk's list, data or PPA has its bit set (each listed and each PPA
-    entry is an allocated slot, so one pass over the slots covers all)."""
-    chunks = kiwi.chunks()
+    """An index that starts at KEY_MIN with strictly ascending keys, every
+    chunk's invariants within the bounds the index gives it, versions
+    within the global counter, and value bits: every key with a value
+    entry in a chunk's list, data or PPA has its bit set (each listed and
+    each PPA entry is an allocated slot, so one pass over the slots covers
+    all)."""
+    keys, chunks = kiwi._index
+    assert len(keys) == len(chunks)
+    assert keys[0] is KEY_MIN
+    assert all(a < b for a, b in zip(keys, keys[1:])), f"index keys do not ascend: {keys}"
     gv = global_version(kiwi)
-    for chunk in chunks:
-        assert_chunk_invariants(chunk)
+    for chunk, (lo, hi) in zip(chunks, chunk_bounds(keys)):
+        assert_chunk_invariants(chunk, lo, hi)
         for entry in walk_list(chunk):
             assert entry.version <= gv, "version beyond the global counter"
         assert all(idx is None or 0 < idx < chunk.allocated_bound() for idx in chunk.ppa)
@@ -132,9 +143,6 @@ def assert_map_invariants(kiwi: KiwiMap) -> None:
             if chunk.data[i] is not None:
                 key = chunk.keys[i]
                 assert has_value_bit(chunk, key), f"slot {i}: a value of {key!r} without its bit"
-    boundaries = [(c.min_key, c.range_end) for c in chunks]
-    for (lo1, hi1), (lo2, _) in zip(boundaries, boundaries[1:]):
-        assert hi1 == lo2, f"chunk ranges do not tile: {boundaries}"
 
 
 def quiescent_items(kiwi: KiwiMap) -> dict:

@@ -158,9 +158,10 @@ def test_c05_rebalance_preservation_100_runs():
             except BaseException as exc:
                 forcer_error.append(exc)
 
-        t = threading.Thread(target=force_all)
+        t = threading.Thread(target=force_all, daemon=True)
         t.start()
         t.join(30.0)
+        assert not t.is_alive()
         assert not forcer_error
         final = quiescent_items(m)
         assert validate_put_only_final_state(history, list(final.items())), f"run {run}"
@@ -181,11 +182,12 @@ def test_c06_size_bound_bracketing_100_runs():
             workers = []
             for i in range(4):
                 seed = run * 100 + phase * 10 + i
-                worker = threading.Thread(target=_bounded_writer, args=(m, seed))
+                worker = threading.Thread(target=_bounded_writer, args=(m, seed), daemon=True)
                 workers.append(worker)
                 worker.start()
             for worker in workers:
                 worker.join(30.0)
+            assert not any(worker.is_alive() for worker in workers)
             true_size = len(quiescent_items(m))
             lower, upper = m.size_lower_bound(), m.size_upper_bound()
             assert lower <= true_size <= upper, (run, phase, lower, true_size, upper)
@@ -199,11 +201,12 @@ def test_c06_size_bound_bracketing_100_runs():
             for k in range(offset, count, 4):
                 m.put(k, k)
 
-        workers = [threading.Thread(target=_registered, args=(m, inserter, i)) for i in range(4)]
+        workers = [threading.Thread(target=_registered, args=(m, inserter, i), daemon=True) for i in range(4)]
         for w in workers:
             w.start()
         for w in workers:
             w.join(30.0)
+        assert not any(w.is_alive() for w in workers)
         assert m.size_lower_bound() == count == m.size_upper_bound()
     elapsed = time.monotonic() - started
     report("C6", f"bracketing on 200 checkpoints, exactness on 20 insert runs, {elapsed:.1f}s")

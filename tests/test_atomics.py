@@ -13,8 +13,8 @@ def test_atomic_int_fetch_add_returns_prior():
 
 def test_cas_on_a_chunk_link_is_identity_based():
     owner = KiwiMap()
-    a, b = owner._index[1][0], Chunk(KEY_MIN, 10, 4, 2)
-    assert not cas(owner, "_index", ((KEY_MIN,), (Chunk(KEY_MIN, 10, 4, 2),)), ((KEY_MIN,), (b,)))
+    a, b = owner._index[1][0], Chunk(4, 2)
+    assert not cas(owner, "_index", ((KEY_MIN,), (Chunk(4, 2),)), ((KEY_MIN,), (b,)))
     assert owner._index[1][0] is a
     assert cas(owner, "_index", ((KEY_MIN,), (a,)), ((KEY_MIN,), (b,)))
     assert owner._index[1][0] is b
@@ -28,11 +28,12 @@ def test_fetch_add_under_contention():
         for _ in range(2000):
             seen[i].add(counter.fetch_add(1))
 
-    threads = [threading.Thread(target=hammer, args=(i,)) for i in range(4)]
+    threads = [threading.Thread(target=hammer, args=(i,), daemon=True) for i in range(4)]
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(30.0)
+    assert not any(t.is_alive() for t in threads)
     all_seen = set().union(*seen)
     assert counter.get() == 8000
     assert all_seen == set(range(8000))  # every ticket handed out exactly once

@@ -13,6 +13,7 @@ import random
 import pytest
 
 from kiwi import TOMBSTONE, KiwiMap
+from kiwi.core import KEY_MAX
 
 OPS = 30_000
 KEY_SPACE = 3_000
@@ -34,9 +35,10 @@ SHAPES_DIGESTS = {
 
 
 def chunk_shapes(kiwi):
+    keys, chunks = kiwi._index
     return [
-        (c.min_key, c.range_end, c.list_size.get(), c.sorted_prefix_len, c.allocated_bound())
-        for c in kiwi.chunks()
+        (lo, hi, c.list_size.get(), c.sorted_prefix_len, c.allocated_bound())
+        for c, lo, hi in zip(chunks, keys, keys[1:] + (KEY_MAX,))
     ]
 
 

@@ -261,12 +261,13 @@ def test_bracketing_under_concurrent_churn():
                     m.put(key, wrng.randrange(1000))
 
         threads = [
-            threading.Thread(target=writer, args=(seed * 10 + i,)) for i in range(4)
+            threading.Thread(target=writer, args=(seed * 10 + i,), daemon=True) for i in range(4)
         ]
         for t in threads:
             t.start()
         for t in threads:
             t.join(30.0)
+        assert not any(t.is_alive() for t in threads)
         true_size = len(quiescent_items(m))
         lower, upper = m.size_lower_bound(), m.size_upper_bound()
         assert lower <= true_size <= upper, (seed, lower, true_size, upper)
@@ -320,7 +321,7 @@ def test_retry_paths_pair_undo_with_redo(monkeypatch):
         while not stop.is_set():
             force_rebalance(m, 8)
 
-    t = threading.Thread(target=rebalancer)
+    t = threading.Thread(target=rebalancer, daemon=True)
     t.start()
     rng = random.Random(5)
     oracle_keys = set()
@@ -334,6 +335,7 @@ def test_retry_paths_pair_undo_with_redo(monkeypatch):
             oracle_keys.add(key)
     stop.set()
     t.join(10.0)
+    assert not t.is_alive()
     published = calls.count("on_put_published")
     undone = calls.count("on_put_undone")
     assert undone <= published

@@ -83,9 +83,10 @@ def test_register_thread_slots_and_capacity():
     def second():
         results["slot"] = m.register_thread()
 
-    t = threading.Thread(target=second)
+    t = threading.Thread(target=second, daemon=True)
     t.start()
-    t.join()
+    t.join(5.0)
+    assert not t.is_alive()
     assert results["slot"] == 1
 
     def third():
@@ -94,9 +95,10 @@ def test_register_thread_slots_and_capacity():
         except RegistrationError as exc:
             results["error"] = str(exc)
 
-    t = threading.Thread(target=third)
+    t = threading.Thread(target=third, daemon=True)
     t.start()
-    t.join()
+    t.join(5.0)
+    assert not t.is_alive()
     assert "capacity" in results["error"]
 
 
@@ -126,10 +128,9 @@ def test_find_chunk_boundaries_after_splits():
     m.register_thread()
     for k in range(200):
         m.put(k, k)
-    chunks = m.chunks()
+    keys, chunks = m._index
     assert len(chunks) > 1
-    for prev_chunk, chunk in zip(chunks, chunks[1:]):
-        boundary = chunk.min_key
+    for prev_chunk, chunk, boundary in zip(chunks, chunks[1:], keys[1:]):
         assert m.find_chunk(boundary) is chunk  # at the split
         assert m.find_chunk(boundary - 1) is prev_chunk  # just below it
     assert_map_invariants(m)

@@ -232,11 +232,12 @@ def test_scan_results_track_a_racing_writers_interval():
         while not stop.is_set():
             run_op(2, "scan", (5, 5), lambda: tuple(m.scan(5, 5)))
 
-    threads = [threading.Thread(target=writer), threading.Thread(target=scanner)]
+    threads = [threading.Thread(target=writer, daemon=True), threading.Thread(target=scanner, daemon=True)]
     for t in threads:
         t.start()
     for t in threads:
         t.join(30.0)
+    assert not any(t.is_alive() for t in threads)
 
     puts = sorted((r for r in records if r.kind == "put"), key=lambda r: r.invoke_ts)
     scans = [r for r in records if r.kind == "scan"]

@@ -100,15 +100,16 @@ def test_overwrite_race_converges_to_max_magnitude():
         def racer(new):
             performed.append((new, overwrite_data_index(entry, new) is not None))
 
-        obs = threading.Thread(target=observer)
+        obs = threading.Thread(target=observer, daemon=True)
         obs.start()
-        threads = [threading.Thread(target=racer, args=(n,)) for n in (5, 9)]
+        threads = [threading.Thread(target=racer, args=(n,), daemon=True) for n in (5, 9)]
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(10.0)
         stop.set()
-        obs.join()
+        obs.join(10.0)
+        assert not any(t.is_alive() for t in [obs, *threads])
 
         assert entry.data_index == 9
         by_value = dict(performed)

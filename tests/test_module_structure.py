@@ -38,10 +38,11 @@ def test_knob_and_export_budget():
     assert list(inspect.signature(kiwi.KiwiMap.__init__).parameters) == [
         "self", "max_threads", "max_items", "bounds_enabled", "rng",
     ]
+    # The index alone records chunk bounds: a chunk holds only its contents.
     assert core.Chunk.__slots__ == (
-        "min_key", "range_end", "capacity", "order", "keys", "data", "bits", "ppa",
-        "sorted_prefix_len", "frozen", "list_size",
+        "capacity", "order", "keys", "data", "bits", "ppa", "sorted_prefix_len", "frozen", "list_size",
     )
+    assert list(inspect.signature(core.Chunk.__init__).parameters) == ["self", "capacity", "max_threads"]
     # One atomic counter per bound, so no hook or list insert takes a thread slot.
     assert list(inspect.signature(kiwi.BoundsCounters.__init__).parameters) == ["self", "enabled"]
     assert kiwi.BoundsCounters.__slots__ == ("enabled", "_lower", "_upper")

@@ -7,7 +7,7 @@ import random
 from kiwi import TOMBSTONE, KiwiMap
 from kiwi.rebalance import FILL_FACTOR, copy_compact, copy_range, freeze_chunk, help_frozen_chunk_puts
 
-from helpers import assert_chunk_invariants, brute_force_range, raw_chunk, walk_list
+from helpers import assert_chunk_invariants, brute_force_range, chunk_bounds, raw_chunk, walk_list
 
 INF = float("inf")
 
@@ -49,7 +49,6 @@ def test_copy_compact_against_oracle():
         min_active_scan = rng.choice([1, 2, 3, 4, 5, 6, 7, 8, INF])
         max_items = rng.randrange(3, 17)
         chunk, _ = raw_chunk(listed, capacity=max_items)
-        chunk.min_key, chunk.range_end = -5, 100
         freeze_chunk(chunk)
         target = max(1, int(max_items * FILL_FACTOR))
         context = (round_no, listed, min_active_scan, max_items)
@@ -57,32 +56,31 @@ def test_copy_compact_against_oracle():
         new_chunks = copy_compact(chunk, min_active_scan)
         assert all(fresh.capacity == max_items and len(fresh.ppa) == 4 for fresh in new_chunks), context
 
-        copied = []
         for fresh in new_chunks:
             entries = walk_list(fresh)
             bound = fresh.allocated_bound()
             assert fresh.sorted_prefix_len == fresh.list_size.get() == bound - 1 == len(entries), context
             assert entries == fresh.order[1:bound], context  # list order is slot order
-            assert_chunk_invariants(fresh)
             keys = {entry.key for entry in entries}
             assert len(entries) <= target or len(keys) == 1, context
-            copied += listed_items(fresh)
-        assert copied == oracle_retained(listed, min_active_scan), context
+        # Every listed key inside the bounds the index would give it.
+        assert compacted_items(new_chunks, -5, 100) == oracle_retained(listed, min_active_scan), context
 
-        assert new_chunks[0].min_key == -5 and new_chunks[-1].range_end == 100, context
         for left, right in zip(new_chunks, new_chunks[1:]):
-            assert left.range_end == right.min_key, context
             # Greedy fill: a chunk closes only when the next key would pass the target.
-            first_key_versions = sum(1 for entry in walk_list(right) if entry.key == right.min_key)
+            first_key_versions = sum(1 for entry in walk_list(right) if entry.key == right.keys[1])
             assert left.list_size.get() + first_key_versions > target, context
 
 
-
-def compacted_items(new_chunks):
-    """(key, version, value) of every entry, chunk by chunk, in list order."""
+def compacted_items(new_chunks, lo, hi):
+    """(key, version, value) of every entry, chunk by chunk, in list order,
+    after checking each output chunk within the bounds KiwiMap's index
+    CAS gives it when its input was bounded by [lo, hi): the first keeps
+    lo, and each later one starts at the key at its slot 1."""
+    starts = [lo] + [fresh.keys[1] for fresh in new_chunks[1:]]
     copied = []
-    for fresh in new_chunks:
-        assert_chunk_invariants(fresh)
+    for fresh, start, end in zip(new_chunks, starts, starts[1:] + [hi]):
+        assert_chunk_invariants(fresh, start, end)
         copied += listed_items(fresh)
     return copied
 
@@ -110,10 +108,10 @@ def test_copy_compact_of_real_chunks_against_oracle():
             kiwi.put(key, TOMBSTONE if rng.random() < 0.4 else rng.randrange(1000))
             if rng.random() < 0.2:
                 kiwi.scan(key, key + 20)
-        chunks = kiwi.chunks()
+        keys, chunks = kiwi._index
         splits = 0
         multi_version_keys = 0
-        for chunk in chunks:
+        for chunk, (lo, hi) in zip(chunks, chunk_bounds(keys)):
             freeze_chunk(chunk)
             help_frozen_chunk_puts(kiwi, chunk)
             listed = listed_items(chunk)
@@ -122,11 +120,7 @@ def test_copy_compact_of_real_chunks_against_oracle():
             for min_active_scan in rng.sample(versions, min(3, len(versions))) + [INF]:
                 context = (chunk, min_active_scan)
                 new_chunks = copy_compact(chunk, min_active_scan)
-                assert compacted_items(new_chunks) == oracle_retained(listed, min_active_scan), context
-                assert new_chunks[0].min_key == chunk.min_key, context
-                assert new_chunks[-1].range_end == chunk.range_end, context
-                for left, right in zip(new_chunks, new_chunks[1:]):
-                    assert left.range_end == right.min_key, context
+                assert compacted_items(new_chunks, lo, hi) == oracle_retained(listed, min_active_scan), context
                 splits += len(new_chunks) > 1
     finally:
         kiwi.unregister_thread()

@@ -136,7 +136,7 @@ def test_locked_map_refuses_registration_past_capacity():
         except RegistrationError as exc:
             errors.append(exc)
 
-    t = threading.Thread(target=second)
+    t = threading.Thread(target=second, daemon=True)
     t.start()
     t.join(5.0)
     assert not t.is_alive()
@@ -184,7 +184,7 @@ def test_released_slots_serve_threads_that_run_one_after_another(make):
             # The released slot leaves no pending put or pending scan behind.
             assert m._psa[1] is None
             assert all(chunk.ppa[1] is None for chunk in m.chunks())
-        t = threading.Thread(target=worker, args=(key,))
+        t = threading.Thread(target=worker, args=(key,), daemon=True)
         t.start()
         t.join(5.0)
         assert not t.is_alive()
@@ -209,7 +209,7 @@ def test_operations_from_an_unregistered_thread_are_refused(make):
             except RegistrationError as exc:
                 errors.append(str(exc))
 
-    t = threading.Thread(target=unregistered)
+    t = threading.Thread(target=unregistered, daemon=True)
     t.start()
     t.join(5.0)
     assert not t.is_alive()
@@ -256,7 +256,7 @@ def test_racing_register_and_release_never_share_a_slot(make):
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=worker) for _ in range(6)]
+        threads = [threading.Thread(target=worker, daemon=True) for _ in range(6)]
         for t in threads:
             t.start()
         for t in threads:

@@ -9,7 +9,7 @@ import pytest
 
 from kiwi import KiwiMap, TOMBSTONE, core
 from kiwi.atomics import word_lock
-from kiwi.core import FROZEN, KEY_MAX, KEY_MIN, VERSION_NONE
+from kiwi.core import FROZEN, KEY_MIN, VERSION_NONE
 from kiwi.rebalance import (
     check_rebalance,
     copy_compact,
@@ -144,11 +144,12 @@ def test_concurrent_rebalancers_insert_pending_once():
             barrier.wait()
             help_frozen_chunk_puts(m, chunk)
 
-        threads = [threading.Thread(target=helper) for _ in range(2)]
+        threads = [threading.Thread(target=helper, daemon=True) for _ in range(2)]
         for t in threads:
             t.start()
         for t in threads:
             t.join(10.0)
+        assert not any(t.is_alive() for t in threads)
         assert [e.key for e in walk_list(chunk)] == list(range(20))
         assert_chunk_invariants(chunk)
 
@@ -196,16 +197,23 @@ def test_copy_compact_keeps_tombstone_needed_by_scan():
     assert copy_range(new, 0, 100, 9) == []  # new scans see the delete
 
 
+def map_over(keys, chunks):
+    """A map whose index holds the given hand-built chunks under keys."""
+    m = KiwiMap(max_threads=4)
+    m._index = (tuple(keys), tuple(chunks))
+    return m
+
+
 def test_copy_compact_splits_and_partitions_range():
     chunk, _ = raw_chunk([(k, 1, k * 10) for k in range(40)], capacity=16)
-    new_chunks = copy_compact(chunk, INF)
+    m = map_over([KEY_MIN], [chunk])
+    assert m._rebalance_chunk(chunk)
+    keys, new_chunks = m._index
     assert len(new_chunks) == 5  # 40 entries, 8 per chunk
-    assert new_chunks[0].min_key == chunk.min_key
-    assert new_chunks[-1].range_end == chunk.range_end
-    for a, b in zip(new_chunks, new_chunks[1:]):
-        assert a.range_end == b.min_key
+    # The old key, then each later output chunk's first stored key.
+    assert keys == (KEY_MIN, 8, 16, 24, 32)
+    assert_map_invariants(m)  # every listed key inside its index bounds
     for c in new_chunks:
-        assert_chunk_invariants(c)
         assert c.sorted_prefix_len == len(walk_list(c))
 
 
@@ -224,11 +232,16 @@ def test_copy_compact_never_splits_a_key_across_chunks():
 
 
 def test_copy_compact_empty_chunk_keeps_range():
-    chunk, _ = raw_chunk([(3, 2, TOMBSTONE)], capacity=16)
-    (new,) = copy_compact(chunk, INF)
-    assert new.min_key == chunk.min_key
-    assert new.range_end == chunk.range_end
+    """An all-tombstone chunk compacts to an empty one, which keeps its
+    index key."""
+    first, _ = raw_chunk([(1, 1, 10)], capacity=16)
+    chunk, _ = raw_chunk([(13, 1, TOMBSTONE)], capacity=16)
+    m = map_over([KEY_MIN, 10], [first, chunk])
+    assert m._rebalance_chunk(chunk)
+    keys, (kept, new) = m._index
+    assert keys == (KEY_MIN, 10) and kept is first
     assert walk_list(new) == []
+    assert_map_invariants(m)
 
 
 # ---------------- replacement ----------------
@@ -276,11 +289,12 @@ def test_replace_chunks_single_winner_under_race(monkeypatch):
             m.register_thread()
             wins.append(m._rebalance_chunk(old))
 
-        threads = [threading.Thread(target=racer) for _ in range(2)]
+        threads = [threading.Thread(target=racer, daemon=True) for _ in range(2)]
         for t in threads:
             t.start()
         for t in threads:
             t.join(10.0)
+        assert not any(t.is_alive() for t in threads)
         assert sorted(wins) == [False, True]
         assert dict(m.items()) == {k: k for k in range(10)}
         assert_map_invariants(m)
@@ -556,8 +570,8 @@ def test_data_preservation_under_forced_rebalances():
             oracle[k] = v
     before = quiescent_items(m)
     assert before == oracle
-    for chunk in list(m.chunks()):
-        force_rebalance(m, chunk.min_key if chunk.min_key != -INF else 0)
+    for key in m._index[0]:  # one rebalance of each chunk of this index
+        force_rebalance(m, key)
     assert quiescent_items(m) == oracle
     assert dict(m.items()) == oracle
     assert_map_invariants(m)
@@ -567,13 +581,10 @@ def test_data_preservation_under_forced_rebalances():
 
 def assert_index_is_live(m):
     """No index chunk is frozen once every rebalance has returned, and
-    the index chunks' ranges partition [KEY_MIN, KEY_MAX)."""
-    keys, chunks = m._index
-    assert not any(c.frozen for c in chunks)
-    assert keys == tuple(c.min_key for c in chunks)
-    assert chunks[0].min_key is KEY_MIN and chunks[-1].range_end is KEY_MAX
-    for left, right in zip(chunks, chunks[1:]):
-        assert left.range_end == right.min_key
+    the index keys start at KEY_MIN, ascend and bound every listed key of
+    their chunks (see assert_map_invariants)."""
+    assert not any(c.frozen for c in m._index[1])
+    assert_map_invariants(m)
 
 
 def concurrent_churn():
@@ -597,7 +608,7 @@ def concurrent_churn():
                 m.scan(k, k + 20)
         m.unregister_thread()
 
-    threads = [threading.Thread(target=churn, args=(seed,)) for seed in (11, 12, 13)]
+    threads = [threading.Thread(target=churn, args=(seed,), daemon=True) for seed in (11, 12, 13)]
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -615,8 +626,6 @@ def test_index_equals_live_list_after_concurrent_churn():
     m = concurrent_churn()
     assert len(m.chunks()) > 2
     assert_index_is_live(m)
-    m.register_thread()
-    assert_map_invariants(m)
 
 
 def test_list_size_counts_the_live_list_after_concurrent_churn():
@@ -637,8 +646,9 @@ def test_late_helper_leaves_the_index_on_the_live_list():
     for k in range(40):
         m.put(k, k)
     p = m.find_chunk(20)
+    p_key = m._index[0][m._index[1].index(p)]
     m._rebalance_chunk(p)
-    q = m.find_chunk(p.min_key)
+    q = m.find_chunk(p_key)
     assert q is not p and p not in m.chunks()
     m._rebalance_chunk(q)
     assert q.frozen and q not in m.chunks()

@@ -58,7 +58,7 @@ def test_concurrent_churn_stores_only_table_ints(max_items, key_range, ops):
                 m.scan(k, k + 20)
         m.unregister_thread()
 
-    run_threads([threading.Thread(target=churn, args=(seed,)) for seed in (11, 12, 13)])
+    run_threads([threading.Thread(target=churn, args=(seed,), daemon=True) for seed in (11, 12, 13)])
     assert len(m.chunks()) > 2  # splits ran
     assert_slots_shared(m)
 
@@ -133,7 +133,7 @@ def test_threads_filling_chunks_past_the_table_read_right_numbers():
         if m.scan(1, count) != left:
             errors.append("scan")
 
-    run_threads([threading.Thread(target=fill) for _ in range(4)])
+    run_threads([threading.Thread(target=fill, daemon=True) for _ in range(4)])
     assert not errors, errors[:5]
     assert all(_SLOTS[i] == i for i in range(len(_SLOTS)))
 

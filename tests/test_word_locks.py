@@ -16,7 +16,7 @@ from kiwi.core import TOMBSTONE, Chunk, KiwiMap, OrderEntry
 
 def test_words_own_no_lock():
     lock_types = (type(threading.Lock()), type(threading.RLock()))
-    for obj in (OrderEntry(1), AtomicInt(0), Chunk(0, 10, 4, 2)):
+    for obj in (OrderEntry(1), AtomicInt(0), Chunk(4, 2)):
         assert not hasattr(obj, "__dict__"), type(obj).__name__
         slots = [name for cls in type(obj).__mro__ for name in getattr(cls, "__slots__", ())]
         owned = [getattr(obj, name) for name in slots if hasattr(obj, name)]
@@ -46,7 +46,7 @@ def test_cas_loops_exact_on_a_shared_stripe():
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=hammer) for _ in range(4)]
+        threads = [threading.Thread(target=hammer, daemon=True) for _ in range(4)]
         for t in threads:
             t.start()
         for t in threads:
@@ -84,12 +84,12 @@ def test_alloc_takes_the_stripe_that_freezing_takes():
     slot could be handed out after the freeze. So while the test holds
     word_lock(chunk), alloc must wait."""
     for _ in range(3):
-        chunk = Chunk(0, 10, 4, 2)
+        chunk = Chunk(4, 2)
         got = []
         lock = word_lock(chunk)
         lock.acquire()
         try:
-            t = threading.Thread(target=lambda: got.append(chunk.alloc(OrderEntry(1), 10)))
+            t = threading.Thread(target=lambda: got.append(chunk.alloc(OrderEntry(1), 10)), daemon=True)
             t.start()
             t.join(timeout=0.1)
             assert t.is_alive() and got == []
