@@ -410,9 +410,13 @@ class KiwiMap(ThreadRegistry):
     object but None.
 
     Threads must call register_thread() once before operating; the slot
-    indexes the per-chunk PPA and the map PSA. Every put clears its PPA
-    cell and every scan its PSA cell before returning, so a slot given
-    back by unregister_thread() carries nothing over to its next thread.
+    indexes the per-chunk PPA and the map PSA. Every put that returns
+    clears its PPA cell and every scan its PSA cell before returning, so
+    a slot given back by unregister_thread() carries nothing over to its
+    next thread. A put that raises after publishing its slot leaves its
+    PPA cell set: readers still find its value there until the thread's
+    next put into that chunk overwrites the cell, so the value can vanish
+    with no delete. Clearing the cell on that path is still to be done.
     put(key, TOMBSTONE) discards a key; put raises ValueError for a None
     value, a None key or a key holding a NaN, and TypeError for an
     unhashable key, before it changes anything. So it does for a key that

@@ -1,15 +1,74 @@
-"""Interleavings forced from outside the map, through sys.settrace: a gate
-that parks a thread at one of the fuzzer's pause sites, a thread that runs
-jobs on demand, and a runner that lands such jobs at every opcode boundary
-of a call in turn. The maps carry no hook for any of them."""
+"""Every thread the tests start, and interleavings forced from outside the
+map through sys.settrace: a harness whose join raises what a worker
+raised, a gate that parks a thread at one of the fuzzer's pause sites, a
+thread that runs jobs on demand, and a runner that lands such jobs at
+every opcode boundary of a call in turn. The maps carry no hook for any."""
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import queue
 import sys
 import threading
+import time
 
 from kiwi.fuzz import pause_tracer
+
+
+def _capture(fn):
+    """Call fn(); return what it raised, or None. The thread waiting on fn
+    raises it again, so it fails the test."""
+    try:
+        fn()
+    except BaseException as exc:
+        return exc
+    return None
+
+
+def start_thread(target) -> threading.Thread:
+    """Start target() on a daemon thread named after it, or after its
+    function for a partial. join_threads raises what target raised."""
+
+    def run():
+        error = _capture(target)
+        if error is not None:
+            thread.failure = (time.monotonic(), error)
+
+    thread = threading.Thread(target=run, name=getattr(target, "func", target).__name__, daemon=True)
+    thread.failure = None
+    thread.start()
+    return thread
+
+
+def join_threads(*threads: threading.Thread, timeout: float) -> None:
+    """Wait for threads from start_thread until timeout seconds from now.
+    Raise the first exception any of them raised; else fail, naming every
+    thread still alive."""
+    deadline = time.monotonic() + timeout
+    for thread in threads:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    failures = [thread.failure for thread in threads if thread.failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    alive = [thread.name for thread in threads if thread.is_alive()]
+    assert not alive, f"still alive after {timeout} s: {', '.join(alive)}"
+
+
+def run_threads(*targets, timeout: float) -> None:
+    """Run each target on its own thread and join them all by one deadline."""
+    join_threads(*[start_thread(target) for target in targets], timeout=timeout)
+
+
+@contextlib.contextmanager
+def fast_switching():
+    """Switch threads every microsecond, so their steps interleave finely."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(old)
 
 
 def pause_sites_met(fn, state=None):
@@ -31,25 +90,26 @@ def pause_sites_met(fn, state=None):
 
 
 class PutGate:
-    """Runs fn on a new thread named name and parks that thread at its
+    """Runs fn on a new thread named after it and parks that thread at its
     first call of site made from put (a pause site: see
     kiwi.fuzz.PAUSE_SITES) until release(). Later calls pass through."""
 
-    def __init__(self, site: str, fn, name: str = "parked") -> None:
+    def __init__(self, site: str, fn) -> None:
         self.site = site
         self._arrived = threading.Event()
         self._released = threading.Event()
-        self.thread = threading.Thread(target=self._run, args=(fn,), name=name, daemon=True)
-        self.thread.start()
 
-    def _run(self, fn) -> None:
-        def pause(caller, site):
-            if caller == "put" and site == self.site and not self._arrived.is_set():
-                self._arrived.set()
-                assert self._released.wait(10.0), f"gate at {self.site} never released"
+        @functools.wraps(fn)
+        def parked():
+            sys.settrace(pause_tracer(self._pause))
+            fn()
 
-        sys.settrace(pause_tracer(pause))
-        fn()
+        self.thread = start_thread(parked)
+
+    def _pause(self, caller, site) -> None:
+        if caller == "put" and site == self.site and not self._arrived.is_set():
+            self._arrived.set()
+            assert self._released.wait(10.0), f"gate at {self.site} never released"
 
     def wait_arrived(self, timeout: float = 5.0) -> None:
         assert self._arrived.wait(timeout), f"{self.thread.name} never reached {self.site}"
@@ -58,37 +118,39 @@ class PutGate:
         self._released.set()
 
     def finish(self, timeout: float = 5.0) -> None:
-        """Release the thread and wait for fn to return."""
+        """Release the thread and wait for fn to return; raise what it raised."""
         self.release()
-        self.thread.join(timeout)
-        assert not self.thread.is_alive(), f"{self.thread.name} still running"
+        join_threads(self.thread, timeout=timeout)
 
 
 class ParkedThread:
     """A thread registered on m that runs each job it is sent to
-    completion while the sender waits: no sleeps, no races. A job that
-    raises ends the thread, and the sender's wait then times out."""
+    completion while the sender waits: no sleeps, no races. What a job
+    raises, run() raises on the sender's thread."""
 
     def __init__(self, m) -> None:
         self._jobs, self._done = queue.Queue(), queue.Queue()
-        self._thread = threading.Thread(target=self._serve, args=(m,), daemon=True)
-        self._thread.start()
-        self._done.get(timeout=5.0)  # registered: slots go out in start order
 
-    def _serve(self, m) -> None:
-        m.register_thread()
-        self._done.put(None)
-        for job in iter(self._jobs.get, None):
-            job()
-            self._done.put(None)
+        def parked():
+            self._done.put(_capture(m.register_thread))
+            for job in iter(self._jobs.get, None):
+                self._done.put(_capture(job))
+
+        self._thread = start_thread(parked)
+        self._wait()  # registered: slots go out in start order
+
+    def _wait(self) -> None:
+        error = self._done.get(timeout=5.0)
+        if error is not None:
+            raise error
 
     def run(self, job) -> None:
         self._jobs.put(job)
-        self._done.get(timeout=5.0)
+        self._wait()
 
     def stop(self) -> None:
         self._jobs.put(None)
-        self._thread.join(5.0)
+        join_threads(self._thread, timeout=5.0)
 
 
 def run_with_interference(call, interfere, k, modules, skip=()):

@@ -12,8 +12,8 @@ import inspect
 import os
 import random
 import textwrap
-import threading
 import time
+from functools import partial
 
 import pytest
 
@@ -31,6 +31,7 @@ from kiwi.fuzz import record_locked_oracle_run, record_run, record_run_with_map
 from kiwi.history import SIZE, IS_EMPTY
 
 from helpers import assert_map_invariants, force_rebalance, quiescent_items, total_mean, with_size_ops
+from interleave import run_threads
 from test_checker import bad_histories
 
 
@@ -148,21 +149,13 @@ def test_c05_rebalance_preservation_100_runs():
             max_items=64,
         )
         history, m = record_run_with_map(cfg)
-        forcer_error = []
 
         def force_all():
-            try:
-                m.register_thread()
-                for key in range(0, 96, 16):
-                    force_rebalance(m, key)
-            except BaseException as exc:
-                forcer_error.append(exc)
+            m.register_thread()
+            for key in range(0, 96, 16):
+                force_rebalance(m, key)
 
-        t = threading.Thread(target=force_all, daemon=True)
-        t.start()
-        t.join(30.0)
-        assert not t.is_alive()
-        assert not forcer_error
+        run_threads(force_all, timeout=30.0)
         final = quiescent_items(m)
         assert validate_put_only_final_state(history, list(final.items())), f"run {run}"
         assert_map_invariants(m)
@@ -179,15 +172,8 @@ def test_c06_size_bound_bracketing_100_runs():
         m = KiwiMap(max_threads=9, max_items=256, bounds_enabled=True)
         m.register_thread()
         for phase in range(2):  # two quiescent checkpoints per run
-            workers = []
-            for i in range(4):
-                seed = run * 100 + phase * 10 + i
-                worker = threading.Thread(target=_bounded_writer, args=(m, seed), daemon=True)
-                workers.append(worker)
-                worker.start()
-            for worker in workers:
-                worker.join(30.0)
-            assert not any(worker.is_alive() for worker in workers)
+            seeds = [run * 100 + phase * 10 + i for i in range(4)]
+            run_threads(*[partial(_bounded_writer, m, seed) for seed in seeds], timeout=30.0)
             true_size = len(quiescent_items(m))
             lower, upper = m.size_lower_bound(), m.size_upper_bound()
             assert lower <= true_size <= upper, (run, phase, lower, true_size, upper)
@@ -201,12 +187,7 @@ def test_c06_size_bound_bracketing_100_runs():
             for k in range(offset, count, 4):
                 m.put(k, k)
 
-        workers = [threading.Thread(target=_registered, args=(m, inserter, i), daemon=True) for i in range(4)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(30.0)
-        assert not any(w.is_alive() for w in workers)
+        run_threads(*[partial(_registered, m, inserter, i) for i in range(4)], timeout=30.0)
         assert m.size_lower_bound() == count == m.size_upper_bound()
     elapsed = time.monotonic() - started
     report("C6", f"bracketing on 200 checkpoints, exactness on 20 insert runs, {elapsed:.1f}s")

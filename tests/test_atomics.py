@@ -1,7 +1,9 @@
-import threading
+from functools import partial
 
 from kiwi.atomics import AtomicInt, cas, full_fence, store_fence
 from kiwi.core import KEY_MIN, Chunk, KiwiMap
+
+from interleave import run_threads
 
 
 def test_atomic_int_fetch_add_returns_prior():
@@ -28,12 +30,7 @@ def test_fetch_add_under_contention():
         for _ in range(2000):
             seen[i].add(counter.fetch_add(1))
 
-    threads = [threading.Thread(target=hammer, args=(i,), daemon=True) for i in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(30.0)
-    assert not any(t.is_alive() for t in threads)
+    run_threads(*[partial(hammer, i) for i in range(4)], timeout=30.0)
     all_seen = set().union(*seen)
     assert counter.get() == 8000
     assert all_seen == set(range(8000))  # every ticket handed out exactly once

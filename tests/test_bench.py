@@ -4,7 +4,6 @@ emission, desk-scale smoke runs, and the CLI surface."""
 import csv
 import subprocess
 import sys
-import threading
 
 import pytest
 
@@ -24,6 +23,7 @@ from kiwi.bench import drop_most_suspicious, make_map, prefill, run_iteration
 from kiwi.cli import build_parser, main
 
 from helpers import total_mean
+from interleave import run_threads
 
 
 def smoke_cfg(name, threads=1, **kw):
@@ -234,19 +234,12 @@ def test_worker_failing_before_the_start_line_raises(monkeypatch):
     monkeypatch.setattr(
         bench, "make_map", lambda impl, threads, bounds_enabled=False: LockedSortedMap(max_threads=threads)
     )
-    errors = []
 
     def attempt():
-        try:
-            run_iteration(smoke_cfg("GetOnly", threads=2), "locked", 0)
-        except Exception as exc:
-            errors.append(exc)
+        run_iteration(smoke_cfg("GetOnly", threads=2), "locked", 0)
 
-    t = threading.Thread(target=attempt, daemon=True)
-    t.start()
-    t.join(10.0)
-    assert not t.is_alive()
-    assert len(errors) == 1 and isinstance(errors[0], RegistrationError)
+    with pytest.raises(RegistrationError):
+        run_threads(attempt, timeout=10.0)
 
 
 def test_run_iteration_bounds_debug_asserts_bracket():

@@ -4,6 +4,7 @@ that puts landing mid-read cannot tear, and the disabled-mode contract."""
 
 import random
 import threading
+from functools import partial
 
 import pytest
 
@@ -13,7 +14,7 @@ from kiwi.bounds import BoundsCounters
 from kiwi.core import FROZEN
 
 from helpers import assert_map_invariants, force_rebalance, quiescent_items, walk_list
-from interleave import ParkedThread, PutGate, run_with_interference
+from interleave import ParkedThread, PutGate, join_threads, run_threads, run_with_interference, start_thread
 
 
 def make_counters(enabled=True):
@@ -260,14 +261,7 @@ def test_bracketing_under_concurrent_churn():
                 else:
                     m.put(key, wrng.randrange(1000))
 
-        threads = [
-            threading.Thread(target=writer, args=(seed * 10 + i,), daemon=True) for i in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(30.0)
-        assert not any(t.is_alive() for t in threads)
+        run_threads(*[partial(writer, seed * 10 + i) for i in range(4)], timeout=30.0)
         true_size = len(quiescent_items(m))
         lower, upper = m.size_lower_bound(), m.size_upper_bound()
         assert lower <= true_size <= upper, (seed, lower, true_size, upper)
@@ -321,8 +315,7 @@ def test_retry_paths_pair_undo_with_redo(monkeypatch):
         while not stop.is_set():
             force_rebalance(m, 8)
 
-    t = threading.Thread(target=rebalancer, daemon=True)
-    t.start()
+    t = start_thread(rebalancer)
     rng = random.Random(5)
     oracle_keys = set()
     for _ in range(400):
@@ -334,8 +327,7 @@ def test_retry_paths_pair_undo_with_redo(monkeypatch):
             m.put(key, 1)
             oracle_keys.add(key)
     stop.set()
-    t.join(10.0)
-    assert not t.is_alive()
+    join_threads(t, timeout=10.0)
     published = calls.count("on_put_published")
     undone = calls.count("on_put_undone")
     assert undone <= published

@@ -4,6 +4,7 @@ and the structural list invariants under contention."""
 
 import random
 import threading
+from functools import partial
 
 import pytest
 
@@ -12,17 +13,11 @@ from kiwi.core import FROZEN, InsertOutcome, OrderEntry
 from kiwi.fuzz import FuzzConfig, record_run_with_map
 
 from helpers import assert_map_invariants, force_rebalance, global_version, quiescent_items, walk_list
-from interleave import PutGate
+from interleave import PutGate, join_threads, run_threads, start_thread
 
 # structure-inspecting tests pin the probabilistic rebalance off with
 # rng=lambda: 1.0 (a draw of 1.0 is never below the 2% rebalance rate),
 # so no compaction rearranges the lists they walk
-
-
-def _spawn(name, fn, *args):
-    t = threading.Thread(target=fn, args=args, name=name, daemon=True)
-    t.start()
-    return t
 
 
 def test_get_serves_versioned_put_from_ppa_before_list_insert():
@@ -36,7 +31,7 @@ def test_get_serves_versioned_put_from_ppa_before_list_insert():
         m.register_thread()
         m.put(3, 1)
 
-    gate = PutGate("add_to_linked_list", writer, name="writer")
+    gate = PutGate("add_to_linked_list", writer)
     gate.wait_arrived()
 
     chunk = m.find_chunk(3)
@@ -59,7 +54,7 @@ def test_reader_helps_unversioned_put_and_writer_adopts():
         m.register_thread()
         m.put(3, 1)
 
-    gate = PutGate("cas_version", writer, name="writer")
+    gate = PutGate("cas_version", writer)
     gate.wait_arrived()
 
     gv_before = global_version(m)
@@ -97,9 +92,7 @@ def test_same_key_same_version_insert_and_overwrite_outcomes():
         outcomes[name] = m.add_to_linked_list(chunk, idx)
         chunk.ppa[slot] = None
 
-    threads = [_spawn("a", racer, "a", 111), _spawn("b", racer, "b", 222)]
-    for t in threads:
-        t.join(5.0)
+    run_threads(partial(racer, "a", 111), partial(racer, "b", 222), timeout=5.0)
 
     kinds = sorted(o.kind for o in outcomes.values())
     assert kinds == [InsertOutcome.INSERTED, InsertOutcome.OVERWROTE], outcomes
@@ -120,7 +113,7 @@ def test_freeze_loses_version_race_and_entry_survives_rebalance():
         m.register_thread()
         m.put(7, 42)
 
-    gate = PutGate("cas_version", writer, name="writer")
+    gate = PutGate("cas_version", writer)
     gate.wait_arrived()
 
     old_chunk = m.find_chunk(7)
@@ -145,7 +138,7 @@ def test_freeze_seals_unhelped_put_which_retries():
         m.register_thread()
         m.put(7, 42)
 
-    gate = PutGate("cas_version", writer, name="writer")
+    gate = PutGate("cas_version", writer)
     gate.wait_arrived()
 
     chunk = m.find_chunk(7)
@@ -184,7 +177,7 @@ def test_put_parked_before_its_list_insert_is_linked_once(helped):
         m.register_thread()
         m.put(7, 42)
 
-    gate = PutGate("add_to_linked_list", writer, name="writer")
+    gate = PutGate("add_to_linked_list", writer)
     gate.wait_arrived()
     chunk = m.find_chunk(7)
     (idx,) = [i for i in chunk.ppa if i is not None]
@@ -221,7 +214,7 @@ def test_tombstone_inserted_even_when_key_absent_from_list():
         m.register_thread()
         m.put(3, 11)
 
-    gate = PutGate("cas_version", writer, name="writer")
+    gate = PutGate("cas_version", writer)
     gate.wait_arrived()
 
     assert m.get(3) == 11  # helper gives the pending put version 1
@@ -272,9 +265,7 @@ def test_concurrent_distinct_key_inserts_keep_list_sorted():
             for k in keys:
                 m.put(k, k * 10)
 
-        threads = [_spawn(f"w{i}", writer, keys) for i, keys in enumerate(key_sets)]
-        for t in threads:
-            t.join(10.0)
+        run_threads(*[partial(writer, keys) for keys in key_sets], timeout=10.0)
         assert quiescent_items(m) == {k: k * 10 for k in range(120)}
         assert_map_invariants(m)
 
@@ -288,10 +279,10 @@ def test_data_index_monotone_under_same_key_churn():
     chunk = m.find_chunk(1)
     (entry,) = [e for e in walk_list(chunk) if e.key == 1]
     observations = []
-    stop = threading.Event()
+    writers = []
 
-    def observer():
-        while not stop.is_set():
+    def observer():  # until both writers end
+        while not writers or any(w.is_alive() for w in writers):
             observations.append(entry.data_index)
 
     def writer(base):
@@ -299,12 +290,9 @@ def test_data_index_monotone_under_same_key_churn():
         for i in range(300):
             m.put(1, base + i)
 
-    obs = _spawn("obs", observer)
-    writers = [_spawn("w1", writer, 1000), _spawn("w2", writer, 2000)]
-    for t in writers:
-        t.join(10.0)
-    stop.set()
-    obs.join(5.0)
+    obs = start_thread(observer)
+    writers += [start_thread(partial(writer, base)) for base in (1000, 2000)]
+    join_threads(obs, *writers, timeout=10.0)
 
     distinct = []
     for value in observations:

@@ -2,13 +2,13 @@
 randomized equivalence run against a plain dict oracle."""
 
 import random
-import threading
 
 import pytest
 
 from kiwi import KiwiMap, RegistrationError, TOMBSTONE
 
 from helpers import assert_map_invariants
+from interleave import run_threads
 
 
 @pytest.fixture
@@ -78,28 +78,11 @@ def test_register_thread_slots_and_capacity():
     m = KiwiMap(max_threads=2)
     assert m.register_thread() == 0
 
-    results = {}
-
-    def second():
-        results["slot"] = m.register_thread()
-
-    t = threading.Thread(target=second, daemon=True)
-    t.start()
-    t.join(5.0)
-    assert not t.is_alive()
-    assert results["slot"] == 1
-
-    def third():
-        try:
-            m.register_thread()
-        except RegistrationError as exc:
-            results["error"] = str(exc)
-
-    t = threading.Thread(target=third, daemon=True)
-    t.start()
-    t.join(5.0)
-    assert not t.is_alive()
-    assert "capacity" in results["error"]
+    slots = []
+    run_threads(lambda: slots.append(m.register_thread()), timeout=5.0)
+    assert slots == [1]
+    with pytest.raises(RegistrationError, match="capacity"):
+        run_threads(m.register_thread, timeout=5.0)
 
 
 def test_register_thread_rejects_double_registration(kiwi):

@@ -3,7 +3,6 @@ on both maps, the recipe a history records, the configs it refuses, and
 the locked-oracle calibration runs."""
 
 import sys
-import threading
 
 import pytest
 
@@ -24,7 +23,7 @@ from kiwi import (
 from kiwi.history import PUT
 
 from helpers import SIZE_MIX, with_size_ops
-from interleave import pause_sites_met
+from interleave import pause_sites_met, run_threads
 
 
 def test_single_thread_run_records_sequentially():
@@ -141,19 +140,12 @@ def test_worker_failing_before_the_start_line_raises():
     and the switch interval it shortened is restored."""
     interval = sys.getswitchinterval()
     cfg = FuzzConfig(threads=2, ops_per_thread=5, seed=1)
-    errors = []
 
     def attempt():
-        try:
-            record_run(cfg, map_factory=lambda: LockedSortedMap(max_threads=1))
-        except Exception as exc:
-            errors.append(exc)
+        record_run(cfg, map_factory=lambda: LockedSortedMap(max_threads=1))
 
-    t = threading.Thread(target=attempt, daemon=True)
-    t.start()
-    t.join(10.0)
-    assert not t.is_alive()
-    assert len(errors) == 1 and isinstance(errors[0], RegistrationError)
+    with pytest.raises(RegistrationError):
+        run_threads(attempt, timeout=10.0)
     assert sys.getswitchinterval() == interval
 
 

@@ -12,7 +12,7 @@ from kiwi.atomics import AtomicInt
 from kiwi.core import FROZEN, VERSION_NONE, OrderEntry
 
 from helpers import assert_map_invariants
-from interleave import PutGate, pause_sites_met
+from interleave import PutGate, pause_sites_met, run_threads
 
 
 def help_at(m, chunk, version):
@@ -222,22 +222,19 @@ def test_scan_results_track_a_racing_writers_interval():
 
     def writer():
         m.register_thread()
-        for i in range(150):
-            run_op(1, "put", (5, i), lambda i=i: m.put(5, i))
-            time.sleep(0.0001)
-        stop.set()
+        try:
+            for i in range(150):
+                run_op(1, "put", (5, i), lambda i=i: m.put(5, i))
+                time.sleep(0.0001)
+        finally:
+            stop.set()  # the scanner stops also when a put raises
 
     def scanner():
         m.register_thread()
         while not stop.is_set():
             run_op(2, "scan", (5, 5), lambda: tuple(m.scan(5, 5)))
 
-    threads = [threading.Thread(target=writer, daemon=True), threading.Thread(target=scanner, daemon=True)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(30.0)
-    assert not any(t.is_alive() for t in threads)
+    run_threads(writer, scanner, timeout=30.0)
 
     puts = sorted((r for r in records if r.kind == "put"), key=lambda r: r.invoke_ts)
     scans = [r for r in records if r.kind == "scan"]

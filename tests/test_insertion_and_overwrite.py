@@ -1,12 +1,13 @@
 """find_insertion_location ordering, the dataIndex overwrite rule, and
 their behavior under racing threads."""
 
-import threading
+from functools import partial
 
 from kiwi import TOMBSTONE
 from kiwi.core import END, OrderEntry, find_insertion_location, overwrite_data_index
 
 from helpers import raw_chunk, walk_list
+from interleave import join_threads, start_thread
 
 
 def test_empty_list_straddles_head_and_end():
@@ -91,25 +92,18 @@ def test_overwrite_race_converges_to_max_magnitude():
         entry.data_index = 1
         performed = []
         observations = []
-        stop = threading.Event()
+        racers = []
 
-        def observer():
-            while not stop.is_set():
+        def observer():  # until both racers end
+            while not racers or any(t.is_alive() for t in racers):
                 observations.append(entry.data_index)
 
         def racer(new):
             performed.append((new, overwrite_data_index(entry, new) is not None))
 
-        obs = threading.Thread(target=observer, daemon=True)
-        obs.start()
-        threads = [threading.Thread(target=racer, args=(n,), daemon=True) for n in (5, 9)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(10.0)
-        stop.set()
-        obs.join(10.0)
-        assert not any(t.is_alive() for t in [obs, *threads])
+        obs = start_thread(observer)
+        racers += [start_thread(partial(racer, n)) for n in (5, 9)]
+        join_threads(obs, *racers, timeout=10.0)
 
         assert entry.data_index == 9
         by_value = dict(performed)

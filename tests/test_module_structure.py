@@ -5,11 +5,14 @@ pins the map's construction knobs, a chunk's slots, the size bounds'
 parameters and slots, the list insert's, compaction's and the bench map
 factory's parameters, the atomic counter's and the thread registry's
 methods, the fuzz recipe's and the bench config's fields and the package
-exports, so adding one has to edit it openly."""
+exports, so adding one has to edit it openly. The tests start threads
+only through tests/interleave.py, whose harness fails a test with what
+its worker raised."""
 
 import ast
 import dataclasses
 import inspect
+import pathlib
 import subprocess
 import sys
 
@@ -26,6 +29,17 @@ def test_no_function_imports(module):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             imports = [node for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
             assert not imports, f"{module.__name__}.{fn.name} imports inside the function"
+
+
+def test_only_the_harness_constructs_threads():
+    constructing = set()
+    for path in pathlib.Path(__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "Thread" in (
+                getattr(node.func, "attr", None), getattr(node.func, "id", None)
+            ):
+                constructing.add(path.name)
+    assert constructing == {"interleave.py"}
 
 
 @pytest.mark.parametrize("name", ["kiwi.core", "kiwi.rebalance"])

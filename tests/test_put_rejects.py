@@ -13,12 +13,14 @@ operation from a thread that never registered and for a size query with
 bounds off. On both maps a released registration slot serves the next
 thread."""
 
-import sys
 import threading
+from functools import partial
 
 import pytest
 
 from kiwi import TOMBSTONE, BoundsDisabledError, KiwiMap, LockedSortedMap, RegistrationError
+
+from interleave import fast_switching, run_threads
 
 MAPS = {
     "kiwi": lambda: KiwiMap(max_threads=2, bounds_enabled=True),
@@ -128,19 +130,8 @@ def test_locked_map_rejects_unknown_keyword():
 def test_locked_map_refuses_registration_past_capacity():
     m = LockedSortedMap(max_threads=1)
     m.register_thread()
-    errors = []
-
-    def second():
-        try:
-            m.register_thread()
-        except RegistrationError as exc:
-            errors.append(exc)
-
-    t = threading.Thread(target=second, daemon=True)
-    t.start()
-    t.join(5.0)
-    assert not t.is_alive()
-    assert len(errors) == 1 and "capacity" in str(errors[0])
+    with pytest.raises(RegistrationError, match="capacity"):
+        run_threads(m.register_thread, timeout=5.0)
 
 
 @pytest.mark.parametrize("make", [KiwiMap, LockedSortedMap], ids=["kiwi", "locked"])
@@ -168,27 +159,20 @@ def test_released_slots_serve_threads_that_run_one_after_another(make):
     # release, so each must get the slot the one before it gave back.
     m = make(max_threads=2)
     m.register_thread()
-    slots, errors = [], []
+    slots = []
 
     def worker(key):
-        try:
-            slots.append(m.register_thread())
-            m.put(key, key * 10)
-            m.scan(0, 10)
-            m.unregister_thread()
-        except RegistrationError as exc:
-            errors.append(exc)
+        slots.append(m.register_thread())
+        m.put(key, key * 10)
+        m.scan(0, 10)
+        m.unregister_thread()
 
     for key in range(3):
         if isinstance(m, KiwiMap):
             # The released slot leaves no pending put or pending scan behind.
             assert m._psa[1] is None
             assert all(chunk.ppa[1] is None for chunk in m.chunks())
-        t = threading.Thread(target=worker, args=(key,), daemon=True)
-        t.start()
-        t.join(5.0)
-        assert not t.is_alive()
-    assert errors == []
+        run_threads(partial(worker, key), timeout=5.0)
     assert slots == [1, 1, 1]
     assert m.items() == [(0, 0), (1, 10), (2, 20)]
 
@@ -209,10 +193,7 @@ def test_operations_from_an_unregistered_thread_are_refused(make):
             except RegistrationError as exc:
                 errors.append(str(exc))
 
-    t = threading.Thread(target=unregistered, daemon=True)
-    t.start()
-    t.join(5.0)
-    assert not t.is_alive()
+    run_threads(unregistered, timeout=5.0)
     assert errors == ["calling thread is not registered"] * 4
     assert m.items() == [(1, 1)]
 
@@ -253,17 +234,8 @@ def test_racing_register_and_release_never_share_a_slot(make):
                 held.discard(slot)
             m.unregister_thread()
 
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, daemon=True) for _ in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(20.0)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
+    with fast_switching():
+        run_threads(*[worker] * 6, timeout=20.0)
     assert errors == []
     assert registered[0] > 0
     assert sorted(m._free_slots) == [0, 1]  # every slot came back

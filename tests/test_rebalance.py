@@ -2,8 +2,8 @@
 copy, all checked against brute-force oracles where results are derived."""
 
 import random
-import sys
 import threading
+from functools import partial
 
 import pytest
 
@@ -28,7 +28,7 @@ from helpers import (
     raw_chunk,
     walk_list,
 )
-from interleave import ParkedThread, run_with_interference
+from interleave import ParkedThread, fast_switching, run_threads, run_with_interference
 
 INF = float("inf")
 
@@ -144,12 +144,7 @@ def test_concurrent_rebalancers_insert_pending_once():
             barrier.wait()
             help_frozen_chunk_puts(m, chunk)
 
-        threads = [threading.Thread(target=helper, daemon=True) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(10.0)
-        assert not any(t.is_alive() for t in threads)
+        run_threads(helper, helper, timeout=10.0)
         assert [e.key for e in walk_list(chunk)] == list(range(20))
         assert_chunk_invariants(chunk)
 
@@ -289,12 +284,7 @@ def test_replace_chunks_single_winner_under_race(monkeypatch):
             m.register_thread()
             wins.append(m._rebalance_chunk(old))
 
-        threads = [threading.Thread(target=racer, daemon=True) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(10.0)
-        assert not any(t.is_alive() for t in threads)
+        run_threads(racer, racer, timeout=10.0)
         assert sorted(wins) == [False, True]
         assert dict(m.items()) == {k: k for k in range(10)}
         assert_map_invariants(m)
@@ -608,17 +598,8 @@ def concurrent_churn():
                 m.scan(k, k + 20)
         m.unregister_thread()
 
-    threads = [threading.Thread(target=churn, args=(seed,), daemon=True) for seed in (11, 12, 13)]
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(30.0)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
+    with fast_switching():
+        run_threads(*[partial(churn, seed) for seed in (11, 12, 13)], timeout=30.0)
     return m
 
 

@@ -3,13 +3,15 @@ table's int object, the table grows only as far as the slots used, and
 growth under concurrent allocation never hands out a wrong number."""
 
 import random
-import sys
 import threading
+from functools import partial
 
 import pytest
 
 from kiwi import TOMBSTONE, KiwiMap
 from kiwi.core import _SLOTS, END
+
+from interleave import fast_switching, run_threads
 
 NEVER_REBALANCE = lambda: 1.0  # the probabilistic trigger needs rng() < 0.02
 
@@ -21,19 +23,6 @@ def assert_slots_shared(kiwi):
         for entry in chunk.order:
             assert entry.data_index is _SLOTS[entry.data_index], entry
             assert entry.next == END or entry.next is _SLOTS[entry.next], entry
-
-
-def run_threads(threads):
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(60.0)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
 
 
 # 16 covers splits at small-int slots; 600 puts slots past CPython's
@@ -58,7 +47,8 @@ def test_concurrent_churn_stores_only_table_ints(max_items, key_range, ops):
                 m.scan(k, k + 20)
         m.unregister_thread()
 
-    run_threads([threading.Thread(target=churn, args=(seed,), daemon=True) for seed in (11, 12, 13)])
+    with fast_switching():
+        run_threads(*[partial(churn, seed) for seed in (11, 12, 13)], timeout=60.0)
     assert len(m.chunks()) > 2  # splits ran
     assert_slots_shared(m)
 
@@ -114,12 +104,6 @@ def test_threads_filling_chunks_past_the_table_read_right_numbers():
     count = len(_SLOTS) + 400
     errors = []
 
-    def fill():
-        try:
-            check_one_map()
-        except Exception as exc:  # reported by the assert below
-            errors.append(exc)
-
     def check_one_map():
         m = KiwiMap(max_threads=1, max_items=count + 1, rng=NEVER_REBALANCE)  # never full
         m.register_thread()
@@ -133,7 +117,8 @@ def test_threads_filling_chunks_past_the_table_read_right_numbers():
         if m.scan(1, count) != left:
             errors.append("scan")
 
-    run_threads([threading.Thread(target=fill, daemon=True) for _ in range(4)])
+    with fast_switching():
+        run_threads(*[check_one_map] * 4, timeout=60.0)
     assert not errors, errors[:5]
     assert all(_SLOTS[i] == i for i in range(len(_SLOTS)))
 

@@ -4,7 +4,6 @@ share a stripe, and a lock section whose body raises still frees its
 stripe (else the next put that hashes there would block forever). A
 put, a delete and a get take a pinned number of lock sections."""
 
-import sys
 import threading
 
 import pytest
@@ -12,6 +11,8 @@ import pytest
 from kiwi import atomics, core
 from kiwi.atomics import AtomicInt, cas, word_lock
 from kiwi.core import TOMBSTONE, Chunk, KiwiMap, OrderEntry
+
+from interleave import fast_switching, join_threads, run_threads, start_thread
 
 
 def test_words_own_no_lock():
@@ -43,17 +44,8 @@ def test_cas_loops_exact_on_a_shared_stripe():
                 if entry.cas_data_index(seen, seen + 1):
                     break
 
-    old_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=hammer, daemon=True) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old_interval)
-    assert not any(t.is_alive() for t in threads)
+    with fast_switching():
+        run_threads(*[hammer] * 4, timeout=60.0)
     assert counter.get() == 4 * per_thread
     assert entry.data_index == 4 * per_thread
 
@@ -89,13 +81,12 @@ def test_alloc_takes_the_stripe_that_freezing_takes():
         lock = word_lock(chunk)
         lock.acquire()
         try:
-            t = threading.Thread(target=lambda: got.append(chunk.alloc(OrderEntry(1), 10)), daemon=True)
-            t.start()
+            t = start_thread(lambda: got.append(chunk.alloc(OrderEntry(1), 10)))
             t.join(timeout=0.1)
             assert t.is_alive() and got == []
         finally:
             lock.release()
-        t.join(timeout=10)
+        join_threads(t, timeout=10.0)
         assert got == [1]
 
 
