@@ -13,6 +13,7 @@ are machine-bound; the output exists for trend checks and CSV tooling.
 from __future__ import annotations
 
 import csv
+import functools
 import random
 import statistics
 import threading
@@ -20,6 +21,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
+from . import workers
 from .core import TOMBSTONE, KiwiMap
 from .reference import LockedSortedMap
 
@@ -185,40 +187,28 @@ def _worker_loop(target: Any, cfg: WorkloadConfig, role: str, rng: random.Random
 def run_iteration(cfg: WorkloadConfig, impl: str, iteration: int, bounds_debug: bool = False) -> dict:
     """One timed window on a fresh prefilled map: op-kind -> ops/second.
     With bounds_debug the size bounds are enabled and the quiescent
-    bracket (lower <= true size <= upper) is asserted after the window."""
+    bracket (lower <= true size <= upper) is asserted after the window.
+    A worker still running after run_seconds plus workers.MARGIN_S fails
+    it with TimeoutError, also under an ops_budget, which must fit."""
     target = make_map(impl, cfg.threads, bounds_enabled=bounds_debug)
     rng = random.Random(cfg.seed * 1009 + iteration)
     prefill(target, cfg, rng)
 
-    barrier = threading.Barrier(cfg.threads + 1)
+    barrier = threading.Barrier(cfg.threads)
     counts = [dict.fromkeys(("put", "delete", "get", "scan"), 0) for _ in range(cfg.threads)]
-    errors: list[BaseException] = []
 
-    def work(tid: int) -> None:
-        try:
-            target.register_thread()
-            worker_rng = random.Random(cfg.seed * 31337 + iteration * 97 + tid)
-            role = _thread_role(cfg, tid)
-            barrier.wait()
-            deadline = time.monotonic() + cfg.run_seconds
-            _worker_loop(target, cfg, role, worker_rng, deadline, counts[tid])
-        except BaseException as exc:
-            errors.append(exc)
-            barrier.abort()
+    def worker(tid: int) -> None:
+        worker_rng = random.Random(cfg.seed * 31337 + iteration * 97 + tid)
+        role = _thread_role(cfg, tid)
+        barrier.wait()  # before registering, which may fail: the others still start
+        target.register_thread()
+        deadline = time.monotonic() + cfg.run_seconds
+        _worker_loop(target, cfg, role, worker_rng, deadline, counts[tid])
 
-    threads = [threading.Thread(target=work, args=(tid,)) for tid in range(cfg.threads)]
-    for t in threads:
-        t.start()
+    threads = [workers.start_thread(functools.partial(worker, tid)) for tid in range(cfg.threads)]
     start = time.monotonic()
-    try:
-        barrier.wait()
-    except threading.BrokenBarrierError:
-        pass  # a worker failed before the start line; surfaced below
-    for t in threads:
-        t.join()
+    workers.join_threads(*threads, timeout=cfg.run_seconds + workers.MARGIN_S)
     elapsed = max(time.monotonic() - start, 1e-9)
-    if errors:
-        raise errors[0]
 
     if bounds_debug:
         lower = target.size_lower_bound()

@@ -1,7 +1,7 @@
 """Command-line interface: benchmark runs, fuzzed histories, checking.
 
 Exit codes: 0 success, 1 a checked history is not linearizable, 2 usage
-errors (argparse's convention).
+errors (argparse's convention), unusable files and stuck workers.
 """
 
 from __future__ import annotations

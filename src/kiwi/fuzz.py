@@ -14,6 +14,7 @@ FuzzConfig, so FuzzConfig(**history.meta) rebuilds the recipe.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import sys
@@ -22,6 +23,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Optional
 
+from . import workers
 from .core import TOMBSTONE, KiwiMap
 from .history import GET, IS_EMPTY, PUT, SCAN, SIZE, History, OpRecord
 from .reference import LockedSortedMap
@@ -162,7 +164,9 @@ def record_run_with_map(
 ) -> tuple[History, Any]:
     """record_run, but also hands back the map for post-run draining.
     Timestamps are taken on the operating thread immediately around each
-    call, so measurement error is tiny next to the injected delays."""
+    call, so measurement error is tiny next to the injected delays. A
+    worker still running after workers.MARGIN_S plus its worst-case sleeps
+    (delay_max_s per pause site per op) fails the run with TimeoutError."""
     if map_factory is None:
         # one spare slot so the caller can register and drain afterwards
         target = KiwiMap(
@@ -176,7 +180,6 @@ def record_run_with_map(
     per_thread_ops = [generate_ops(config, tid) for tid in range(config.threads)]
     records: list[list[OpRecord]] = [[] for _ in range(config.threads)]
     barrier = threading.Barrier(config.threads)
-    errors: list[BaseException] = []
 
     def worker(tid: int) -> None:
         delay_rng = random.Random((config.seed * 7_777_777) ^ (tid + 101))
@@ -185,33 +188,20 @@ def record_run_with_map(
             if delay_rng.random() < config.delay_prob:
                 time.sleep(delay_rng.uniform(0, config.delay_max_s))
 
-        try:
-            target.register_thread()
-            barrier.wait()
-            if config.delay_prob > 0:
-                sys.settrace(pause_tracer(pause))  # this thread only
-            out = records[tid]
-            for kind, args in per_thread_ops[tid]:
-                invoke = time.monotonic_ns()
-                result = _run_op(target, kind, args)
-                response = time.monotonic_ns()
-                out.append(OpRecord(tid, kind, args, result, invoke, response))
-        except BaseException as exc:  # surfaced to the caller
-            errors.append(exc)
-            barrier.abort()
+        barrier.wait()  # before registering, which may fail: the others still start
+        target.register_thread()
+        if config.delay_prob > 0:
+            sys.settrace(pause_tracer(pause))  # this thread only
+        out = records[tid]
+        for kind, args in per_thread_ops[tid]:
+            invoke = time.monotonic_ns()
+            result = _run_op(target, kind, args)
+            response = time.monotonic_ns()
+            out.append(OpRecord(tid, kind, args, result, invoke, response))
 
-    old_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # aggressive preemption for interleavings
-    try:
-        threads = [threading.Thread(target=worker, args=(tid,)) for tid in range(config.threads)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-    finally:
-        sys.setswitchinterval(old_interval)
-    if errors:
-        raise errors[0]
+    timeout = workers.MARGIN_S + config.ops_per_thread * len(PAUSE_SITES) * config.delay_max_s
+    with workers.fast_switching(1e-5):  # aggressive preemption for interleavings
+        workers.run_threads(*[functools.partial(worker, tid) for tid in range(config.threads)], timeout=timeout)
 
     merged = [rec for per in records for rec in per]
     merged.sort(key=lambda r: r.invoke_ts)

@@ -1,74 +1,18 @@
-"""Every thread the tests start, and interleavings forced from outside the
-map through sys.settrace: a harness whose join raises what a worker
-raised, a gate that parks a thread at one of the fuzzer's pause sites, a
+"""Interleavings forced from outside the map through sys.settrace, and
+the thread harness of kiwi.workers, through which every test thread
+starts: a gate that parks a thread at one of the fuzzer's pause sites, a
 thread that runs jobs on demand, and a runner that lands such jobs at
 every opcode boundary of a call in turn. The maps carry no hook for any."""
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import queue
 import sys
 import threading
-import time
 
 from kiwi.fuzz import pause_tracer
-
-
-def _capture(fn):
-    """Call fn(); return what it raised, or None. The thread waiting on fn
-    raises it again, so it fails the test."""
-    try:
-        fn()
-    except BaseException as exc:
-        return exc
-    return None
-
-
-def start_thread(target) -> threading.Thread:
-    """Start target() on a daemon thread named after it, or after its
-    function for a partial. join_threads raises what target raised."""
-
-    def run():
-        error = _capture(target)
-        if error is not None:
-            thread.failure = (time.monotonic(), error)
-
-    thread = threading.Thread(target=run, name=getattr(target, "func", target).__name__, daemon=True)
-    thread.failure = None
-    thread.start()
-    return thread
-
-
-def join_threads(*threads: threading.Thread, timeout: float) -> None:
-    """Wait for threads from start_thread until timeout seconds from now.
-    Raise the first exception any of them raised; else fail, naming every
-    thread still alive."""
-    deadline = time.monotonic() + timeout
-    for thread in threads:
-        thread.join(max(0.0, deadline - time.monotonic()))
-    failures = [thread.failure for thread in threads if thread.failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    alive = [thread.name for thread in threads if thread.is_alive()]
-    assert not alive, f"still alive after {timeout} s: {', '.join(alive)}"
-
-
-def run_threads(*targets, timeout: float) -> None:
-    """Run each target on its own thread and join them all by one deadline."""
-    join_threads(*[start_thread(target) for target in targets], timeout=timeout)
-
-
-@contextlib.contextmanager
-def fast_switching():
-    """Switch threads every microsecond, so their steps interleave finely."""
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        yield
-    finally:
-        sys.setswitchinterval(old)
+from kiwi.workers import _capture, fast_switching, join_threads, run_threads, start_thread  # noqa: F401
 
 
 def pause_sites_met(fn, state=None):
@@ -96,23 +40,31 @@ class PutGate:
 
     def __init__(self, site: str, fn) -> None:
         self.site = site
-        self._arrived = threading.Event()
+        self._arrived = False
+        self._woken = threading.Event()  # set on arrival, or when fn ends
         self._released = threading.Event()
 
         @functools.wraps(fn)
         def parked():
             sys.settrace(pause_tracer(self._pause))
-            fn()
+            try:
+                fn()
+            finally:
+                self._woken.set()
 
         self.thread = start_thread(parked)
 
     def _pause(self, caller, site) -> None:
-        if caller == "put" and site == self.site and not self._arrived.is_set():
-            self._arrived.set()
+        if caller == "put" and site == self.site and not self._arrived:
+            self._arrived = True
+            self._woken.set()
             assert self._released.wait(10.0), f"gate at {self.site} never released"
 
     def wait_arrived(self, timeout: float = 5.0) -> None:
-        assert self._arrived.wait(timeout), f"{self.thread.name} never reached {self.site}"
+        assert self._woken.wait(timeout), f"{self.thread.name} never reached {self.site}"
+        if not self._arrived:  # fn ended first: raise what it raised, else say so
+            join_threads(self.thread, timeout=timeout)
+            raise AssertionError(f"{self.thread.name} returned before reaching {self.site}")
 
     def release(self) -> None:
         self._released.set()

@@ -1,9 +1,12 @@
 """Benchmark machinery: the sizing rule, the drop-outlier protocol, CSV
-emission, desk-scale smoke runs, and the CLI surface."""
+emission, desk-scale smoke runs, the deadline that fails a stuck worker,
+and the CLI surface."""
 
 import csv
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -18,7 +21,7 @@ from kiwi import (
     run_workload,
     steady_state_init_size,
 )
-from kiwi import bench
+from kiwi import bench, workers
 from kiwi.bench import drop_most_suspicious, make_map, prefill, run_iteration
 from kiwi.cli import build_parser, main
 
@@ -229,8 +232,9 @@ def test_warmup_is_iteration_minus_one_of_the_measured_workload(monkeypatch):
 
 
 def test_worker_failing_before_the_start_line_raises(monkeypatch):
-    """A map one registration slot short: a worker cannot register, breaks
-    the start barrier, and run_iteration raises its error, not a hang."""
+    """A map one registration slot short: the worker that cannot register,
+    just past the start barrier, fails run_iteration with its error, not a
+    hang."""
     monkeypatch.setattr(
         bench, "make_map", lambda impl, threads, bounds_enabled=False: LockedSortedMap(max_threads=threads)
     )
@@ -240,6 +244,31 @@ def test_worker_failing_before_the_start_line_raises(monkeypatch):
 
     with pytest.raises(RegistrationError):
         run_threads(attempt, timeout=10.0)
+
+
+def test_a_stuck_worker_fails_run_iteration_at_its_bound_by_name(monkeypatch):
+    """A GetOnly worker whose gets never return: run_iteration fails at
+    run_seconds plus the margin with TimeoutError naming it, not a hang."""
+    monkeypatch.setattr(workers, "MARGIN_S", 0.3)
+    release = threading.Event()
+
+    class StuckGets(LockedSortedMap):
+        def get(self, key):
+            if threading.current_thread().name == "worker-1":
+                release.wait()
+            return super().get(key)
+
+    monkeypatch.setattr(
+        bench, "make_map", lambda impl, threads, bounds_enabled=False: StuckGets(max_threads=threads + 1)
+    )
+    cfg = smoke_cfg("GetOnly", threads=2, run_seconds=0.1)
+    try:
+        started = time.monotonic()
+        with pytest.raises(TimeoutError, match=r"still alive after 0\.4 s: worker-1$"):
+            run_threads(lambda: run_iteration(cfg, "locked", 0), timeout=10.0)
+        assert time.monotonic() - started < 1.4
+    finally:
+        release.set()
 
 
 def test_run_iteration_bounds_debug_asserts_bracket():

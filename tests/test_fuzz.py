@@ -1,8 +1,11 @@
 """The fuzzed-run recorder: determinism, overlap, pause-site coverage
-on both maps, the recipe a history records, the configs it refuses, and
-the locked-oracle calibration runs."""
+on both maps, the recipe a history records, the configs it refuses, the
+deadline that fails a stuck worker, and the locked-oracle calibration
+runs."""
 
 import sys
+import threading
+import time
 
 import pytest
 
@@ -20,6 +23,8 @@ from kiwi import (
     record_run,
     save_history,
 )
+from kiwi import cli, workers
+from kiwi.fuzz import PAUSE_SITES
 from kiwi.history import PUT
 
 from helpers import SIZE_MIX, with_size_ops
@@ -135,9 +140,9 @@ def test_put_delete_mix_is_put_only():
 
 
 def test_worker_failing_before_the_start_line_raises():
-    """Two workers on a one-slot map: the one that cannot register breaks
-    the start barrier, record_run raises its error instead of hanging,
-    and the switch interval it shortened is restored."""
+    """Two workers on a one-slot map: the one that cannot register, just
+    past the start barrier, fails record_run with its error instead of
+    hanging, and the switch interval it shortened is restored."""
     interval = sys.getswitchinterval()
     cfg = FuzzConfig(threads=2, ops_per_thread=5, seed=1)
 
@@ -147,6 +152,38 @@ def test_worker_failing_before_the_start_line_raises():
     with pytest.raises(RegistrationError):
         run_threads(attempt, timeout=10.0)
     assert sys.getswitchinterval() == interval
+
+
+def test_a_stuck_worker_fails_record_run_at_its_bound_by_name(monkeypatch, tmp_path, capsys):
+    """A worker whose puts never return: record_run, and the fuzz command,
+    fail at the run's bound with TimeoutError naming it, not a hang."""
+    monkeypatch.setattr(workers, "MARGIN_S", 0.5)
+    release = threading.Event()
+
+    class StuckPuts(LockedSortedMap):
+        def put(self, key, value):
+            if threading.current_thread().name == "worker-1":
+                release.wait()
+            super().put(key, value)
+
+    def stuck_run(config):
+        return record_run(config, map_factory=lambda: StuckPuts(max_threads=config.threads))
+
+    cfg = FuzzConfig(threads=2, ops_per_thread=3, mix={PUT: 1}, delay_prob=0.0)
+    bound = 0.5 + 3 * len(PAUSE_SITES) * cfg.delay_max_s  # the margin plus the worst-case sleeps
+    codes = []
+    monkeypatch.setattr(cli, "record_run", stuck_run)
+    argv = ["fuzz", "--threads", "2", "--ops", "4", "--out", str(tmp_path / "h.jsonl")]
+    try:
+        started = time.monotonic()
+        with pytest.raises(TimeoutError, match=rf"still alive after {bound:g} s: worker-1$"):
+            run_threads(lambda: stuck_run(cfg), timeout=10.0)
+        assert time.monotonic() - started < bound + 1.0
+        run_threads(lambda: codes.append(cli.main(argv)), timeout=10.0)
+    finally:
+        release.set()
+    assert codes == [2]
+    assert capsys.readouterr().err.endswith(" s: worker-1\n")
 
 
 def test_config_validation():

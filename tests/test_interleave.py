@@ -1,6 +1,7 @@
 """The thread harness fails a test with what its worker raised, or names
 the workers still running at the deadline, and a gated or parked thread
-hands its exception to the test's thread at once."""
+hands its exception to the test's thread at once, also when a gated fn
+ends before its gate."""
 
 import threading
 import time
@@ -38,10 +39,12 @@ def test_a_blocked_worker_fails_by_the_deadline_and_is_named():
         never.wait(10.0)
 
     started = time.monotonic()
-    with pytest.raises(AssertionError, match=r"still alive after 0\.2 s: blocked$"):
-        run_threads(lambda: None, blocked, timeout=0.2)
-    assert time.monotonic() - started < 2.0
-    never.set()
+    try:
+        with pytest.raises(TimeoutError, match=r"still alive after 0\.2 s: blocked$"):
+            run_threads(lambda: None, blocked, timeout=0.2)
+        assert time.monotonic() - started < 2.0
+    finally:
+        never.set()
 
 
 def test_put_gate_finish_raises_what_fn_raised():
@@ -56,6 +59,22 @@ def test_put_gate_finish_raises_what_fn_raised():
     gate.wait_arrived()
     with pytest.raises(Boom):
         gate.finish()
+
+
+def test_put_gate_wait_arrived_raises_what_fn_raised_before_the_site():
+    started = time.monotonic()
+    gate = PutGate("cas_version", boom)
+    with pytest.raises(Boom):
+        gate.wait_arrived()
+    assert time.monotonic() - started < 1.0
+
+
+def test_put_gate_wait_arrived_says_when_fn_returned_before_the_site():
+    started = time.monotonic()
+    gate = PutGate("cas_version", lambda: None)
+    with pytest.raises(AssertionError, match="returned before reaching cas_version"):
+        gate.wait_arrived()
+    assert time.monotonic() - started < 1.0
 
 
 def test_parked_thread_run_raises_what_its_job_raised_at_once():

@@ -5,9 +5,10 @@ pins the map's construction knobs, a chunk's slots, the size bounds'
 parameters and slots, the list insert's, compaction's and the bench map
 factory's parameters, the atomic counter's and the thread registry's
 methods, the fuzz recipe's and the bench config's fields and the package
-exports, so adding one has to edit it openly. The tests start threads
-only through tests/interleave.py, whose harness fails a test with what
-its worker raised."""
+exports, so adding one has to edit it openly. The package and its tests
+start threads only through kiwi.workers, whose harness fails its caller
+with what a worker raised, or at a deadline with the workers still
+running."""
 
 import ast
 import dataclasses
@@ -33,13 +34,14 @@ def test_no_function_imports(module):
 
 def test_only_the_harness_constructs_threads():
     constructing = set()
-    for path in pathlib.Path(__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call) and "Thread" in (
-                getattr(node.func, "attr", None), getattr(node.func, "id", None)
-            ):
-                constructing.add(path.name)
-    assert constructing == {"interleave.py"}
+    for package in (pathlib.Path(kiwi.__file__).parent, pathlib.Path(__file__).parent):
+        for path in package.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and "Thread" in (
+                    getattr(node.func, "attr", None), getattr(node.func, "id", None)
+                ):
+                    constructing.add(f"{package.name}/{path.name}")
+    assert constructing == {"kiwi/workers.py"}
 
 
 @pytest.mark.parametrize("name", ["kiwi.core", "kiwi.rebalance"])

@@ -234,7 +234,7 @@ def test_racing_register_and_release_never_share_a_slot(make):
                 held.discard(slot)
             m.unregister_thread()
 
-    with fast_switching():
+    with fast_switching(1e-6):
         run_threads(*[worker] * 6, timeout=20.0)
     assert errors == []
     assert registered[0] > 0

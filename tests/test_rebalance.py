@@ -598,7 +598,7 @@ def concurrent_churn():
                 m.scan(k, k + 20)
         m.unregister_thread()
 
-    with fast_switching():
+    with fast_switching(1e-6):
         run_threads(*[partial(churn, seed) for seed in (11, 12, 13)], timeout=30.0)
     return m
 

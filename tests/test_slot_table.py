@@ -47,7 +47,7 @@ def test_concurrent_churn_stores_only_table_ints(max_items, key_range, ops):
                 m.scan(k, k + 20)
         m.unregister_thread()
 
-    with fast_switching():
+    with fast_switching(1e-6):
         run_threads(*[partial(churn, seed) for seed in (11, 12, 13)], timeout=60.0)
     assert len(m.chunks()) > 2  # splits ran
     assert_slots_shared(m)
@@ -117,7 +117,7 @@ def test_threads_filling_chunks_past_the_table_read_right_numbers():
         if m.scan(1, count) != left:
             errors.append("scan")
 
-    with fast_switching():
+    with fast_switching(1e-6):
         run_threads(*[check_one_map] * 4, timeout=60.0)
     assert not errors, errors[:5]
     assert all(_SLOTS[i] == i for i in range(len(_SLOTS)))

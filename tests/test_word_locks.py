@@ -44,7 +44,7 @@ def test_cas_loops_exact_on_a_shared_stripe():
                 if entry.cas_data_index(seen, seen + 1):
                     break
 
-    with fast_switching():
+    with fast_switching(1e-6):
         run_threads(*[hammer] * 4, timeout=60.0)
     assert counter.get() == 4 * per_thread
     assert entry.data_index == 4 * per_thread
