@@ -56,18 +56,22 @@ ints up to 256, so without it each entry would hold ints of its own, and
 every step of a list walk would load a cold int before it could index
 the order array.
 
-Value bits: every chunk has eight bits per slot of capacity (one
-byte), and the bit value_bit names for a key is set for each key the
+Value bits: every chunk has eight bits per slot of capacity (one byte),
+and a key's bit, hash(key) mod (8 * capacity), is set for each key the
 chunk holds a value of (never for a tombstone alone). Chunk.alloc sets a
 value put's bit under the chunk's stripe before it returns the slot, so
 before the put publishes anything; copy_compact sets every bit of an
-output chunk before the index CAS publishes the chunk. A live
-chunk's bits are only ever set. So a clear bit proves the chunk held no
-value of the key, in its list, its PPA or any allocated slot, when the
-bit was read: get returns None and a delete returns at once. That read
-needs no fence: nothing of the put or of the compaction is visible
-before the bit, so a reader that finds it clear is ordered before the
-put. A set bit, a hash collision included, takes the full path.
+output chunk before the index CAS publishes the chunk. A live chunk's
+bits are only ever set. So a clear bit proves the chunk held no value of
+the key, in its list, its PPA or any allocated slot, when the bit was
+read: get returns None and a delete returns at once. That read needs no
+fence: nothing of the put or of the compaction is visible before the
+bit, so a reader that finds it clear is ordered before the put. A set
+bit, a hash collision included, takes the full path. get, put, alloc and
+copy_compact compute the bit inline (timeit, CPython 3.11 on a 2-vCPU
+guest: a call and its tuple cost about 100 ns, a seventh of a get on a
+100k-key map); tests/test_value_bits.py checks each inline copy against
+the rule.
 """
 
 from __future__ import annotations
@@ -196,19 +200,6 @@ def overwrite_data_index(entry: OrderEntry, new_data_index: int) -> Optional[int
             return old
 
 
-def value_bit(bits: bytearray, key: Any) -> tuple[int, int]:
-    """The value bit of key in a chunk's bits, as (byte index, mask): bit
-    hash(key) mod (8 * capacity). Raises TypeError for an unhashable key.
-
-    get, put, Chunk.alloc and copy_compact compute the bit inline, as alloc
-    indexes its stripe: on CPython 3.11 (timeit, a 2-vCPU guest) the call
-    and its tuple cost about 100 ns, a seventh of a get on a 100k-key map,
-    and compaction would pay them for every value it keeps.
-    tests/test_value_bits.py checks each inline copy against this one."""
-    h = hash(key) % (len(bits) << 3)
-    return h >> 3, 1 << (h & 7)
-
-
 class Chunk:
     """Fixed-capacity segment of the map; the index says which keys it covers.
 
@@ -239,7 +230,7 @@ class Chunk:
         self.order: list[OrderEntry] = [OrderEntry(None)]
         self.keys: list[Any] = [None]
         self.data: list[Any] = [None]
-        self.bits = bytearray(capacity)  # value bits, see value_bit
+        self.bits = bytearray(capacity)  # value bits: hash(key) mod (8 * capacity)
         self.ppa: list[Optional[int]] = [None] * max_threads
         self.sorted_prefix_len = 0
         self.frozen = False
@@ -263,7 +254,7 @@ class Chunk:
         dataIndex are the shared slot ints.
         """
         if value is not TOMBSTONE:
-            h = hash(entry.key) % (self.capacity << 3)  # value_bit, inline; may raise TypeError
+            h = hash(entry.key) % (self.capacity << 3)  # the value bit; may raise TypeError
         lock = _WORD_LOCKS[(id(self) >> 6) & 63]  # word_lock(self), inline; a test pins the match
         lock.acquire()
         try:
@@ -501,7 +492,7 @@ class KiwiMap(ThreadRegistry):
                 # above compared key with no stored key.
                 _ = keys[1] < key
             if is_tomb:
-                h = hash(key) % (chunk.capacity << 3)  # value_bit, inline
+                h = hash(key) % (chunk.capacity << 3)  # the value bit
                 if not chunk.bits[h >> 3] & (1 << (h & 7)):
                     return  # the chunk holds no value of key: nothing to delete
             entry = OrderEntry(key)
@@ -530,7 +521,7 @@ class KiwiMap(ThreadRegistry):
     def get(self, key: Any) -> Any:
         self._require_slot()
         chunk = self.find_chunk(key)
-        h = hash(key) % (chunk.capacity << 3)  # value_bit, inline
+        h = hash(key) % (chunk.capacity << 3)  # the value bit
         if not chunk.bits[h >> 3] & (1 << (h & 7)):
             return None  # the chunk holds no value of key
         candidates = self.help_pending_puts(chunk, key, key)

@@ -28,7 +28,6 @@ from .core import (
     KiwiMap,
     OrderEntry,
     find_insertion_location,
-    value_bit,
 )
 
 # When a put reorganizes its chunk: always when the chunk is full, else
@@ -84,7 +83,7 @@ def help_frozen_chunk_puts(kiwi: KiwiMap, chunk: Chunk) -> None:
 
 def copy_compact(chunk: Chunk, min_active_scan: float) -> list[Chunk]:
     """Build 1..k fresh chunks from a frozen, fully-helped chunk in one
-    walk of its list, reading each entry once.
+    walk of its list, writing each kept entry once, in its final slot.
 
     Per key, the walk keeps every version an in-flight scan could still
     select: the newest, then older ones while the last one kept is above
@@ -95,13 +94,15 @@ def copy_compact(chunk: Chunk, min_active_scan: float) -> list[Chunk]:
     New chunks take the input's capacity and PPA width. They are presorted
     (sorted_prefix_len == entry count), filled greedily to at most
     FILL_FACTOR x capacity, and never split one key's versions across a
-    chunk boundary, so each one after the first holds the key it split
-    before at slot 1. Their slot numbers (next links, dataIndex words) are
-    the shared slot ints, which cover them already: no output slot exceeds
-    the input's allocated bound.
+    chunk boundary: a key that overflows a chunk it shares is cut from it
+    and read again, from its newest version, into the next chunk's slot 1.
+    Their slot numbers (next links, dataIndex words) are the shared slot
+    ints, which cover them already: no output slot exceeds the input's
+    allocated bound.
     Each kept value sets its key's value bit in its output chunk, and a
-    dropped key sets none. Nothing else sees a new chunk, or its bits,
-    before the index CAS publishes it.
+    dropped key sets none (a cut key's bit stays set in the chunk it was
+    cut from, a false positive). Nothing else sees a new chunk, or its
+    bits, before the index CAS publishes it.
     """
     target = max(1, int(chunk.capacity * FILL_FACTOR))
     nbits = chunk.capacity << 3
@@ -116,8 +117,9 @@ def copy_compact(chunk: Chunk, min_active_scan: float) -> list[Chunk]:
     slot = start = 1  # the next free slot; the current key's first slot
     key = KEY_MIN  # equal to no key
     keep = False  # whether the current key's next older version is kept
-    idx = order[0].next
+    idx = newest = order[0].next  # newest: the current key's newest version
     while idx != END:
+        here = idx
         entry = order[idx]
         idx = entry.next
         ver = entry.version
@@ -128,20 +130,26 @@ def copy_compact(chunk: Chunk, min_active_scan: float) -> list[Chunk]:
                 keep = False
                 continue
             start = slot
+            newest = here
         elif not keep:
             continue
         keep = ver > min_active_scan
         if slot > target and start > 1:
-            # The key overflows a chunk it shares: it opens the next one.
-            fresh = _split_before(fresh, start, key)
+            # The key overflows a chunk it shares: cut it from that chunk
+            # and read it again, from its newest version, into the next.
+            del fresh_order[start:], fresh_keys[start:], fresh_data[start:]
+            fresh_order[-1].next = END
+            fresh = Chunk(chunk.capacity, len(chunk.ppa))
             new_chunks.append(fresh)
             fresh_order, fresh_keys, fresh_data = fresh.order, fresh.keys, fresh.data
             fresh_bits = fresh.bits
-            last = fresh_order[-1]
-            slot = len(fresh_order)
-            start = 1
+            last = fresh_order[0]
+            slot = 1
+            key = KEY_MIN  # so its newest version reads as a new key's
+            idx = newest
+            continue
         if value is not None:
-            h = hash(key) % nbits  # value_bit, inline
+            h = hash(key) % nbits  # the value bit: hash(key) mod (8 * capacity)
             fresh_bits[h >> 3] |= 1 << (h & 7)
         fresh_data.append(value)
         last.next = slot_int = slots[slot]
@@ -153,27 +161,6 @@ def copy_compact(chunk: Chunk, min_active_scan: float) -> list[Chunk]:
         new_chunk.sorted_prefix_len = len(new_chunk.order) - 1
         new_chunk.list_size = AtomicInt(new_chunk.sorted_prefix_len)
     return new_chunks
-
-
-def _split_before(fresh: Chunk, start: int, key: Any) -> Chunk:
-    """End an unpublished presorted chunk before slot start, where key
-    begins, and return the chunk that follows it from key on, holding the
-    versions of key already at slots start.., renumbered from slot 1, and
-    key's value bit if one of them holds a value. fresh keeps that bit: a
-    false positive for a key it no longer holds."""
-    nxt = Chunk(fresh.capacity, len(fresh.ppa))
-    nxt.order += fresh.order[start:]
-    nxt.keys += fresh.keys[start:]
-    nxt.data += fresh.data[start:]
-    del fresh.order[start:], fresh.keys[start:], fresh.data[start:]
-    fresh.order[-1].next = END
-    order = nxt.order
-    byte, mask = value_bit(nxt.bits, key)
-    for slot in range(1, len(order)):
-        if nxt.data[slot] is not None:
-            nxt.bits[byte] |= mask
-        order[slot].data_index = order[slot - 1].next = _SLOTS[slot]
-    return nxt
 
 
 def copy_range(

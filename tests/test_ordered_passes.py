@@ -7,7 +7,7 @@ import random
 from kiwi import TOMBSTONE, KiwiMap
 from kiwi.rebalance import FILL_FACTOR, copy_compact, copy_range, freeze_chunk, help_frozen_chunk_puts
 
-from helpers import assert_chunk_invariants, brute_force_range, chunk_bounds, raw_chunk, walk_list
+from helpers import assert_chunk_invariants, brute_force_range, chunk_bounds, has_value_bit, raw_chunk, walk_list
 
 INF = float("inf")
 
@@ -76,11 +76,14 @@ def compacted_items(new_chunks, lo, hi):
     """(key, version, value) of every entry, chunk by chunk, in list order,
     after checking each output chunk within the bounds KiwiMap's index
     CAS gives it when its input was bounded by [lo, hi): the first keeps
-    lo, and each later one starts at the key at its slot 1."""
+    lo, and each later one starts at the key at its slot 1. Each slot
+    that holds a value must have its key's value bit set."""
     starts = [lo] + [fresh.keys[1] for fresh in new_chunks[1:]]
     copied = []
     for fresh, start, end in zip(new_chunks, starts, starts[1:] + [hi]):
         assert_chunk_invariants(fresh, start, end)
+        for i in range(1, fresh.allocated_bound()):
+            assert fresh.data[i] is None or has_value_bit(fresh, fresh.keys[i]), f"slot {i}: a value without its bit"
         copied += listed_items(fresh)
     return copied
 

@@ -10,11 +10,10 @@ import dataclasses
 import pytest
 
 from kiwi import TOMBSTONE, FuzzConfig, KiwiMap, check_linearizable
-from kiwi.core import value_bit
 from kiwi.fuzz import record_run_with_map
 from kiwi.history import GET, PUT, SCAN, SIZE
 
-from helpers import assert_map_invariants, force_rebalance, has_value_bit, quiescent_items
+from helpers import assert_map_invariants, force_rebalance, has_value_bit, quiescent_items, value_bit
 
 NEVER_REBALANCE = lambda: 1.0  # the probabilistic trigger needs rng() < 0.02
 
