@@ -17,17 +17,8 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from .atomics import AtomicInt, store_fence, word_lock
-from .core import (
-    _INF,
-    _SLOTS,
-    END,
-    FROZEN,
-    KEY_MIN,
-    VERSION_NONE,
-    Chunk,
-    KiwiMap,
-    OrderEntry,
-    find_insertion_location,
+from .chunk import (
+    _INF, _SLOTS, END, FROZEN, KEY_MIN, VERSION_NONE, Chunk, OrderEntry, find_insertion_location,
 )
 
 # When a put reorganizes its chunk: always when the chunk is full, else
@@ -65,7 +56,7 @@ def freeze_chunk(chunk: Chunk) -> None:
             entry.cas_version(VERSION_NONE, FROZEN)
 
 
-def help_frozen_chunk_puts(kiwi: KiwiMap, chunk: Chunk) -> None:
+def help_frozen_chunk_puts(kiwi: Any, chunk: Chunk) -> None:
     """Insert every versioned entry the frozen chunk's PPA names into its
     list. That reaches every versioned entry not yet linked, because
     - a put publishes its slot before anyone can version it;

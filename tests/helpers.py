@@ -10,7 +10,8 @@ from typing import Any, Iterable
 
 from kiwi.bench import MeasurementResult
 from kiwi.atomics import AtomicInt
-from kiwi.core import END, KEY_MAX, KEY_MIN, TOMBSTONE, Chunk, KiwiMap, OrderEntry, cover_slots
+from kiwi.chunk import END, KEY_MAX, KEY_MIN, TOMBSTONE, Chunk, OrderEntry, cover_slots
+from kiwi.core import KiwiMap
 from kiwi.fuzz import FuzzConfig
 from kiwi.history import GET, IS_EMPTY, PUT, SIZE, History, OpRecord
 

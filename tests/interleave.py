@@ -36,10 +36,13 @@ def pause_sites_met(fn, state=None):
 class PutGate:
     """Runs fn on a new thread named after it and parks that thread at its
     first call of site made from put (a pause site: see
-    kiwi.fuzz.PAUSE_SITES) until release(). Later calls pass through."""
+    kiwi.fuzz.PAUSE_SITES) until release(), then at its next call of each
+    site of then in turn until the next release(). Later calls pass
+    through."""
 
-    def __init__(self, site: str, fn) -> None:
+    def __init__(self, site: str, fn, then: tuple[str, ...] = ()) -> None:
         self.site = site
+        self._then = list(then)
         self._arrived = False
         self._woken = threading.Event()  # set on arrival, or when fn ends
         self._released = threading.Event()
@@ -57,8 +60,9 @@ class PutGate:
     def _pause(self, caller, site) -> None:
         if caller == "put" and site == self.site and not self._arrived:
             self._arrived = True
+            released = self._released
             self._woken.set()
-            assert self._released.wait(10.0), f"gate at {self.site} never released"
+            assert released.wait(10.0), f"gate at {site} never released"
 
     def wait_arrived(self, timeout: float = 5.0) -> None:
         assert self._woken.wait(timeout), f"{self.thread.name} never reached {self.site}"
@@ -67,7 +71,13 @@ class PutGate:
             raise AssertionError(f"{self.thread.name} returned before reaching {self.site}")
 
     def release(self) -> None:
-        self._released.set()
+        released = self._released
+        if self._then:  # arm the gate at the next site before the thread moves on
+            self.site = self._then.pop(0)
+            self._arrived = False
+            self._woken.clear()
+            self._released = threading.Event()
+        released.set()
 
     def finish(self, timeout: float = 5.0) -> None:
         """Release the thread and wait for fn to return; raise what it raised."""

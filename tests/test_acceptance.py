@@ -289,17 +289,17 @@ def test_c10_wait_free_structural_audit():
     one of the known forward-only list walks to END. find_chunk is one
     bisect, and scan walks the chunks of one index snapshot by a for loop,
     with no while loop at all. put's retry loops are exempt by contract."""
-    from kiwi import atomics, bounds, core, rebalance
+    from kiwi import atomics, bounds, chunk, rebalance
 
     wait_free_functions = {
         "get": KiwiMap.get,
         "scan": KiwiMap.scan,
         "find_chunk": KiwiMap.find_chunk,
         "help_pending_puts": KiwiMap.help_pending_puts,
-        "find_insertion_location": core.find_insertion_location,
+        "find_insertion_location": chunk.find_insertion_location,
         "_min_active_scan_version": KiwiMap._min_active_scan_version,
         "copy_range": rebalance.copy_range,
-        "_prefix_search_before": core._prefix_search_before,
+        "_prefix_search_before": chunk._prefix_search_before,
         "size_lower_bound": bounds.BoundsCounters.size_lower_bound,
         "size_upper_bound": bounds.BoundsCounters.size_upper_bound,
         "size": bounds.BoundsCounters.size,

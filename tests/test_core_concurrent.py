@@ -153,6 +153,58 @@ def test_freeze_seals_unhelped_put_which_retries():
     assert_map_invariants(m)
 
 
+@pytest.mark.parametrize(
+    "read, before", [(lambda m: m.get(9), None), (lambda m: m.scan(9, 9), [])], ids=["get", "scan"]
+)
+def test_freeze_seals_a_put_it_cannot_find_in_the_ppa(read, before):
+    """A put allocates, and a reader finds the put's chunk, before a
+    rebalance retires that chunk; the put publishes its slot only after
+    the freeze has passed the PPA. The freeze seals every allocated slot,
+    so the reader, helping late, skips the sealed entry instead of giving
+    it a version in the retired chunk, and the put retries into the
+    replacement. A freeze that sealed only the slots the PPA named would
+    let the reader version it, and the put would link it where no later
+    read looks."""
+    m = KiwiMap(max_threads=4, rng=lambda: 1.0)
+    m.register_thread()
+    for key in range(6):
+        m.put(key, key)
+    chunk = m.find_chunk(9)
+    help_pending_puts = m.help_pending_puts
+    found, resume = threading.Event(), threading.Event()
+
+    def parked_help(*args):  # get and scan call it through the map
+        found.set()
+        assert resume.wait(10.0)
+        return help_pending_puts(*args)
+
+    def writer():
+        m.register_thread()
+        m.put(9, "new")
+
+    def reader():
+        m.register_thread()
+        seen.append(read(m))
+
+    seen = []
+    gate = PutGate("on_put_published", writer, then=("cas_version",))
+    gate.wait_arrived()
+    assert chunk.ppa == [None] * 4  # allocated, not yet published
+    m.help_pending_puts = parked_help
+    reading = start_thread(reader)
+    assert found.wait(5.0)  # the reader holds the chunk
+    assert m._rebalance_chunk(chunk) and chunk not in m.chunks()
+    gate.release()
+    gate.wait_arrived()
+    assert chunk.ppa != [None] * 4  # published, its version CAS next
+    resume.set()
+    join_threads(reading, timeout=5.0)
+    gate.finish()
+    assert m.get(9) == "new"
+    assert seen == [before]
+    assert_map_invariants(m)
+
+
 @pytest.mark.parametrize("helped", [True, False], ids=["helped", "unhelped"])
 def test_put_parked_before_its_list_insert_is_linked_once(helped):
     """A put parked after its version CAS, before its list insert, keeps

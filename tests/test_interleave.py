@@ -85,7 +85,7 @@ def test_parked_thread_run_raises_what_its_job_raised_at_once():
     with pytest.raises(Boom):
         worker.run(boom)
     with pytest.raises(Boom):  # sent from a trace callback inside the get
-        run_with_interference(lambda: m.get(1), lambda: worker.run(boom), 0, {"kiwi.core"})
+        run_with_interference(lambda: m.get(1), lambda: worker.run(boom), 0, {"kiwi.core", "kiwi.chunk"})
     assert time.monotonic() - started < 2.0
     worker.run(lambda: m.put(2, 20))  # still serving
     worker.stop()

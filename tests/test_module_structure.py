@@ -1,17 +1,19 @@
-"""Module-structure audits: core and rebalance import each other once, at
-module level, so no function pays for an import statement on each call,
-and each module still imports first in a fresh interpreter. A budget test
-pins the map's construction knobs, a chunk's slots, the size bounds'
-parameters and slots, the list insert's, compaction's and the bench map
-factory's parameters, the atomic counter's and the thread registry's
-methods, the fuzz recipe's and the bench config's fields and the package
-exports, so adding one has to edit it openly. The package and its tests
-start threads only through kiwi.workers, whose harness fails its caller
-with what a worker raised, or at a deadline with the workers still
-running."""
+"""Module-structure audits: the package's modules import one another at
+their tops only, and with no cycle (the map's layers stack as atomics <-
+chunk <- rebalance <- core), so no function pays for an import statement
+on each call, and each module still imports first in a fresh
+interpreter. A budget test pins the map's construction knobs, a chunk's
+slots, the size bounds' parameters and slots, the list insert's,
+compaction's and the bench map factory's parameters, the atomic
+counter's and the thread registry's methods, the fuzz recipe's and the
+bench config's fields and the package exports, so adding one has to edit
+it openly. The package and its tests start threads only through
+kiwi.workers, whose harness fails its caller with what a worker raised,
+or at a deadline with the workers still running."""
 
 import ast
 import dataclasses
+import graphlib
 import inspect
 import pathlib
 import subprocess
@@ -20,16 +22,39 @@ import sys
 import pytest
 
 import kiwi
-from kiwi import atomics, bench, core, rebalance
+from kiwi import atomics, bench, chunk, core, rebalance
 
 
-@pytest.mark.parametrize("module", [core, rebalance], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [chunk, core, rebalance], ids=lambda m: m.__name__)
 def test_no_function_imports(module):
     tree = ast.parse(inspect.getsource(module))
     for fn in ast.walk(tree):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             imports = [node for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
             assert not imports, f"{module.__name__}.{fn.name} imports inside the function"
+
+
+def package_modules(node):
+    """The short names of the package modules an import statement names."""
+    if isinstance(node, ast.ImportFrom) and node.level == 1:
+        return [node.module] if node.module else [alias.name for alias in node.names]
+    names = [node.module] if isinstance(node, ast.ImportFrom) else [alias.name for alias in node.names]
+    return [name.split(".")[1] for name in names if name.startswith("kiwi.")]
+
+
+def test_layering():
+    """chunk builds on atomics alone and rebalance on chunk, never on the
+    map above it; every module imports before its first definition, and
+    the package's import graph has no cycle."""
+    graph = {}
+    for path in pathlib.Path(kiwi.__file__).parent.glob("*.py"):
+        body = [node for node in ast.parse(path.read_text()).body if not isinstance(node, ast.Expr)]
+        imports = [node for node in body if isinstance(node, (ast.Import, ast.ImportFrom))]
+        assert body[: len(imports)] == imports, f"{path.name} imports after its first definition"
+        graph[path.stem] = {name for node in imports for name in package_modules(node)}
+    assert graph["chunk"] <= {"atomics"}, graph["chunk"]
+    assert "core" not in graph["rebalance"]
+    tuple(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
 
 
 def test_only_the_harness_constructs_threads():
@@ -44,7 +69,7 @@ def test_only_the_harness_constructs_threads():
     assert constructing == {"kiwi/workers.py"}
 
 
-@pytest.mark.parametrize("name", ["kiwi.core", "kiwi.rebalance"])
+@pytest.mark.parametrize("name", ["kiwi.chunk", "kiwi.core", "kiwi.rebalance"])
 def test_module_imports_in_a_fresh_interpreter(name):
     proc = subprocess.run([sys.executable, "-c", f"import {name}"], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

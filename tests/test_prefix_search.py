@@ -6,7 +6,7 @@ import random
 import pytest
 
 from kiwi import KiwiMap, TOMBSTONE
-from kiwi.core import _prefix_search_before
+from kiwi.chunk import _prefix_search_before
 
 from helpers import force_rebalance, raw_chunk
 

@@ -1,7 +1,7 @@
 """Reads take a bounded number of steps however many puts land meanwhile.
 A parked thread runs a put at each of a read's first rounds opcode
-boundaries (in kiwi.core and kiwi.rebalance frames), and the read's
-boundary count is compared with its undisturbed count. A put of key 7
+boundaries (in kiwi.core, kiwi.chunk and kiwi.rebalance frames), and
+the read's boundary count is compared with its undisturbed count. A put of key 7
 fills 7's chunk every second time and retires it, so a read that
 followed retired chunks forward would take more steps with each put. A
 put of a new, greater key between 8 and 9 splits the last chunk, ahead
@@ -44,7 +44,7 @@ def read_under_puts(read, rounds, put=put_seven):
             lambda: read(m),
             lambda: worker.run(lambda: put(m, next(puts))),
             rounds,
-            ("kiwi.core", "kiwi.rebalance"),
+            ("kiwi.core", "kiwi.chunk", "kiwi.rebalance"),
         )
     finally:
         worker.stop()

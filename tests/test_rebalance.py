@@ -318,17 +318,17 @@ def test_reader_mid_scan_survives_replacement():
 
 # (key 2, key 7) before, between and after the interfering job's three puts.
 _SCAN_RACE_STATES = {(2, 7), ("a", 7), ("a", "b"), ("c", "b")}
-_SCAN_MODULES = ("kiwi.core", "kiwi.rebalance")
+_SCAN_MODULES = ("kiwi.core", "kiwi.chunk", "kiwi.rebalance")
 
 
 def test_scan_is_a_snapshot_whatever_opcode_a_compaction_lands_on():
     """Three puts, each followed by a compaction of its key's chunk, land
-    at each opcode boundary of one scan in turn, in kiwi.core and
-    kiwi.rebalance frames. Compaction keeps the versions the scan's PSA
-    entry asks for, so the scan returns every key, and keys 2 and 7 as
+    at each opcode boundary of one scan in turn, in kiwi.core, kiwi.chunk
+    and kiwi.rebalance frames. Compaction keeps the versions the scan's
+    PSA entry asks for, so the scan returns every key, and keys 2 and 7 as
     they stood together at some instant. A compaction that ran before the
-    scan published its version, or that ignored it, would drop the
-    version the scan needs and lose key 2."""
+    scan published its version, or that ignored it, would drop the version
+    the scan needs and lose key 2."""
     k = 0
     while True:
         m = KiwiMap(max_items=64, rng=lambda: 1.0)
@@ -368,13 +368,13 @@ def test_scan_is_a_snapshot_whatever_opcode_a_compaction_lands_on():
 )
 def test_put_takes_effect_once_whatever_opcode_a_rebalance_lands_on(key, value):
     """A rebalance of the key's chunk lands at each opcode boundary of one
-    put in turn, in kiwi.core frames, but never inside Chunk.alloc, which
-    holds the stripe a freeze takes. Sealed before its version CAS, the
-    put retries into the replacement; versioned, it is linked by the help
-    pass, which finds it through the PPA cell the put keeps until its own
-    insert returns. Either way the put takes effect once: get, items()
-    and both exact bounds match a dict, the key is linked at most once,
-    and each live chunk's count equals its list."""
+    put in turn, in kiwi.core and kiwi.chunk frames, but never inside
+    Chunk.alloc, which holds the stripe a freeze takes. Sealed before its
+    version CAS, the put retries into the replacement; versioned, it is
+    linked by the help pass, which finds it through the PPA cell the put
+    keeps until its own insert returns. Either way the put takes effect
+    once: get, items() and both exact bounds match a dict, the key is
+    linked at most once, and each live chunk's count equals its list."""
     expected = {j: j for j in range(6)}  # all at version 1, as is the put
     if value is TOMBSTONE:
         del expected[key]
@@ -392,7 +392,7 @@ def test_put_takes_effect_once_whatever_opcode_a_rebalance_lands_on(key, value):
                 lambda: m.put(key, value),
                 lambda: worker.run(lambda: force_rebalance(m, key)),
                 k,
-                ("kiwi.core",),
+                ("kiwi.core", "kiwi.chunk"),
                 skip=("alloc",),
             )
         finally:
@@ -413,13 +413,13 @@ def test_put_takes_effect_once_whatever_opcode_a_rebalance_lands_on(key, value):
 
 def test_put_lands_whatever_opcode_of_a_rebalance_it_runs_at():
     """A put and a get of a value, then of a tombstone, run at each opcode
-    boundary of one rebalance in turn, in kiwi.core and kiwi.rebalance
-    frames, except where the freeze holds the chunk's stripe. Once the
-    chunk is frozen the put's alloc fails there, and its own rebalance
-    call either lands the index CAS first or finds the chunk retired, so
-    the put retries into a live chunk and the get that follows finds it.
-    Each run ends with the map and both exact bounds as a dict says, and
-    with no frozen chunk in the index."""
+    boundary of one rebalance in turn, in kiwi.core, kiwi.chunk and
+    kiwi.rebalance frames, except where the freeze holds the chunk's
+    stripe. Once the chunk is frozen the put's alloc fails there, and its
+    own rebalance call either lands the index CAS first or finds the chunk
+    retired, so the put retries into a live chunk and the get that follows
+    finds it. Each run ends with the map and both exact bounds as a dict
+    says, and with no frozen chunk in the index."""
     original = {j: j for j in range(12)}
     expected = {**original, 5: "new"}
     del expected[6]
@@ -467,13 +467,14 @@ def test_put_lands_whatever_opcode_of_a_rebalance_it_runs_at():
 
 def test_one_of_two_rebalancers_of_a_chunk_lands_whatever_opcode_the_second_starts_at():
     """A second rebalance of the same chunk runs at each opcode boundary
-    of a first one in turn, in kiwi.core and kiwi.rebalance frames, except
-    where the freeze holds the chunk's stripe. The index CAS alone picks
-    the winner: exactly one call returns True, whichever lands first, and
-    the other finds the chunk gone from the index, also when its own CAS
-    lost. A loser that swapped its copy into a fresh snapshot without
-    looking for the chunk again would replace the winner's chunks. Each
-    run ends with items() unchanged and no frozen chunk in the index."""
+    of a first one in turn, in kiwi.core, kiwi.chunk and kiwi.rebalance
+    frames, except where the freeze holds the chunk's stripe. The index
+    CAS alone picks the winner: exactly one call returns True, whichever
+    lands first, and the other finds the chunk gone from the index, also
+    when its own CAS lost. A loser that swapped its copy into a fresh
+    snapshot without looking for the chunk again would replace the
+    winner's chunks. Each run ends with items() unchanged and no frozen
+    chunk in the index."""
     k = ran = skipped = 0
     while True:
         m = KiwiMap(max_items=8, rng=lambda: 1.0)
@@ -513,11 +514,12 @@ def test_one_of_two_rebalancers_of_a_chunk_lands_whatever_opcode_the_second_star
 @pytest.mark.parametrize("key, want", [(5, "new"), (6, None), (20, None)], ids=["value", "tombstone", "absent"])
 def test_get_reads_its_key_whatever_opcode_a_rebalance_of_its_chunk_lands_on(key, want):
     """A rebalance of the key's chunk lands at each opcode boundary of one
-    get in turn, in kiwi.core and kiwi.rebalance frames. Key 5 holds an
-    older version beside its newest one, and key 6 a tombstone over a
-    value; the compaction keeps only each newest, and drops the tombstone
-    and its value bit. The get reads the chunk of its index snapshot,
-    retired or live, and returns the key's newest value at every one."""
+    get in turn, in kiwi.core, kiwi.chunk and kiwi.rebalance frames. Key 5
+    holds an older version beside its newest one, and key 6 a tombstone
+    over a value; the compaction keeps only each newest, and drops the
+    tombstone and its value bit. The get reads the chunk of its index
+    snapshot, retired or live, and returns the key's newest value at every
+    one."""
     k = 0
     while True:
         m = KiwiMap(max_items=8, rng=lambda: 1.0)

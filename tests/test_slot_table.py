@@ -9,7 +9,7 @@ from functools import partial
 import pytest
 
 from kiwi import TOMBSTONE, KiwiMap
-from kiwi.core import _SLOTS, END
+from kiwi.chunk import _SLOTS, END
 
 from interleave import fast_switching, run_threads
 

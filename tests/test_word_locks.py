@@ -8,7 +8,8 @@ import threading
 
 import pytest
 
-from kiwi import atomics, core
+import kiwi.chunk
+from kiwi import atomics
 from kiwi.atomics import AtomicInt, cas, word_lock
 from kiwi.core import TOMBSTONE, Chunk, KiwiMap, OrderEntry
 
@@ -120,13 +121,13 @@ def sections():
     in each module that names them, and put back afterwards."""
     counter = [0]
     stripes = tuple(CountingLock(lock, counter) for lock in atomics._WORD_LOCKS)
-    saved = atomics._WORD_LOCKS, core._WORD_LOCKS, atomics._FENCE_LOCK
-    atomics._WORD_LOCKS = core._WORD_LOCKS = stripes
+    saved = atomics._WORD_LOCKS, kiwi.chunk._WORD_LOCKS, atomics._FENCE_LOCK
+    atomics._WORD_LOCKS = kiwi.chunk._WORD_LOCKS = stripes
     atomics._FENCE_LOCK = CountingLock(saved[2], counter)
     try:
         yield counter
     finally:
-        atomics._WORD_LOCKS, core._WORD_LOCKS, atomics._FENCE_LOCK = saved
+        atomics._WORD_LOCKS, kiwi.chunk._WORD_LOCKS, atomics._FENCE_LOCK = saved
 
 
 @pytest.mark.parametrize("bounds", [True, False], ids=["bounds-on", "bounds-off"])
