@@ -216,8 +216,10 @@ class Chunk:
         caller can publish idx, so the freeze pass and every reader of a
         published index see an initialized entry, key and value, and no
         bit is set once the chunk is frozen. The key is hashed before the
-        lock is taken, so an unhashable key changes nothing. The index and
-        dataIndex are the shared slot ints.
+        lock is taken, so an unhashable key changes nothing. An exception
+        between the appends cuts the partial slot, so a slot is written
+        whole or not at all; a bit set before it stays, a false positive.
+        The index and dataIndex are the shared slot ints.
         """
         if value is not TOMBSTONE:
             h = hash(entry.key) % (self.capacity << 3)  # the value bit; may raise TypeError
@@ -238,6 +240,9 @@ class Chunk:
             self.keys.append(entry.key)
             self.data.append(value)
             return idx
+        except BaseException:  # a MemoryError from an append, say: cut the partial slot
+            del self.order[idx:], self.keys[idx:], self.data[idx:]
+            raise
         finally:
             lock.release()
 

@@ -181,15 +181,17 @@ class KiwiMap(ThreadRegistry):
 
     # ---------------- helping ----------------
 
-    def help_pending_puts(self, chunk: Chunk, lo: Any, hi: Any) -> list[OrderEntry]:
-        """Fence, read the global version, then give every relevant
-        unversioned pending put that version and return all relevant
-        versioned PPA entries for the caller to merge. The fence comes
-        before any PPA cell is read, so no reader can skip it. Frozen
-        entries are skipped."""
+    def help_pending_puts(self, chunk: Chunk, lo: Any, hi: Any, version: float) -> dict[Any, tuple[int, int]]:
+        """A reader's one pass over the chunk's PPA fences, helps, filters
+        and ranks: fence, read the global version, give it to every
+        unversioned pending put of a key in [lo, hi], skip frozen entries
+        and those versioned above version, and return {key: (version,
+        dataIndex)}, each key's largest, for copy_range to merge with the
+        list. The fence comes before any PPA cell is read, so no reader
+        can skip it."""
         full_fence()
         help_version = self._gv.get()
-        items: list[OrderEntry] = []
+        best: dict[Any, tuple[int, int]] = {}
         order = chunk.order
         for idx in chunk.ppa:
             if idx is None:
@@ -202,10 +204,13 @@ class KiwiMap(ThreadRegistry):
             if ver == VERSION_NONE:
                 entry.cas_version(VERSION_NONE, help_version)
                 ver = entry.version
-            if ver is FROZEN:
+            if ver is FROZEN or ver > version:
                 continue
-            items.append(entry)
-        return items
+            rank = (ver, entry.data_index)
+            cur = best.get(key)
+            if cur is None or rank > cur:
+                best[key] = rank
+        return best
 
     # ---------------- operations ----------------
 
@@ -255,9 +260,9 @@ class KiwiMap(ThreadRegistry):
         h = hash(key) % (chunk.capacity << 3)  # the value bit
         if not chunk.bits[h >> 3] & (1 << (h & 7)):
             return None  # the chunk holds no value of key
-        candidates = self.help_pending_puts(chunk, key, key)
-        if candidates:  # rank them against the list as a scan would
-            found = copy_range(chunk, key, key, _INF, candidates)
+        ppa_best = self.help_pending_puts(chunk, key, key, _INF)
+        if ppa_best:  # merge it with the list as a scan would
+            found = copy_range(chunk, key, key, _INF, ppa_best)
             return found[0][1] if found else None
         # Versions sort descending, so the first entry with this key is the
         # newest; equal-version duplicates cannot exist.
@@ -282,8 +287,8 @@ class KiwiMap(ThreadRegistry):
             # the whole range, as each holds only keys of its own bounds.
             keys, chunks = self._index
             for chunk in chunks[bisect_right(keys, min_key, 1) - 1 : bisect_right(keys, max_key, 1)]:
-                ppa_items = self.help_pending_puts(chunk, min_key, max_key)
-                out.extend(copy_range(chunk, min_key, max_key, scan_version, ppa_items))
+                ppa_best = self.help_pending_puts(chunk, min_key, max_key, scan_version)
+                out.extend(copy_range(chunk, min_key, max_key, scan_version, ppa_best))
             return out
         finally:
             self._psa[slot] = None

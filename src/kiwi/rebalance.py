@@ -158,28 +158,16 @@ def copy_range(
     chunk: Chunk,
     lo: Any,
     hi: Any,
-    scan_version: int,
-    ppa_items: Optional[list[OrderEntry]] = None,
+    scan_version: float,
+    ppa_best: Optional[dict[Any, tuple[int, int]]] = None,
 ) -> list[tuple[Any, Any]]:
-    """One ordered walk of the chunk's list from the first key >= lo: for
-    each key in [lo, hi], the first entry with version <= scan_version
-    (versions sort descending, so it is the newest such), unless a helped
-    PPA item ranks higher by (version, dataIndex); PPA items are
-    versioned entries, as help_pending_puts returns them. Tombstone
-    winners (a None data cell) suppress their key. Output ascending,
-    unique keys."""
-    ppa_best: dict[Any, tuple[int, int]] = {}
-    for entry in ppa_items or ():
-        key = entry.key
-        if key < lo or key > hi:
-            continue
-        ver = entry.version
-        if ver > scan_version:
-            continue
-        rank = (ver, entry.data_index)
-        cur = ppa_best.get(key)
-        if cur is None or rank > cur:
-            ppa_best[key] = rank
+    """One ordered walk of the chunk's list from the first key >= lo,
+    which merges in ppa_best, the ranking of pending puts that
+    help_pending_puts returns (popping each key it merges): for each key
+    in [lo, hi], the first entry with version <= scan_version (versions
+    sort descending, so it is the newest such), unless the key's ranked
+    pending put is larger by (version, dataIndex). Tombstone winners (a
+    None data cell) suppress their key. Output ascending, unique keys."""
     order = chunk.order
     data = chunk.data
     out: list[tuple[Any, Any]] = []
@@ -205,7 +193,7 @@ def copy_range(
         value = data[di]
         if value is not None:
             out.append((key, value))
-    if ppa_best:  # keys only PPA items hold: at most one per thread slot
+    if ppa_best:  # keys only pending puts hold: at most one per thread slot
         out.extend((key, data[di]) for key, (_, di) in ppa_best.items() if data[di] is not None)
         out.sort()
     return out

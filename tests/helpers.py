@@ -10,7 +10,7 @@ from typing import Any, Iterable
 
 from kiwi.bench import MeasurementResult
 from kiwi.atomics import AtomicInt
-from kiwi.chunk import END, KEY_MAX, KEY_MIN, TOMBSTONE, Chunk, OrderEntry, cover_slots
+from kiwi.chunk import END, FROZEN, KEY_MAX, KEY_MIN, TOMBSTONE, Chunk, OrderEntry, cover_slots
 from kiwi.core import KiwiMap
 from kiwi.fuzz import FuzzConfig
 from kiwi.history import GET, IS_EMPTY, PUT, SIZE, History, OpRecord
@@ -191,6 +191,18 @@ def brute_force_range(
         if cur is None or rank > cur[0]:
             best[key] = (rank, value)
     return [(k, value) for k, (_, value) in sorted(best.items()) if value is not TOMBSTONE]
+
+
+def ppa_ranking(entries: Iterable[OrderEntry], lo: Any, hi: Any, version: float) -> dict:
+    """Oracle for help_pending_puts' ranking over versioned entries: each
+    key in [lo, hi] maps to the largest (version, dataIndex) among its
+    entries versioned at or below version; FROZEN entries rank nowhere."""
+    ranks = [
+        (e.key, (e.version, e.data_index))
+        for e in entries
+        if e.version is not FROZEN and lo <= e.key <= hi and e.version <= version
+    ]
+    return {key: max(rank for k, rank in ranks if k == key) for key, _ in ranks}
 
 
 def brute_force_linearizations(history: History) -> list[list[OpRecord]]:

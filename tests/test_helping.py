@@ -11,21 +11,25 @@ from kiwi import TOMBSTONE, KiwiMap, OpRecord, core
 from kiwi.atomics import AtomicInt
 from kiwi.core import FROZEN, VERSION_NONE, OrderEntry
 
-from helpers import assert_map_invariants
+from helpers import assert_map_invariants, ppa_ranking
 from interleave import PutGate, pause_sites_met, run_threads
 
 
-def help_at(m, chunk, version):
-    """help_pending_puts over keys 0..10 with the global version at version."""
+INF = float("inf")
+
+
+def help_at(m, chunk, version, bound=INF):
+    """help_pending_puts over keys 0..10 with the global version at
+    version, ranking the puts versioned at or below bound."""
     m._gv = AtomicInt(version)
-    return m.help_pending_puts(chunk, 0, 10)
+    return m.help_pending_puts(chunk, 0, 10, bound)
 
 
 def test_help_empty_ppa_returns_nothing():
     m = KiwiMap(max_threads=2)
     m.register_thread()
     chunk = m.find_chunk(0)
-    assert help_at(m, chunk, 12) == []
+    assert help_at(m, chunk, 12) == {}
 
 
 def test_help_assigns_requested_version():
@@ -35,8 +39,7 @@ def test_help_assigns_requested_version():
     entry = OrderEntry(5)
     idx = chunk.alloc(entry, 50)
     chunk.ppa[0] = idx
-    helped = help_at(m, chunk, 12)
-    assert helped == [entry]
+    assert help_at(m, chunk, 12) == {5: (12, idx)}
     assert entry.version == 12  # the helper's version
 
 
@@ -46,7 +49,7 @@ def test_help_ignores_out_of_range_keys():
     chunk = m.find_chunk(50)
     entry = OrderEntry(50)
     chunk.ppa[0] = chunk.alloc(entry, 500)
-    assert help_at(m, chunk, 12) == []
+    assert help_at(m, chunk, 12) == {}
     assert entry.version == VERSION_NONE  # untouched
 
 
@@ -58,7 +61,7 @@ def test_help_skips_frozen_entries():
     idx = chunk.alloc(entry, 50)
     entry.version = FROZEN
     chunk.ppa[0] = idx
-    assert help_at(m, chunk, 12) == []
+    assert help_at(m, chunk, 12) == {}
 
 
 def test_help_returns_already_versioned_entries_unchanged():
@@ -69,9 +72,36 @@ def test_help_returns_already_versioned_entries_unchanged():
     idx = chunk.alloc(entry, 50)
     entry.version = 3
     chunk.ppa[0] = idx
-    helped = help_at(m, chunk, 12)
-    assert helped == [entry]
+    assert help_at(m, chunk, 12) == {5: (3, idx)}
     assert entry.version == 3
+
+
+@pytest.mark.parametrize(
+    "bound, expected",
+    [
+        pytest.param(INF, {3: (12, 3), 4: (11, 4), 5: (7, 2)}, id="get"),
+        pytest.param(9, {5: (7, 2)}, id="scan-at-9"),
+    ],
+)
+def test_help_ranks_each_key_s_best_pending_put(bound, expected):
+    """One pass fences, helps, filters and ranks: per key in [0, 10], the
+    largest (version, dataIndex) at or below the bound. Two puts of key 5
+    at one version rank by dataIndex; key 3's unversioned put takes the
+    global version 12; key 4's put at 11 lies above a scan's bound of 9;
+    key 6's FROZEN entry and key 50, outside the range, rank nowhere."""
+    m = KiwiMap(max_threads=6)
+    m.register_thread()
+    chunk = m.find_chunk(0)
+    table = [(5, 7), (5, 7), (3, VERSION_NONE), (4, 11), (6, FROZEN), (50, VERSION_NONE)]
+    entries = []
+    for cell, (key, version) in enumerate(table):
+        entry = OrderEntry(key)
+        chunk.ppa[cell] = chunk.alloc(entry, key * 10)
+        entry.version = version
+        entries.append(entry)
+    got = help_at(m, chunk, 12, bound)
+    assert [e.version for e in entries] == [7, 7, 12, 11, FROZEN, VERSION_NONE]
+    assert got == ppa_ranking(entries, 0, 10, bound) == expected
 
 
 def fences_during(fn):

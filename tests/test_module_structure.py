@@ -2,7 +2,8 @@
 their tops only, and with no cycle (the map's layers stack as atomics <-
 chunk <- rebalance <- core), so no function pays for an import statement
 on each call, and each module still imports first in a fresh
-interpreter. A budget test pins the map's construction knobs, a chunk's
+interpreter. Readers reach a chunk's PPA only through help_pending_puts,
+which fences first. A budget test pins the map's construction knobs, a chunk's
 slots, the size bounds' parameters and slots, the list insert's,
 compaction's and the bench map factory's parameters, the atomic
 counter's and the thread registry's methods, the fuzz recipe's and the
@@ -18,6 +19,7 @@ import inspect
 import pathlib
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -57,6 +59,30 @@ def test_layering():
     tuple(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError on a cycle
 
 
+def function_tree(fn):
+    return ast.parse(textwrap.dedent(inspect.getsource(fn))).body[0]
+
+
+def test_readers_reach_the_ppa_only_through_help_pending_puts_fence_first():
+    """get, scan and copy_range read no PPA cell: a reader's one pass over
+    it is help_pending_puts, whose first statement (after its docstring)
+    is the fence, so no reader meets a PPA cell or the global version
+    unfenced."""
+    for fn in (core.KiwiMap.get, core.KiwiMap.scan, rebalance.copy_range):
+        reads = [node for node in ast.walk(function_tree(fn)) if isinstance(node, ast.Attribute) and node.attr == "ppa"]
+        assert not reads, f"{fn.__qualname__} reads .ppa on line {reads[0].lineno}"
+    body = function_tree(core.KiwiMap.help_pending_puts).body
+    if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]  # the docstring
+    first = body[0]
+    assert (
+        isinstance(first, ast.Expr)
+        and isinstance(first.value, ast.Call)
+        and isinstance(first.value.func, ast.Name)
+        and first.value.func.id == "full_fence"
+    ), f"help_pending_puts starts with {ast.unparse(first)!r}, not full_fence()"
+
+
 def test_only_the_harness_constructs_threads():
     constructing = set()
     for package in (pathlib.Path(kiwi.__file__).parent, pathlib.Path(__file__).parent):
@@ -90,8 +116,11 @@ def test_knob_and_export_budget():
     counters = kiwi.BoundsCounters(True)
     assert type(counters._lower) is type(counters._upper) is atomics.AtomicInt
     assert list(inspect.signature(kiwi.KiwiMap.add_to_linked_list).parameters) == ["self", "chunk", "idx"]
-    # help_pending_puts fences and reads the global version itself.
-    assert list(inspect.signature(kiwi.KiwiMap.help_pending_puts).parameters) == ["self", "chunk", "lo", "hi"]
+    # help_pending_puts fences and reads the global version itself, and
+    # ranks the pending puts at or below the reader's version.
+    assert list(inspect.signature(kiwi.KiwiMap.help_pending_puts).parameters) == [
+        "self", "chunk", "lo", "hi", "version",
+    ]
     # Compaction reads the output's size from its input chunk.
     assert list(inspect.signature(rebalance.copy_compact).parameters) == ["chunk", "min_active_scan"]
     assert list(inspect.signature(bench.make_map).parameters) == ["impl", "threads", "bounds_enabled"]

@@ -7,7 +7,9 @@ import random
 from kiwi import TOMBSTONE, KiwiMap
 from kiwi.rebalance import FILL_FACTOR, copy_compact, copy_range, freeze_chunk, help_frozen_chunk_puts
 
-from helpers import assert_chunk_invariants, brute_force_range, chunk_bounds, has_value_bit, raw_chunk, walk_list
+from helpers import (
+    assert_chunk_invariants, brute_force_range, chunk_bounds, has_value_bit, ppa_ranking, raw_chunk, walk_list,
+)
 
 INF = float("inf")
 
@@ -133,6 +135,7 @@ def test_copy_compact_of_real_chunks_against_oracle():
 
 def test_copy_range_with_pending_list_entries_against_brute_force_oracle():
     rng = random.Random(777)
+    readers = KiwiMap()  # its help_pending_puts ranks each chunk's PPA
     for round_no in range(500):
         listed = random_listed(rng, rng.randrange(1, 8), key_space=16)
         # PPA items: some tie a listed (key, version) with a later slot,
@@ -158,5 +161,7 @@ def test_copy_range_with_pending_list_entries_against_brute_force_oracle():
             for entry, (key, version, value) in zip(pending_entries, pending)
         ]
         expected = brute_force_range(items, lo, hi, scan_version)
-        got = copy_range(chunk, lo, hi, scan_version, pending_entries)
+        ranking = readers.help_pending_puts(chunk, lo, hi, scan_version)
+        assert ranking == ppa_ranking(pending_entries, lo, hi, scan_version)
+        got = copy_range(chunk, lo, hi, scan_version, ranking)
         assert got == expected, (round_no, listed, pending, lo, hi, scan_version)

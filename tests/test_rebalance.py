@@ -9,7 +9,7 @@ import pytest
 
 from kiwi import KiwiMap, TOMBSTONE, core
 from kiwi.atomics import word_lock
-from kiwi.core import FROZEN, KEY_MIN, VERSION_NONE
+from kiwi.core import FROZEN, KEY_MIN, VERSION_NONE, OrderEntry
 from kiwi.rebalance import (
     check_rebalance,
     copy_compact,
@@ -24,6 +24,7 @@ from helpers import (
     brute_force_range,
     force_rebalance,
     global_version,
+    ppa_ranking,
     quiescent_items,
     raw_chunk,
     walk_list,
@@ -82,6 +83,32 @@ def test_alloc_writes_the_whole_slot():
     assert (tomb.version, tomb.data_index) == (VERSION_NONE, 3)
     assert chunk.order[2:] == [value, tomb] and chunk.keys[2:] == [5, 6]
     assert chunk.data[2:] == [50, None]
+
+
+class AppendFailsOnce(list):
+    """A list whose next append raises MemoryError, once."""
+
+    armed = True
+
+    def append(self, item):
+        if self.armed:
+            self.armed = False
+            raise MemoryError("append")
+        super().append(item)
+
+
+def test_alloc_cuts_a_partial_slot_when_an_append_raises():
+    # The entry is appended, the key append raises: alloc cuts the entry
+    # again, so the three arrays stay in step and the slot is free.
+    chunk, _ = raw_chunk([(1, 1, 10)], capacity=8)
+    chunk.keys = AppendFailsOnce(chunk.keys)
+    with pytest.raises(MemoryError):
+        chunk.alloc(OrderEntry(5), 50)
+    assert len(chunk.order) == len(chunk.keys) == len(chunk.data) == 2
+    entry = OrderEntry(5)
+    assert chunk.alloc(entry, 51) == 2
+    assert chunk.order[2] is entry and chunk.data[2] == 51
+    assert_chunk_invariants(chunk)
 
 
 def test_freeze_seals_unversioned_entries():
@@ -658,8 +685,8 @@ def test_copy_range_version_filter():
 
 def test_copy_range_merges_pending_items():
     chunk, pending = raw_chunk([(4, 2, 22)], pending=[(4, 3, 33)])
-    assert copy_range(chunk, 0, 10, 9, pending) == [(4, 33)]
-    assert copy_range(chunk, 0, 10, 2, pending) == [(4, 22)]
+    assert copy_range(chunk, 0, 10, 9, ppa_ranking(pending, 0, 10, 9)) == [(4, 33)]
+    assert copy_range(chunk, 0, 10, 2, ppa_ranking(pending, 0, 10, 2)) == [(4, 22)]
 
 
 def test_copy_range_against_brute_force_oracle():
@@ -668,6 +695,7 @@ def test_copy_range_against_brute_force_oracle():
 
 def run_copy_range_oracle_rounds(rounds):
     rng = random.Random(1234)
+    readers = KiwiMap()  # its help_pending_puts ranks each chunk's PPA
     for round_no in range(rounds):
         n_keys = rng.randrange(1, 8)
         listed = []
@@ -692,5 +720,7 @@ def run_copy_range_oracle_rounds(rounds):
             items.append((key, version, entry.data_index, value))
 
         expected = brute_force_range(items, lo, hi, scan_version)
-        got = copy_range(chunk, lo, hi, scan_version, pending_entries)
+        ranking = readers.help_pending_puts(chunk, lo, hi, scan_version)
+        assert ranking == ppa_ranking(pending_entries, lo, hi, scan_version)
+        got = copy_range(chunk, lo, hi, scan_version, ranking)
         assert got == expected, (round_no, listed, pending, lo, hi, scan_version)
