@@ -10,7 +10,7 @@ from .bench import (
     run_workload,
     steady_state_init_size,
 )
-from .bounds import BoundsCounters, BoundsDisabledError
+from .bounds import BoundsDisabledError
 from .checker import (
     EXHAUSTED,
     LINEARIZABLE,
@@ -18,18 +18,16 @@ from .checker import (
     CheckResult,
     check_linearizable,
     oracle_apply,
-    oracle_replay,
     validate_put_only_final_state,
 )
 from .core import TOMBSTONE, KiwiMap, RegistrationError
-from .fuzz import FuzzConfig, generate_ops, record_locked_oracle_run, record_run
+from .fuzz import FuzzConfig, generate_ops, record_run
 from .history import History, HistoryFormatError, OpRecord, load_history, save_history
 from .reference import LockedSortedMap
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundsCounters",
     "BoundsDisabledError",
     "CheckResult",
     "EXHAUSTED",
@@ -52,8 +50,6 @@ __all__ = [
     "generate_ops",
     "load_history",
     "oracle_apply",
-    "oracle_replay",
-    "record_locked_oracle_run",
     "record_run",
     "run_workload",
     "save_history",

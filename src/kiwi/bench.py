@@ -112,14 +112,13 @@ class MeasurementResult:
         ]
 
 
-def drop_most_suspicious(values: list[float]) -> tuple[list[float], Optional[int]]:
-    """Remove the value furthest from the mean; below three samples there
-    is nothing to judge, keep them all."""
+def most_suspicious(values: list[float]) -> Optional[int]:
+    """The index of the value furthest from the mean; below three samples
+    there is nothing to judge, so None."""
     if len(values) < 3:
-        return list(values), None
+        return None
     mean = statistics.fmean(values)
-    idx = max(range(len(values)), key=lambda i: abs(values[i] - mean))
-    return [v for i, v in enumerate(values) if i != idx], idx
+    return max(range(len(values)), key=lambda i: abs(values[i] - mean))
 
 
 def make_map(impl: str, threads: int, bounds_enabled: bool = False) -> Any:
@@ -235,7 +234,7 @@ def run_workload(cfg: WorkloadConfig, impl: str, bounds_debug: bool = False) -> 
         run_iteration(cfg, impl, i, bounds_debug=bounds_debug) for i in range(cfg.iterations)
     ]
     totals = [sum(rates.values()) for rates in per_iteration]
-    _, dropped = drop_most_suspicious(totals)
+    dropped = most_suspicious(totals)
     retained = [rates for i, rates in enumerate(per_iteration) if i != dropped]
     kinds = sorted({kind for rates in retained for kind in rates})
     return MeasurementResult(

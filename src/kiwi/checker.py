@@ -80,17 +80,6 @@ def oracle_apply(model: dict, op: OpRecord) -> tuple[bool, dict]:
     raise ValueError(f"unknown op kind {kind!r}")
 
 
-def oracle_replay(records: list[OpRecord]) -> dict:
-    """Final model state after applying records in order; raises on a
-    result mismatch (replay is for checker-accepted orders)."""
-    model: dict = {}
-    for rec in records:
-        ok, model = oracle_apply(model, rec)
-        if not ok:
-            raise ValueError(f"record does not serialize at replay: {rec}")
-    return model
-
-
 @dataclass
 class CheckResult:
     status: str

@@ -217,8 +217,9 @@ class Chunk:
         published index see an initialized entry, key and value, and no
         bit is set once the chunk is frozen. The key is hashed before the
         lock is taken, so an unhashable key changes nothing. An exception
-        between the appends cuts the partial slot, so a slot is written
-        whole or not at all; a bit set before it stays, a false positive.
+        inside the try cuts order and keys back to data, which is appended
+        last, so a slot is written whole or not at all; a bit set before it
+        stays, a false positive.
         The index and dataIndex are the shared slot ints.
         """
         if value is not TOMBSTONE:
@@ -240,8 +241,8 @@ class Chunk:
             self.keys.append(entry.key)
             self.data.append(value)
             return idx
-        except BaseException:  # a MemoryError from an append, say: cut the partial slot
-            del self.order[idx:], self.keys[idx:], self.data[idx:]
+        except BaseException:  # a MemoryError from an append, say; idx may be unbound
+            del self.order[len(self.data):], self.keys[len(self.data):]
             raise
         finally:
             lock.release()

@@ -1,5 +1,9 @@
 """Fuzzed concurrent runs recorded as checkable histories.
 
+record_run(config, target=None) records against the map it is handed,
+by default a fresh KiwiMap built from the config; the coarse-lock
+LockedSortedMap, linearizable by construction, calibrates the checker.
+
 Few threads, few keys, short runs: collisions and overlap come from a
 tiny key range plus random sleeps at the recorded map's pause sites. The
 maps hold no hook for them: each worker thread installs a sys.settrace
@@ -21,7 +25,7 @@ import sys
 import threading
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from . import workers
 from .core import TOMBSTONE, KiwiMap
@@ -148,34 +152,21 @@ def pause_tracer(pause: Callable[[str, str], None]) -> Callable[[Any, str, Any],
     return tracer
 
 
-def record_run(
-    config: FuzzConfig,
-    map_factory: Optional[Callable[[], Any]] = None,
-) -> History:
-    """Execute the fuzzed workload against a fresh map (concurrent map by
-    default) and return the recorded history."""
-    history, _ = record_run_with_map(config, map_factory)
-    return history
-
-
-def record_run_with_map(
-    config: FuzzConfig,
-    map_factory: Optional[Callable[[], Any]] = None,
-) -> tuple[History, Any]:
-    """record_run, but also hands back the map for post-run draining.
+def record_run(config: FuzzConfig, target: Any = None) -> History:
+    """Run the fuzzed workload against target, or by default a fresh
+    KiwiMap built from config with one spare thread slot (so the caller
+    can register and drain it afterwards), and return the recorded
+    history. target needs register_thread and the ops of config.mix.
     Timestamps are taken on the operating thread immediately around each
     call, so measurement error is tiny next to the injected delays. A
     worker still running after workers.MARGIN_S plus its worst-case sleeps
     (delay_max_s per pause site per op) fails the run with TimeoutError."""
-    if map_factory is None:
-        # one spare slot so the caller can register and drain afterwards
+    if target is None:
         target = KiwiMap(
             max_threads=config.threads + 1,
             max_items=config.max_items,
             bounds_enabled=config.bounds_enabled,
         )
-    else:
-        target = map_factory()
 
     per_thread_ops = [generate_ops(config, tid) for tid in range(config.threads)]
     records: list[list[OpRecord]] = [[] for _ in range(config.threads)]
@@ -207,11 +198,4 @@ def record_run_with_map(
     merged.sort(key=lambda r: r.invoke_ts)
     history = History(records=merged, meta=asdict(config))
     history.validate()
-    return history, target
-
-
-def record_locked_oracle_run(config: FuzzConfig) -> History:
-    """Same workload through the coarse-lock map: linearizable by
-    construction, for checker soundness calibration. The sleeps at its
-    pause sites make the recorded intervals actually overlap."""
-    return record_run(config, map_factory=lambda: LockedSortedMap(max_threads=config.threads))
+    return history

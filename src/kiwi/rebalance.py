@@ -14,7 +14,7 @@ meets the frozen chunk runs the stages itself.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from .atomics import AtomicInt, store_fence, word_lock
 from .chunk import (
@@ -159,7 +159,7 @@ def copy_range(
     lo: Any,
     hi: Any,
     scan_version: float,
-    ppa_best: Optional[dict[Any, tuple[int, int]]] = None,
+    ppa_best: dict[Any, tuple[int, int]],
 ) -> list[tuple[Any, Any]]:
     """One ordered walk of the chunk's list from the first key >= lo,
     which merges in ppa_best, the ranking of pending puts that

@@ -10,7 +10,8 @@ from typing import Any, Iterable
 
 from kiwi.bench import MeasurementResult
 from kiwi.atomics import AtomicInt
-from kiwi.chunk import END, FROZEN, KEY_MAX, KEY_MIN, TOMBSTONE, Chunk, OrderEntry, cover_slots
+from kiwi.checker import oracle_apply
+from kiwi.chunk import END, FROZEN, KEY_MAX, KEY_MIN, TOMBSTONE, Chunk, OrderEntry
 from kiwi.core import KiwiMap
 from kiwi.fuzz import FuzzConfig
 from kiwi.history import GET, IS_EMPTY, PUT, SIZE, History, OpRecord
@@ -26,6 +27,12 @@ def force_rebalance(kiwi: KiwiMap, key: Any) -> bool:
 
 def global_version(kiwi: KiwiMap) -> int:
     return kiwi._gv.get()
+
+
+def fuzz_map(cfg: FuzzConfig) -> KiwiMap:
+    """The map record_run builds for cfg, with its spare thread slot, for
+    a test that drains the map after the run."""
+    return KiwiMap(max_threads=cfg.threads + 1, max_items=cfg.max_items, bounds_enabled=cfg.bounds_enabled)
 
 
 def with_size_ops(cfg: FuzzConfig) -> FuzzConfig:
@@ -48,37 +55,33 @@ def raw_chunk(
     wired into the linked list in the given order (caller supplies sorted
     input), `pending` items allocated and versioned but NOT linked, each
     published in its own PPA cell as if by its put and then helped (so
-    max_threads must cover them). Like alloc, it stores each slot as its
-    entry's dataIndex, None as a tombstone's data, grows the shared slot
-    table to cover its slots and sets each value's bit. Returns the chunk
-    and the pending entries."""
-    chunk = Chunk(capacity, max_threads)
+    max_threads must cover them). Chunk.alloc writes every slot; this
+    sets its version and links or publishes the slot int alloc returns.
+    More items than capacity make an over-full chunk, compaction input
+    that no put could fill, with every value bit set (a false positive
+    is always safe). Returns the chunk and the pending entries."""
+    listed, pending = list(listed), list(pending)
+    chunk = Chunk(max(capacity, len(listed) + len(pending)), max_threads)
 
-    def append(key, version, value):
-        slot = len(chunk.order)
+    def alloc(key, version, value):
         entry = OrderEntry(key)
+        idx = chunk.alloc(entry, value)
         entry.version = version
-        entry.data_index = slot
-        chunk.order.append(entry)
-        chunk.keys.append(key)
-        chunk.data.append(None if value is TOMBSTONE else value)
-        if value is not TOMBSTONE:
-            byte, mask = value_bit(chunk.bits, key)
-            chunk.bits[byte] |= mask
-        return entry
+        return entry, idx
 
     prev = chunk.order[0]
-    for key, version, value in listed:
-        prev.next = len(chunk.order)
-        prev = append(key, version, value)
-    prev.next = END
+    for item in listed:
+        entry, prev.next = alloc(*item)
+        prev = entry
     chunk.sorted_prefix_len = len(chunk.order) - 1
     chunk.list_size = AtomicInt(chunk.sorted_prefix_len)
     pending_entries = []
-    for cell, (key, version, value) in enumerate(pending):
-        chunk.ppa[cell] = len(chunk.order)
-        pending_entries.append(append(key, version, value))
-    cover_slots(len(chunk.order))
+    for cell, item in enumerate(pending):
+        entry, chunk.ppa[cell] = alloc(*item)
+        pending_entries.append(entry)
+    if chunk.capacity > capacity:
+        chunk.capacity = capacity
+        chunk.bits = bytearray(b"\xff" * capacity)
     return chunk, pending_entries
 
 
@@ -203,6 +206,17 @@ def ppa_ranking(entries: Iterable[OrderEntry], lo: Any, hi: Any, version: float)
         if e.version is not FROZEN and lo <= e.key <= hi and e.version <= version
     ]
     return {key: max(rank for k, rank in ranks if k == key) for key, _ in ranks}
+
+
+def oracle_replay(records: list[OpRecord]) -> dict:
+    """Final model state after applying records in order; raises on a
+    result mismatch (replay is for checker-accepted orders)."""
+    model: dict = {}
+    for rec in records:
+        ok, model = oracle_apply(model, rec)
+        if not ok:
+            raise ValueError(f"record does not serialize at replay: {rec}")
+    return model
 
 
 def brute_force_linearizations(history: History) -> list[list[OpRecord]]:

@@ -20,6 +20,7 @@ import pytest
 from kiwi import (
     FuzzConfig,
     KiwiMap,
+    LockedSortedMap,
     TOMBSTONE,
     WorkloadConfig,
     check_linearizable,
@@ -27,10 +28,10 @@ from kiwi import (
     steady_state_init_size,
     validate_put_only_final_state,
 )
-from kiwi.fuzz import record_locked_oracle_run, record_run, record_run_with_map
+from kiwi.fuzz import record_run
 from kiwi.history import SIZE, IS_EMPTY
 
-from helpers import assert_map_invariants, force_rebalance, quiescent_items, total_mean, with_size_ops
+from helpers import assert_map_invariants, force_rebalance, fuzz_map, quiescent_items, total_mean, with_size_ops
 from interleave import run_threads
 from test_checker import bad_histories
 
@@ -112,7 +113,7 @@ def test_c03_checker_validity_both_directions():
     accepted = 0
     for seed in range(40):
         cfg = FuzzConfig(threads=2 + seed % 2, ops_per_thread=12, key_range=6, seed=seed)
-        history = record_locked_oracle_run(cfg)
+        history = record_run(cfg, LockedSortedMap(max_threads=cfg.threads))
         assert check_linearizable(history).ok, f"locked-oracle seed {seed} rejected"
         accepted += 1
     report("C3", f"{len(corpus)} bad histories rejected, {accepted} locked-oracle histories accepted")
@@ -148,7 +149,8 @@ def test_c05_rebalance_preservation_100_runs():
             delay_prob=0.0,
             max_items=64,
         )
-        history, m = record_run_with_map(cfg)
+        m = fuzz_map(cfg)
+        history = record_run(cfg, m)
 
         def force_all():
             m.register_thread()

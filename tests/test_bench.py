@@ -22,7 +22,7 @@ from kiwi import (
     steady_state_init_size,
 )
 from kiwi import bench, workers
-from kiwi.bench import drop_most_suspicious, make_map, prefill, run_iteration
+from kiwi.bench import make_map, most_suspicious, prefill, run_iteration
 from kiwi.cli import build_parser, main
 
 from helpers import total_mean
@@ -93,15 +93,13 @@ def test_workload_config_validation():
 
 # ---------------- measurement protocol ----------------
 
-def test_drop_most_suspicious_drops_the_outlier():
+def test_most_suspicious_finds_the_outlier():
     values = [100.0, 98.0, 12.0, 99.0, 101.0]  # one artificially slowed run
-    retained, dropped = drop_most_suspicious(values)
-    assert dropped == 2
-    assert retained == [100.0, 98.0, 99.0, 101.0]
+    assert most_suspicious(values) == 2
 
 
-def test_drop_most_suspicious_keeps_small_samples():
-    assert drop_most_suspicious([5.0, 6.0]) == ([5.0, 6.0], None)
+def test_most_suspicious_judges_no_small_sample():
+    assert most_suspicious([5.0, 6.0]) is None
 
 
 def test_measurement_result_stats():

@@ -15,10 +15,9 @@ from kiwi import (
     OpRecord,
     check_linearizable,
     oracle_apply,
-    oracle_replay,
     validate_put_only_final_state,
 )
-from helpers import brute_force_linearizations
+from helpers import brute_force_linearizations, oracle_replay
 
 
 def rec(thread, kind, args, result, invoke, response):

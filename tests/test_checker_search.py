@@ -14,12 +14,11 @@ from kiwi import (
     OpRecord,
     check_linearizable,
     oracle_apply,
-    oracle_replay,
     save_history,
 )
 from kiwi.cli import main
 from kiwi.history import GET, IS_EMPTY, PUT, SCAN, SIZE
-from helpers import brute_force_linearizations
+from helpers import brute_force_linearizations, oracle_replay
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
 

@@ -10,9 +10,9 @@ import pytest
 
 from kiwi import KiwiMap, TOMBSTONE, validate_put_only_final_state
 from kiwi.core import FROZEN, InsertOutcome, OrderEntry
-from kiwi.fuzz import FuzzConfig, record_run_with_map
+from kiwi.fuzz import FuzzConfig, record_run
 
-from helpers import assert_map_invariants, force_rebalance, global_version, quiescent_items, walk_list
+from helpers import assert_map_invariants, force_rebalance, fuzz_map, global_version, quiescent_items, walk_list
 from interleave import PutGate, join_threads, run_threads, start_thread
 
 # structure-inspecting tests pin the probabilistic rebalance off with
@@ -368,7 +368,8 @@ def test_put_only_stress_drain_matches_accepted_linearization():
             delay_prob=0.02,
             delay_max_s=0.0002,
         )
-        history, m = record_run_with_map(cfg)
+        m = fuzz_map(cfg)
+        history = record_run(cfg, m)
         m.register_thread()
         final = m.items()
         assert validate_put_only_final_state(history, final)

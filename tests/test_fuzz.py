@@ -19,7 +19,6 @@ from kiwi import (
     check_linearizable,
     generate_ops,
     load_history,
-    record_locked_oracle_run,
     record_run,
     save_history,
 )
@@ -111,7 +110,7 @@ def test_size_mix_records_size_ops():
 def test_locked_oracle_runs_are_linearizable_with_overlap():
     for seed in range(5):
         cfg = FuzzConfig(threads=3, ops_per_thread=10, key_range=5, seed=seed)
-        history = record_locked_oracle_run(cfg)
+        history = record_run(cfg, LockedSortedMap(max_threads=cfg.threads))
         assert history.has_overlap()
         assert check_linearizable(history).ok
 
@@ -147,7 +146,7 @@ def test_worker_failing_before_the_start_line_raises():
     cfg = FuzzConfig(threads=2, ops_per_thread=5, seed=1)
 
     def attempt():
-        record_run(cfg, map_factory=lambda: LockedSortedMap(max_threads=1))
+        record_run(cfg, LockedSortedMap(max_threads=1))
 
     with pytest.raises(RegistrationError):
         run_threads(attempt, timeout=10.0)
@@ -167,7 +166,7 @@ def test_a_stuck_worker_fails_record_run_at_its_bound_by_name(monkeypatch, tmp_p
             super().put(key, value)
 
     def stuck_run(config):
-        return record_run(config, map_factory=lambda: StuckPuts(max_threads=config.threads))
+        return record_run(config, StuckPuts(max_threads=config.threads))
 
     cfg = FuzzConfig(threads=2, ops_per_thread=3, mix={PUT: 1}, delay_prob=0.0)
     bound = 0.5 + 3 * len(PAUSE_SITES) * cfg.delay_max_s  # the margin plus the worst-case sleeps

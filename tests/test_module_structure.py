@@ -24,7 +24,7 @@ import textwrap
 import pytest
 
 import kiwi
-from kiwi import atomics, bench, chunk, core, rebalance
+from kiwi import atomics, bench, bounds, chunk, core, fuzz, rebalance
 
 
 @pytest.mark.parametrize("module", [chunk, core, rebalance], ids=lambda m: m.__name__)
@@ -111,9 +111,9 @@ def test_knob_and_export_budget():
     )
     assert list(inspect.signature(core.Chunk.__init__).parameters) == ["self", "capacity", "max_threads"]
     # One atomic counter per bound, so no hook or list insert takes a thread slot.
-    assert list(inspect.signature(kiwi.BoundsCounters.__init__).parameters) == ["self", "enabled"]
-    assert kiwi.BoundsCounters.__slots__ == ("enabled", "_lower", "_upper")
-    counters = kiwi.BoundsCounters(True)
+    assert list(inspect.signature(bounds.BoundsCounters.__init__).parameters) == ["self", "enabled"]
+    assert bounds.BoundsCounters.__slots__ == ("enabled", "_lower", "_upper")
+    counters = bounds.BoundsCounters(True)
     assert type(counters._lower) is type(counters._upper) is atomics.AtomicInt
     assert list(inspect.signature(kiwi.KiwiMap.add_to_linked_list).parameters) == ["self", "chunk", "idx"]
     # help_pending_puts fences and reads the global version itself, and
@@ -123,6 +123,12 @@ def test_knob_and_export_budget():
     ]
     # Compaction reads the output's size from its input chunk.
     assert list(inspect.signature(rebalance.copy_compact).parameters) == ["chunk", "min_active_scan"]
+    # Every reader hands copy_range its pending-put ranking.
+    copy_range = inspect.signature(rebalance.copy_range).parameters
+    assert list(copy_range) == ["chunk", "lo", "hi", "scan_version", "ppa_best"]
+    assert all(p.default is inspect.Parameter.empty for p in copy_range.values())
+    # One recorder: it records against the map it is handed.
+    assert list(inspect.signature(fuzz.record_run).parameters) == ["config", "target"]
     assert list(inspect.signature(bench.make_map).parameters) == ["impl", "threads", "bounds_enabled"]
     public = {name for name in vars(atomics.AtomicInt) if not name.startswith("_")}
     assert public == {"get", "fetch_add"}
@@ -140,12 +146,11 @@ def test_knob_and_export_budget():
         "run_seconds", "iterations", "seed", "ops_budget",
     ]
     assert kiwi.__all__ == [
-        "BoundsCounters", "BoundsDisabledError", "CheckResult", "EXHAUSTED",
+        "BoundsDisabledError", "CheckResult", "EXHAUSTED",
         "FuzzConfig", "History", "HistoryFormatError", "IMPLS", "KiwiMap",
         "LINEARIZABLE", "LockedSortedMap", "MeasurementResult", "NOT_LINEARIZABLE", "OpRecord",
         "RegistrationError", "TOMBSTONE", "WORKLOADS", "WorkloadConfig",
         "check_linearizable", "emit_results", "generate_ops",
-        "load_history", "oracle_apply", "oracle_replay",
-        "record_locked_oracle_run", "record_run", "run_workload", "save_history",
+        "load_history", "oracle_apply", "record_run", "run_workload", "save_history",
         "steady_state_init_size", "validate_put_only_final_state",
     ]

@@ -93,6 +93,22 @@ def test_put_of_a_key_of_another_type_changes_nothing():
     assert m.size() == 1
 
 
+@pytest.mark.xfail(strict=True, raises=TypeError, reason="ROADMAP item 3: the refused put's entry stays in the PPA")
+def test_an_incomparable_tuple_key_leaves_the_map_readable():
+    # Both stored keys compare with the new one's first position, so the
+    # put's one comparison passes and it publishes before the list walk
+    # compares 2 with "a".
+    m = KiwiMap(max_threads=2, bounds_enabled=True)
+    m.register_thread()
+    m.put((2, 2), 1)
+    m.put((1, 2), 1)
+    before = m.items()
+    with pytest.raises(TypeError):
+        m.put((1, "a"), 1)
+    assert m.get((1, 2)) == 1
+    assert m.items() == before
+
+
 
 def test_an_unhashable_key_raises_and_changes_nothing(target):
     # On an empty map nothing compares the key before it is hashed.

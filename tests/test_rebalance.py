@@ -1,7 +1,11 @@
 """Freeze/help/compact/replace behavior plus the straightforward range
 copy, all checked against brute-force oracles where results are derived."""
 
+import ast
+import inspect
 import random
+import sys
+import textwrap
 import threading
 from functools import partial
 
@@ -9,7 +13,7 @@ import pytest
 
 from kiwi import KiwiMap, TOMBSTONE, core
 from kiwi.atomics import word_lock
-from kiwi.core import FROZEN, KEY_MIN, VERSION_NONE, OrderEntry
+from kiwi.core import FROZEN, KEY_MIN, VERSION_NONE, Chunk, OrderEntry
 from kiwi.rebalance import (
     check_rebalance,
     copy_compact,
@@ -111,6 +115,73 @@ def test_alloc_cuts_a_partial_slot_when_an_append_raises():
     assert_chunk_invariants(chunk)
 
 
+class Injected(BaseException):
+    """What a trace hook raises inside alloc, as an interrupt would."""
+
+
+def alloc_try_lines():
+    """The source lines of the statements in alloc's try body."""
+    source, first = inspect.getsourcelines(Chunk.alloc)
+    (tried,) = [node for node in ast.walk(ast.parse(textwrap.dedent("".join(source)))) if isinstance(node, ast.Try)]
+    return {first - 1 + line for stmt in tried.body for line in range(stmt.lineno, stmt.end_lineno + 1)}
+
+
+def traced_alloc(chunk, entry, value, lines, raise_at=None):
+    """chunk.alloc(entry, value), raising Injected at its raise_at-th
+    opcode boundary on lines; returns the number of those boundaries."""
+    seen = 0
+
+    def local(frame, event, arg):
+        nonlocal seen
+        if event == "opcode" and frame.f_lineno in lines:
+            seen += 1
+            if seen - 1 == raise_at:
+                raise Injected
+        return local
+
+    def on_call(frame, event, arg):
+        if frame.f_code is not Chunk.alloc.__code__:
+            return None
+        frame.f_trace_opcodes = True
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        chunk.alloc(entry, value)
+    finally:
+        sys.settrace(previous)
+    return seen
+
+
+@pytest.mark.parametrize("value", [20, TOMBSTONE], ids=["value", "tombstone"])
+def test_alloc_interrupted_at_any_boundary_of_its_try_body_leaves_a_whole_chunk(value):
+    """An exception at any opcode boundary of alloc's try body, the ones
+    before idx is bound included, propagates as itself, frees the stripe
+    and leaves the three arrays in step, so the next alloc succeeds."""
+    lines = alloc_try_lines()
+
+    def warm_chunk():
+        chunk = Chunk(8, 2)
+        chunk.alloc(OrderEntry(1), 10)
+        return chunk
+
+    # On 3.12 the first traced run of a code object meets no opcode
+    # boundary, and on 3.13.0 none does (ROADMAP item 5).
+    traced_alloc(warm_chunk(), OrderEntry(2), value, lines)
+    boundaries = traced_alloc(warm_chunk(), OrderEntry(2), value, lines)
+    assert boundaries > len(lines)
+    for raise_at in range(boundaries):
+        chunk = warm_chunk()
+        with pytest.raises(Injected):
+            traced_alloc(chunk, OrderEntry(2), value, lines, raise_at)
+        assert not word_lock(chunk).locked(), f"boundary {raise_at}: stripe held"
+        assert len(chunk.order) == len(chunk.keys) == len(chunk.data), f"boundary {raise_at}"
+        assert_chunk_invariants(chunk)
+        assert chunk.alloc(OrderEntry(3), 30) == len(chunk.order) - 1
+        assert_chunk_invariants(chunk)
+
+
 def test_freeze_seals_unversioned_entries():
     chunk, _ = raw_chunk([])
     from kiwi.core import OrderEntry
@@ -192,7 +263,7 @@ def test_copy_compact_retains_versions_for_active_scan():
     (new,) = copy_compact(chunk, 2)
     assert [(e.key, e.version) for e in walk_list(new)] == [(7, 3), (7, 2)]
     # the retained version is exactly what a scan pinned at 2 reads
-    assert copy_range(new, 0, 100, 2) == [(7, 22)]
+    assert copy_range(new, 0, 100, 2, {}) == [(7, 22)]
 
 
 def test_copy_compact_keeps_floor_version_below_min_active_scan():
@@ -201,7 +272,7 @@ def test_copy_compact_keeps_floor_version_below_min_active_scan():
     chunk, _ = raw_chunk([(7, 7, 77), (7, 1, 11)], capacity=64)
     (new,) = copy_compact(chunk, 5)
     assert [(e.key, e.version) for e in walk_list(new)] == [(7, 7), (7, 1)]
-    assert copy_range(new, 0, 100, 5) == [(7, 11)]
+    assert copy_range(new, 0, 100, 5, {}) == [(7, 11)]
 
 
 def test_copy_compact_purges_newest_tombstone_without_scans():
@@ -215,8 +286,8 @@ def test_copy_compact_keeps_tombstone_needed_by_scan():
     (new,) = copy_compact(chunk, 2)
     pairs = [(e.key, e.version) for e in walk_list(new)]
     assert pairs == [(3, 4), (3, 1)]
-    assert copy_range(new, 0, 100, 2) == [(3, 10)]  # old scan sees old data
-    assert copy_range(new, 0, 100, 9) == []  # new scans see the delete
+    assert copy_range(new, 0, 100, 2, {}) == [(3, 10)]  # old scan sees old data
+    assert copy_range(new, 0, 100, 9, {}) == []  # new scans see the delete
 
 
 def map_over(keys, chunks):
@@ -673,14 +744,14 @@ def test_late_helper_leaves_the_index_on_the_live_list():
 
 def test_copy_range_empty_chunk():
     chunk, _ = raw_chunk([])
-    assert copy_range(chunk, 0, 100, 5) == []
+    assert copy_range(chunk, 0, 100, 5, {}) == []
 
 
 def test_copy_range_version_filter():
     chunk, _ = raw_chunk([(4, 5, 55), (4, 3, 33)])
-    assert copy_range(chunk, 0, 10, 4) == [(4, 33)]
-    assert copy_range(chunk, 0, 10, 5) == [(4, 55)]
-    assert copy_range(chunk, 0, 10, 2) == []
+    assert copy_range(chunk, 0, 10, 4, {}) == [(4, 33)]
+    assert copy_range(chunk, 0, 10, 5, {}) == [(4, 55)]
+    assert copy_range(chunk, 0, 10, 2, {}) == []
 
 
 def test_copy_range_merges_pending_items():

@@ -10,10 +10,10 @@ import dataclasses
 import pytest
 
 from kiwi import TOMBSTONE, FuzzConfig, KiwiMap, check_linearizable
-from kiwi.fuzz import record_run_with_map
+from kiwi.fuzz import record_run
 from kiwi.history import GET, PUT, SCAN, SIZE
 
-from helpers import assert_map_invariants, force_rebalance, has_value_bit, quiescent_items, value_bit
+from helpers import assert_map_invariants, force_rebalance, fuzz_map, has_value_bit, quiescent_items, value_bit
 
 NEVER_REBALANCE = lambda: 1.0  # the probabilistic trigger needs rng() < 0.02
 
@@ -120,7 +120,9 @@ def test_delete_heavy_runs_on_small_chunks_stay_linearizable(seeds):
     a put from its PPA publish on, so a bit set any later than alloc lets
     a get after such a scan miss the value, and these seeds catch it."""
     for seed in seeds:
-        history, m = record_run_with_map(dataclasses.replace(DELETE_HEAVY, seed=seed))
+        cfg = dataclasses.replace(DELETE_HEAVY, seed=seed)
+        m = fuzz_map(cfg)
+        history = record_run(cfg, m)
         result = check_linearizable(history, node_budget=2_000_000)
         assert result.ok, f"seed {seed}: {result.status}"
         m.register_thread()
