@@ -6,14 +6,19 @@ operation streams; a start barrier and a deadline frame the window,
 per-thread counters are summed after the stop. The warm-up is iteration
 -1 of the same loop, its rates discarded, on at most 4096 keys for
 warmup_seconds. With three or more iterations the most suspicious one
-(furthest from the mean) is dropped before averaging. Absolute numbers
-are machine-bound; the output exists for trend checks and CSV tooling.
+(furthest from the mean) is dropped before averaging. Both windows are
+finite. Every scan, in ScanOnly32K and in HalfPutDeleteHalfScan, covers
+SCAN_KEYS (32,768) consecutive keys. Threads count the OP_KINDS they
+run; the CSV has one row per counted kind, with the CSV_COLUMNS.
+Absolute numbers are machine-bound; the output exists for trend checks
+and CSV tooling.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import math
 import random
 import statistics
 import threading
@@ -28,12 +33,16 @@ from .reference import LockedSortedMap
 GET_ONLY = "GetOnly"
 PUT_DELETE_5050 = "PutDelete5050"
 SCAN_ONLY_32K = "ScanOnly32K"
+SCAN_KEYS = 32_768
 HALF_PUT_DELETE_HALF_SCAN = "HalfPutDeleteHalfScan"
 WORKLOADS = (GET_ONLY, PUT_DELETE_5050, SCAN_ONLY_32K, HALF_PUT_DELETE_HALF_SCAN)
 
 IMPL_KIWI = "kiwi"
 IMPL_LOCKED = "locked"
 IMPLS = (IMPL_KIWI, IMPL_LOCKED)
+
+OP_KINDS = ("put", "delete", "get", "scan")
+CSV_COLUMNS = ("workload", "impl", "threads", "op_kind", "mean_ops_per_sec", "stddev", "iterations")
 
 
 def steady_state_init_size(key_range: int, insert_pct: int, delete_pct: int) -> int:
@@ -50,7 +59,6 @@ class WorkloadConfig:
     name: str
     threads: int
     key_range_max: int = 2_000_000
-    scan_span: int = 32_768
     warmup_seconds: float = 20.0
     run_seconds: float = 5.0
     iterations: int = 10
@@ -64,16 +72,14 @@ class WorkloadConfig:
             raise ValueError(f"unknown workload {self.name!r}; choose from {WORKLOADS}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        if self.scan_span < 1:
-            raise ValueError("scan_span must be >= 1")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.key_range_max < 1:
             raise ValueError("key_range_max must be >= 1")
-        if not self.run_seconds > 0:  # NaN fails too
-            raise ValueError("run_seconds must be > 0")
-        if not self.warmup_seconds >= 0:
-            raise ValueError("warmup_seconds must be >= 0")
+        if not 0 < self.run_seconds < math.inf:  # NaN fails too
+            raise ValueError("run_seconds must be finite and > 0")
+        if not 0 <= self.warmup_seconds < math.inf:
+            raise ValueError("warmup_seconds must be finite and >= 0")
         if self.ops_budget is not None and self.ops_budget < 1:
             raise ValueError("ops_budget must be >= 1 when given")
 
@@ -98,16 +104,12 @@ class MeasurementResult:
         return statistics.stdev(values) if len(values) > 1 else 0.0
 
     def rows(self) -> list[dict]:
+        """One CSV_COLUMNS row per op kind, in kind order."""
         return [
-            {
-                "workload": self.workload,
-                "impl": self.impl,
-                "threads": self.threads,
-                "op_kind": kind,
-                "mean_ops_per_sec": f"{self.mean(kind):.2f}",
-                "stddev": f"{self.stddev(kind):.2f}",
-                "iterations": len(self.per_kind_raw[kind]),
-            }
+            dict(zip(CSV_COLUMNS, (
+                self.workload, self.impl, self.threads, kind,
+                f"{self.mean(kind):.2f}", f"{self.stddev(kind):.2f}", len(self.per_kind_raw[kind]),
+            )))
             for kind in sorted(self.per_kind_raw)
         ]
 
@@ -155,7 +157,6 @@ def _thread_role(cfg: WorkloadConfig, tid: int) -> str:
 
 def _worker_loop(target: Any, cfg: WorkloadConfig, role: str, rng: random.Random, deadline: float, counts: dict) -> None:
     key_range = cfg.key_range_max
-    span = cfg.scan_span
     budget = cfg.ops_budget
     n = 0
     check_every = 32
@@ -178,7 +179,7 @@ def _worker_loop(target: Any, cfg: WorkloadConfig, role: str, rng: random.Random
                 counts["delete"] += 1
         else:
             lo = rng.randrange(key_range)
-            target.scan(lo, lo + span)
+            target.scan(lo, lo + SCAN_KEYS - 1)
             counts["scan"] += 1
         n += 1
 
@@ -194,7 +195,7 @@ def run_iteration(cfg: WorkloadConfig, impl: str, iteration: int, bounds_debug: 
     prefill(target, cfg, rng)
 
     barrier = threading.Barrier(cfg.threads)
-    counts = [dict.fromkeys(("put", "delete", "get", "scan"), 0) for _ in range(cfg.threads)]
+    counts = [dict.fromkeys(OP_KINDS, 0) for _ in range(cfg.threads)]
 
     def worker(tid: int) -> None:
         worker_rng = random.Random(cfg.seed * 31337 + iteration * 97 + tid)
@@ -218,10 +219,7 @@ def run_iteration(cfg: WorkloadConfig, impl: str, iteration: int, bounds_debug: 
                 f"size-bound bracket violated after iteration: {lower} <= {true_size} <= {upper}"
             )
 
-    totals = dict.fromkeys(("put", "delete", "get", "scan"), 0)
-    for per in counts:
-        for kind, count in per.items():
-            totals[kind] += count
+    totals = {kind: sum(per[kind] for per in counts) for kind in OP_KINDS}
     return {kind: count / elapsed for kind, count in totals.items() if count}
 
 
@@ -252,18 +250,7 @@ def emit_results(results: list[MeasurementResult], path: str) -> None:
     rows.sort(key=lambda r: (r["workload"], r["impl"], r["threads"], r["op_kind"]))
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(
-                fh,
-                fieldnames=(
-                    "workload",
-                    "impl",
-                    "threads",
-                    "op_kind",
-                    "mean_ops_per_sec",
-                    "stddev",
-                    "iterations",
-                ),
-            )
+            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
             writer.writeheader()
             writer.writerows(rows)
     except OSError as exc:

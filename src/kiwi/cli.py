@@ -7,6 +7,7 @@ errors (argparse's convention), unusable files and stuck workers.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional
 
@@ -28,11 +29,11 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seconds", type=float, default=5.0, help="measured window per iteration")
     bench.add_argument("--warmup-seconds", type=float, default=20.0)
     bench.add_argument("--iterations", type=int, default=10)
-    bench.add_argument("--scan-span", type=int, default=32_768)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--debug-bounds", action="store_true",
                        help="enable size bounds and assert the quiescent bracket per iteration")
     bench.add_argument("--out", required=True, help="CSV output path")
+    bench.set_defaults(run=cmd_bench)
 
     fuzz = sub.add_parser("fuzz", help="record one fuzzed concurrent history")
     fuzz.add_argument("--threads", type=int, default=2)
@@ -43,10 +44,12 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--out", required=True, help="history output path (JSON lines)")
     fuzz.add_argument("--check", action="store_true", help="check the recorded history")
     fuzz.add_argument("--budget", type=int, default=500_000)
+    fuzz.set_defaults(run=cmd_fuzz)
 
     check = sub.add_parser("check", help="check a saved history for linearizability")
     check.add_argument("--in", dest="input", required=True, help="history path")
     check.add_argument("--budget", type=int, default=500_000)
+    check.set_defaults(run=cmd_check)
 
     return parser
 
@@ -56,7 +59,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         name=args.workload,
         threads=args.threads,
         key_range_max=args.key_range,
-        scan_span=args.scan_span,
         warmup_seconds=args.warmup_seconds,
         run_seconds=args.seconds,
         iterations=args.iterations,
@@ -116,25 +118,20 @@ def _report_check(history, budget: int) -> int:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for name in ("threads", "key_range", "seconds", "iterations", "scan_span", "ops", "budget"):
+    for name in ("threads", "key_range", "iterations", "ops", "budget"):
         if not getattr(args, name, 1) > 0:  # NaN fails too
             parser.error(f"--{name.replace('_', '-')} must be above 0")
-    if not getattr(args, "warmup_seconds", 0) >= 0:
-        parser.error("--warmup-seconds must be at least 0")
+    if not 0 < getattr(args, "seconds", 1) < math.inf:
+        parser.error("--seconds must be finite and above 0")
+    if not 0 <= getattr(args, "warmup_seconds", 0) < math.inf:
+        parser.error("--warmup-seconds must be finite and at least 0")
     if args.command == "fuzz" and args.ops % args.threads:
         parser.error("--ops must be a multiple of --threads")
     try:
-        if args.command == "bench":
-            return cmd_bench(args)
-        if args.command == "fuzz":
-            return cmd_fuzz(args)
-        if args.command == "check":
-            return cmd_check(args)
+        return args.run(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    parser.error(f"unknown command {args.command!r}")
-    return 2
 
 
 if __name__ == "__main__":

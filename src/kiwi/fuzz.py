@@ -12,8 +12,11 @@ On the concurrent map those calls mark the put lifecycle's sensitive
 points (post-allocate, post-publish, pre-version-CAS, pre-list-CAS); on
 the coarse-lock oracle, the slot check that opens put, get and scan.
 Operation sequences are derived deterministically from the seed; only
-the interleaving varies run to run. A history's metadata is its whole
-FuzzConfig, so FuzzConfig(**history.meta) rebuilds the recipe.
+the interleaving varies run to run. Each op calls the method of the
+target that its history kind names; only put (a None value is a
+tombstone) and scan (its list is recorded as a tuple) are special. A
+history's metadata is its whole FuzzConfig, so
+FuzzConfig(**history.meta) rebuilds the recipe.
 """
 
 from __future__ import annotations
@@ -29,13 +32,13 @@ from typing import Any, Callable
 
 from . import workers
 from .core import TOMBSTONE, KiwiMap
-from .history import GET, IS_EMPTY, PUT, SCAN, SIZE, History, OpRecord
+from .history import GET, IS_EMPTY, KINDS, PUT, SCAN, SIZE, History, OpRecord
 from .reference import LockedSortedMap
 
 # op-mix weights (put, delete, get, scan); a mix may also weigh SIZE and
 # IS_EMPTY, as tests/helpers.with_size_ops does.
 DEFAULT_MIX = {PUT: 4, "delete": 3, GET: 4, SCAN: 1}
-MIX_KINDS = (PUT, "delete", GET, SCAN, SIZE, IS_EMPTY)
+MIX_KINDS = ("delete", *KINDS)
 
 # Pause sites: a call of the named function from one of the listed callers.
 # KiwiMap.put's four are its lifecycle's sensitive points, in order:
@@ -98,28 +101,22 @@ class FuzzConfig:
 
 
 def generate_ops(config: FuzzConfig, thread_id: int) -> list[tuple]:
-    """Deterministic per-thread op sequence: (kind, args) tuples."""
+    """Deterministic per-thread op sequence: (kind, args) tuples; a
+    delete is put(key, None)."""
     rng = random.Random((config.seed * 1_000_003) ^ thread_id)
     kinds = list(config.mix.keys())
     weights = [config.mix[k] for k in kinds]
     ops = []
     for _ in range(config.ops_per_thread):
         kind = rng.choices(kinds, weights=weights)[0]
+        args = () if kind in (SIZE, IS_EMPTY) else (rng.randrange(config.key_range),)
         if kind == PUT:
-            ops.append((PUT, (rng.randrange(config.key_range), rng.randrange(100))))
+            args += (rng.randrange(100),)
         elif kind == "delete":
-            ops.append((PUT, (rng.randrange(config.key_range), None)))
-        elif kind == GET:
-            ops.append((GET, (rng.randrange(config.key_range),)))
+            kind, args = PUT, args + (None,)
         elif kind == SCAN:
-            lo = rng.randrange(config.key_range)
-            ops.append((SCAN, (lo, lo + rng.randrange(config.scan_span))))
-        elif kind == SIZE:
-            ops.append((SIZE, ()))
-        elif kind == IS_EMPTY:
-            ops.append((IS_EMPTY, ()))
-        else:
-            raise ValueError(f"unknown mix kind {kind!r}")
+            args += (args[0] + rng.randrange(config.scan_span),)
+        ops.append((kind, args))
     return ops
 
 
@@ -128,15 +125,8 @@ def _run_op(target: Any, kind: str, args: tuple) -> Any:
         key, value = args
         target.put(key, TOMBSTONE if value is None else value)
         return None
-    if kind == GET:
-        return target.get(*args)
-    if kind == SCAN:
-        return tuple(target.scan(*args))
-    if kind == SIZE:
-        return target.size()
-    if kind == IS_EMPTY:
-        return target.is_empty()
-    raise ValueError(kind)
+    result = getattr(target, kind)(*args)
+    return tuple(result) if kind == SCAN else result
 
 
 def pause_tracer(pause: Callable[[str, str], None]) -> Callable[[Any, str, Any], None]:

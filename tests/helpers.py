@@ -10,11 +10,11 @@ from typing import Any, Iterable
 
 from kiwi.bench import MeasurementResult
 from kiwi.atomics import AtomicInt
-from kiwi.checker import oracle_apply
+from kiwi.checker import LINEARIZABLE, CheckResult, check_linearizable, oracle_apply
 from kiwi.chunk import END, FROZEN, KEY_MAX, KEY_MIN, TOMBSTONE, Chunk, OrderEntry
 from kiwi.core import KiwiMap
 from kiwi.fuzz import FuzzConfig
-from kiwi.history import GET, IS_EMPTY, PUT, SIZE, History, OpRecord
+from kiwi.history import GET, IS_EMPTY, PUT, SIZE, History, OpRecord, save_history
 
 SIZE_MIX = {PUT: 3, "delete": 3, GET: 2, SIZE: 1, IS_EMPTY: 1}
 
@@ -38,6 +38,23 @@ def fuzz_map(cfg: FuzzConfig) -> KiwiMap:
 def with_size_ops(cfg: FuzzConfig) -> FuzzConfig:
     """cfg with size/is_empty ops in the mix and the size bounds on."""
     return dataclasses.replace(cfg, mix=dict(SIZE_MIX), bounds_enabled=True)
+
+
+def assert_linearizable(history: History, tmp_path: Any, node_budget: int = 2_000_000) -> CheckResult:
+    """Check a recorded history. On any verdict but linearizable, save it
+    under tmp_path and fail with its path, the verdict, the nodes
+    searched, the witness and the command that checks the file again."""
+    result = check_linearizable(history, node_budget=node_budget)
+    if result.status != LINEARIZABLE:
+        path = tmp_path / f"rejected-seed-{history.meta.get('seed')}.jsonl"
+        save_history(history, str(path))
+        witness = "".join(f"\n  {rec.to_json()}" for rec in result.witness)
+        raise AssertionError(
+            f"{result.status} after {result.nodes_used} nodes; history saved to {path}\n"
+            f"witness (longest serializable prefix):{witness}\n"
+            f"check it again: python -m kiwi check --in {path} --budget {node_budget}"
+        )
+    return result
 
 
 def total_mean(result: MeasurementResult) -> float:

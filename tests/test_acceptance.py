@@ -31,7 +31,7 @@ from kiwi import (
 from kiwi.fuzz import record_run
 from kiwi.history import SIZE, IS_EMPTY
 
-from helpers import assert_map_invariants, force_rebalance, fuzz_map, quiescent_items, total_mean, with_size_ops
+from helpers import assert_linearizable, assert_map_invariants, force_rebalance, fuzz_map, quiescent_items, total_mean, with_size_ops
 from interleave import run_threads
 from test_checker import bad_histories
 
@@ -71,7 +71,7 @@ def test_c01_sequential_oracle_equivalence():
     report("C1", f"{ops} ops matched the oracle in {elapsed:.1f}s")
 
 
-def test_c02_linearizability_fuzzing_500_histories():
+def test_c02_linearizability_fuzzing_500_histories(tmp_path):
     """500 fuzzed histories (2-3 threads, <= 40 ops, key range <= 8,
     delays at all four sensitive points) all check linearizable within
     10 minutes."""
@@ -89,14 +89,7 @@ def test_c02_linearizability_fuzzing_500_histories():
         )
         history = record_run(cfg)
         assert len(history.records) <= 40
-        result = check_linearizable(history, node_budget=2_000_000)
-        if not result.ok:
-            lines = "\n".join(r.to_json() for r in sorted(history.records, key=lambda r: r.invoke_ts))
-            pytest.fail(
-                f"seed {seed}: {result.status}\nwitness prefix:\n"
-                + "\n".join(r.to_json() for r in result.witness)
-                + f"\nfull history:\n{lines}"
-            )
+        assert_linearizable(history, tmp_path)
         checked += 1
     elapsed = time.monotonic() - started
     assert elapsed < 600.0, f"took {elapsed:.1f}s, budget 600s"
@@ -211,7 +204,7 @@ def _registered(m, fn, *args):
     fn(*args)
 
 
-def test_c07_size_compositions_linearize():
+def test_c07_size_compositions_linearize(tmp_path):
     """Short fuzzed runs mixing writes with size()/isEmpty(): every
     decided answer, recorded as an operation, leaves the history
     checker-accepted (whole histories of <= 25 ops)."""
@@ -228,8 +221,7 @@ def test_c07_size_compositions_linearize():
         ))
         history = record_run(cfg)
         assert len(history.records) <= 25
-        result = check_linearizable(history, node_budget=2_000_000)
-        assert result.ok, f"seed {seed}: {result.status}"
+        assert_linearizable(history, tmp_path)
         decided += sum(
             1
             for r in history.records

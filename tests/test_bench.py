@@ -3,6 +3,8 @@ emission, desk-scale smoke runs, the deadline that fails a stuck worker,
 and the CLI surface."""
 
 import csv
+import math
+import random
 import subprocess
 import sys
 import threading
@@ -22,7 +24,7 @@ from kiwi import (
     steady_state_init_size,
 )
 from kiwi import bench, workers
-from kiwi.bench import make_map, most_suspicious, prefill, run_iteration
+from kiwi.bench import _worker_loop, make_map, most_suspicious, prefill, run_iteration
 from kiwi.cli import build_parser, main
 
 from helpers import total_mean
@@ -32,7 +34,6 @@ from interleave import run_threads
 def smoke_cfg(name, threads=1, **kw):
     defaults = dict(
         key_range_max=2048,
-        scan_span=64,
         warmup_seconds=0.0,
         run_seconds=0.15,
         iterations=2,
@@ -69,7 +70,7 @@ def test_workload_config_derives_init_size():
 def test_workload_config_validation():
     """A config that cannot mean a run is refused when built. A NaN
     window would never end: the worker loop's deadline test against NaN
-    is always false."""
+    is always false, and an infinite one overflows the join timeout."""
     nan_window = dict(key_range_max=64, warmup_seconds=0, run_seconds=float("nan"), iterations=1)
     for name, threads, kw in [
         ("NoSuchWorkload", 1, {}),
@@ -79,8 +80,9 @@ def test_workload_config_validation():
         ("GetOnly", 1, dict(run_seconds=-1)),
         ("GetOnly", 1, dict(warmup_seconds=-5)),
         ("GetOnly", 1, dict(warmup_seconds=float("nan"))),
+        ("GetOnly", 1, dict(run_seconds=float("inf"))),
+        ("GetOnly", 1, dict(warmup_seconds=float("inf"))),
         ("GetOnly", 1, dict(key_range_max=0)),
-        ("GetOnly", 1, dict(scan_span=0)),
         ("GetOnly", 1, dict(iterations=0)),
     ]:
         with pytest.raises(ValueError):
@@ -161,8 +163,6 @@ def test_emit_bad_path_raises_with_path():
 def test_get_only_closed_world():
     """Against a prefill-only map every get returns the prefilled value
     or absent-consistent None."""
-    import random
-
     cfg = smoke_cfg("GetOnly")
     target = make_map("kiwi", 1)
     inserted = prefill(target, cfg, random.Random(cfg.seed))
@@ -182,16 +182,32 @@ def test_put_delete_smoke_size_band():
     result = run_workload(cfg, "kiwi", bounds_debug=True)
     assert set(result.per_kind_raw) == {"put", "delete"}
     target = make_map("kiwi", 1)
-    import random
-
     prefill(target, cfg, random.Random(cfg.seed))
     drained = len(target.items())
     assert cfg.init_size / 2 <= drained <= cfg.key_range_max
 
 
 def test_scan_only_smoke():
-    result = run_workload(smoke_cfg("ScanOnly32K", scan_span=32), "kiwi")
+    result = run_workload(smoke_cfg("ScanOnly32K"), "kiwi")
     assert result.mean("scan") > 0
+
+
+def test_every_scan_covers_the_32k_keys_the_workload_names():
+    """A scan thread's every scan is the inclusive range [lo, lo +
+    32,767], whatever the key range."""
+    calls = []
+
+    class RecordingScans(LockedSortedMap):
+        def scan(self, min_key, max_key):
+            calls.append(max_key - min_key + 1)
+            return super().scan(min_key, max_key)
+
+    target = RecordingScans(max_threads=1)
+    target.register_thread()
+    counts = dict.fromkeys(bench.OP_KINDS, 0)
+    _worker_loop(target, smoke_cfg("ScanOnly32K", ops_budget=5), "scan", random.Random(1), math.inf, counts)
+    assert counts["scan"] == 5
+    assert calls == [bench.SCAN_KEYS] * 5 and bench.SCAN_KEYS == 32_768
 
 
 def test_half_put_delete_half_scan_roles():
@@ -225,7 +241,7 @@ def test_warmup_is_iteration_minus_one_of_the_measured_workload(monkeypatch):
     assert warmup.key_range_max == 4096
     assert warmup.ops_budget is None
     assert warmup.run_seconds == 0.05
-    assert (warmup.name, warmup.threads, warmup.scan_span) == (cfg.name, cfg.threads, cfg.scan_span)
+    assert (warmup.name, warmup.threads) == (cfg.name, cfg.threads)
     assert all(measured is cfg for measured, _ in calls[1:])
 
 
@@ -283,14 +299,12 @@ def test_make_map_rejects_unknown_impl():
 def test_single_thread_run_is_reproducible():
     """Same seed, one thread, fixed op budget: identical op counts and
     identical final map content."""
-    import random
-    from kiwi.bench import _worker_loop
 
     def run_once():
         cfg = smoke_cfg("PutDelete5050", ops_budget=2000)
         target = make_map("kiwi", 1)
         prefill(target, cfg, random.Random(cfg.seed))
-        counts = dict.fromkeys(("put", "delete", "get", "scan"), 0)
+        counts = dict.fromkeys(bench.OP_KINDS, 0)
         rng = random.Random(cfg.seed * 31337)
         _worker_loop(target, cfg, "putdelete", rng, deadline=float("inf"), counts=counts)
         return counts, target.items()
@@ -309,7 +323,7 @@ def test_cli_bench_writes_csv(tmp_path):
     code = main([
         "bench", "--workload", "GetOnly", "--impl", "kiwi", "--threads", "1",
         "--key-range", "512", "--seconds", "0.1", "--warmup-seconds", "0",
-        "--iterations", "1", "--scan-span", "8", "--seed", "1", "--out", out,
+        "--iterations", "1", "--seed", "1", "--out", out,
     ])
     assert code == 0
     rows = read_csv(out)
@@ -364,7 +378,9 @@ _SMALL_RUNS = {
         ["bench", "--seconds", "0"],
         ["bench", "--seconds", "-1"],
         ["bench", "--seconds", "nan"],
+        ["bench", "--seconds", "inf"],
         ["bench", "--warmup-seconds", "-5"],
+        ["bench", "--warmup-seconds", "inf"],
         ["bench", "--key-range", "0"],
         ["bench", "--threads", "0"],
         ["fuzz", "--ops", "0"],
@@ -407,10 +423,11 @@ def test_cli_refuses_out_of_range_numbers_as_usage_errors(tmp_path, capsys, args
         ("bench", "--key-range", "0", "key_range_max"),
         ("bench", "--seconds", "0", "run_seconds"),
         ("bench", "--seconds", "nan", "run_seconds"),
+        ("bench", "--seconds", "inf", "run_seconds"),
         ("bench", "--warmup-seconds", "-5", "warmup_seconds"),
         ("bench", "--warmup-seconds", "nan", "warmup_seconds"),
+        ("bench", "--warmup-seconds", "inf", "warmup_seconds"),
         ("bench", "--iterations", "0", "iterations"),
-        ("bench", "--scan-span", "0", "scan_span"),
         ("fuzz", "--threads", "0", "threads"),
         ("fuzz", "--key-range", "0", "key_range"),
     ],

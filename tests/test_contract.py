@@ -1,10 +1,14 @@
 """The sequential contract as a property: KiwiMap, on chunks small
 enough to rebalance within a few steps, against the coarse-lock
 LockedSortedMap under random sequences of put, delete, get and scan, one
-state machine per key type. After every step both maps hold the same
-items and the size bounds are exact. Hypothesis shrinks a failing
+state machine per key type: ints, strs, bytes, floats with the
+infinities and both zeros, and bools mixed with the ints they equal.
+After every step both maps hold the same items, the size bounds are
+exact and the map's structural invariants hold. Hypothesis shrinks a failing
 sequence to a short one. The profile is derandomized, so every run tries
 the same examples."""
+
+import math
 
 import pytest
 
@@ -21,11 +25,16 @@ from hypothesis.stateful import (  # noqa: E402
 
 from kiwi import TOMBSTONE, KiwiMap, LockedSortedMap  # noqa: E402
 
+from helpers import assert_map_invariants  # noqa: E402
+
 PROFILE = settings(derandomize=True, database=None, deadline=None, max_examples=60, stateful_step_count=30)
 
 KEYS = {
     "int": st.integers(-6, 6),
     "str": st.text(alphabet="abc", max_size=3),
+    "bytes": st.binary(max_size=2),
+    "float": st.one_of(st.sampled_from((-math.inf, -0.0, 0.0, math.inf)), st.floats(-4, 4, allow_nan=False)),
+    "bool-and-int": st.one_of(st.booleans(), st.integers(-2, 3)),
 }
 
 
@@ -61,6 +70,7 @@ def contract_machine(keys):
             items = self.kiwi.items()
             assert items == self.locked.items()
             assert self.kiwi.size_lower_bound() == self.kiwi.size_upper_bound() == len(items)
+            assert_map_invariants(self.kiwi)
 
     return Contract
 

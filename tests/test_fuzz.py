@@ -3,6 +3,7 @@ on both maps, the recipe a history records, the configs it refuses, the
 deadline that fails a stuck worker, and the locked-oracle calibration
 runs."""
 
+import dataclasses
 import sys
 import threading
 import time
@@ -10,7 +11,6 @@ import time
 import pytest
 
 from kiwi import (
-    LINEARIZABLE,
     FuzzConfig,
     KiwiMap,
     LockedSortedMap,
@@ -24,9 +24,9 @@ from kiwi import (
 )
 from kiwi import cli, workers
 from kiwi.fuzz import PAUSE_SITES
-from kiwi.history import PUT
+from kiwi.history import GET, PUT
 
-from helpers import SIZE_MIX, with_size_ops
+from helpers import SIZE_MIX, assert_linearizable, with_size_ops
 from interleave import pause_sites_met, run_threads
 
 
@@ -116,7 +116,7 @@ def test_locked_oracle_runs_are_linearizable_with_overlap():
 
 
 @pytest.mark.parametrize("threads", [2, 3, 4])
-def test_long_fuzz_histories_are_linearizable(threads):
+def test_long_fuzz_histories_are_linearizable(threads, tmp_path):
     """About 200 ops per history, five times C2's; max_items=16 adds
     rebalance to the recorded runs."""
     for seed in range(3):
@@ -126,8 +126,20 @@ def test_long_fuzz_histories_are_linearizable(threads):
             )
             history = record_run(cfg)
             assert len(history.records) >= 198
-            result = check_linearizable(history, node_budget=2_000_000)
-            assert result.status == LINEARIZABLE, f"seed {seed}, max_items {max_items}: {result.status}"
+            assert_linearizable(history, tmp_path)
+
+
+def test_a_rejected_history_is_saved_for_a_second_check(tmp_path):
+    """assert_linearizable fails on a corrupted history, naming a saved
+    copy that loads back as the same records."""
+    history = record_run(FuzzConfig(threads=2, ops_per_thread=10, seed=5))
+    at = next(i for i, rec in enumerate(history.records) if rec.kind == GET)
+    history.records[at] = dataclasses.replace(history.records[at], result=100)  # puts write 0-99
+    with pytest.raises(AssertionError, match="not-linearizable") as excinfo:
+        assert_linearizable(history, tmp_path)
+    [path] = tmp_path.iterdir()
+    assert f"python -m kiwi check --in {path}" in str(excinfo.value)
+    assert load_history(str(path)).records == history.records
 
 
 def test_put_delete_mix_is_put_only():

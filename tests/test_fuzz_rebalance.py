@@ -3,11 +3,13 @@ every run split repeatedly while readers, scanners, and writers race the
 freeze/help/copy/replace pipeline. This is the regime the original
 testing effort left thinnest, so it gets its own gate."""
 
-from kiwi import FuzzConfig, check_linearizable
+from kiwi import FuzzConfig
 from kiwi.fuzz import record_run
 
+from helpers import assert_linearizable
 
-def test_single_chunk_range_with_constant_splits():
+
+def test_single_chunk_range_with_constant_splits(tmp_path):
     for seed in range(60):
         cfg = FuzzConfig(
             threads=2 + seed % 2,
@@ -18,12 +20,10 @@ def test_single_chunk_range_with_constant_splits():
             delay_prob=0.35,
             delay_max_s=0.0005,
         )
-        history = record_run(cfg)
-        result = check_linearizable(history, node_budget=2_000_000)
-        assert result.ok, f"seed {seed}: {result.status}"
+        assert_linearizable(record_run(cfg), tmp_path)
 
 
-def test_multi_chunk_scans_during_splits():
+def test_multi_chunk_scans_during_splits(tmp_path):
     for seed in range(60):
         cfg = FuzzConfig(
             threads=3,
@@ -36,6 +36,4 @@ def test_multi_chunk_scans_during_splits():
             scan_span=24,
             mix={"put": 3, "delete": 2, "get": 3, "scan": 2},
         )
-        history = record_run(cfg)
-        result = check_linearizable(history, node_budget=4_000_000)
-        assert result.ok, f"seed {seed}: {result.status}"
+        assert_linearizable(record_run(cfg), tmp_path, node_budget=4_000_000)

@@ -8,9 +8,10 @@ slots, the size bounds' parameters and slots, the list insert's,
 compaction's and the bench map factory's parameters, the atomic
 counter's and the thread registry's methods, the fuzz recipe's and the
 bench config's fields and the package exports, so adding one has to edit
-it openly. The package and its tests start threads only through
-kiwi.workers, whose harness fails its caller with what a worker raised,
-or at a deadline with the workers still running."""
+it openly. The fuzzer calls the method each history kind names, so every
+kind is a method of both maps. The package and its tests start threads
+only through kiwi.workers, whose harness fails its caller with what a
+worker raised, or at a deadline with the workers still running."""
 
 import ast
 import dataclasses
@@ -24,7 +25,7 @@ import textwrap
 import pytest
 
 import kiwi
-from kiwi import atomics, bench, bounds, chunk, core, fuzz, rebalance
+from kiwi import atomics, bench, bounds, chunk, core, fuzz, history, rebalance
 
 
 @pytest.mark.parametrize("module", [chunk, core, rebalance], ids=lambda m: m.__name__)
@@ -95,6 +96,24 @@ def test_only_the_harness_constructs_threads():
     assert constructing == {"kiwi/workers.py"}
 
 
+def test_every_history_kind_names_a_method_of_both_maps():
+    """The fuzzer runs an op as getattr(target, kind)(*args): every history
+    kind is a method of both maps, the mix kinds are those plus "delete",
+    and _run_op tells apart only put (a None value is a tombstone) and
+    scan (its list is recorded as a tuple)."""
+    for cls in (kiwi.KiwiMap, kiwi.LockedSortedMap):
+        for kind in history.KINDS:
+            assert callable(getattr(cls, kind, None)), f"{cls.__name__} has no method {kind}"
+    assert sorted(fuzz.MIX_KINDS) == sorted(("delete", *history.KINDS))
+    compared = set()
+    for node in ast.walk(function_tree(fuzz._run_op)):
+        if isinstance(node, ast.Compare):
+            sides = {ast.unparse(side) for side in (node.left, *node.comparators)}
+            if "kind" in sides:
+                compared |= sides - {"kind"}
+    assert compared == {"PUT", "SCAN"}
+
+
 @pytest.mark.parametrize("name", ["kiwi.chunk", "kiwi.core", "kiwi.rebalance"])
 def test_module_imports_in_a_fresh_interpreter(name):
     proc = subprocess.run([sys.executable, "-c", f"import {name}"], capture_output=True, text=True, timeout=60)
@@ -142,7 +161,7 @@ def test_knob_and_export_budget():
     ]
     # init_size is derived from the key range, not a knob.
     assert [field.name for field in dataclasses.fields(kiwi.WorkloadConfig)] == [
-        "name", "threads", "key_range_max", "scan_span", "warmup_seconds",
+        "name", "threads", "key_range_max", "warmup_seconds",
         "run_seconds", "iterations", "seed", "ops_budget",
     ]
     assert kiwi.__all__ == [

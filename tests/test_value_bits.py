@@ -9,11 +9,11 @@ import dataclasses
 
 import pytest
 
-from kiwi import TOMBSTONE, FuzzConfig, KiwiMap, check_linearizable
+from kiwi import TOMBSTONE, FuzzConfig, KiwiMap
 from kiwi.fuzz import record_run
 from kiwi.history import GET, PUT, SCAN, SIZE
 
-from helpers import assert_map_invariants, force_rebalance, fuzz_map, has_value_bit, quiescent_items, value_bit
+from helpers import assert_linearizable, assert_map_invariants, force_rebalance, fuzz_map, has_value_bit, quiescent_items, value_bit
 
 NEVER_REBALANCE = lambda: 1.0  # the probabilistic trigger needs rng() < 0.02
 
@@ -114,7 +114,7 @@ DELETE_HEAVY = FuzzConfig(
 
 
 @pytest.mark.parametrize("seeds", [range(0, 50), range(50, 100)], ids=["seeds-0-49", "seeds-50-99"])
-def test_delete_heavy_runs_on_small_chunks_stay_linearizable(seeds):
+def test_delete_heavy_runs_on_small_chunks_stay_linearizable(seeds, tmp_path):
     """Chunks of capacity 6 compact every few puts, so each run rebuilds
     bits many times while gets and deletes stop on clear ones. Scans see
     a put from its PPA publish on, so a bit set any later than alloc lets
@@ -122,9 +122,7 @@ def test_delete_heavy_runs_on_small_chunks_stay_linearizable(seeds):
     for seed in seeds:
         cfg = dataclasses.replace(DELETE_HEAVY, seed=seed)
         m = fuzz_map(cfg)
-        history = record_run(cfg, m)
-        result = check_linearizable(history, node_budget=2_000_000)
-        assert result.ok, f"seed {seed}: {result.status}"
+        assert_linearizable(record_run(cfg, m), tmp_path)
         m.register_thread()
         size = len(quiescent_items(m))
         assert m.size_lower_bound() <= size <= m.size_upper_bound(), f"seed {seed}"
