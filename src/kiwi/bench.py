@@ -1,17 +1,15 @@
 """Benchmark runner: workload suite, sizing rule, measurement protocol.
 
 Each iteration builds a fresh map prefilled to half the key range and
-hammers it for a fixed wall-clock window from seeded per-thread
+hammers it for a fixed, finite wall-clock window from seeded per-thread
 operation streams; a start barrier and a deadline frame the window,
-per-thread counters are summed after the stop. The warm-up is iteration
--1 of the same loop, its rates discarded, on at most 4096 keys for
-warmup_seconds. With three or more iterations the most suspicious one
-(furthest from the mean) is dropped before averaging. Both windows are
-finite. Every scan, in ScanOnly32K and in HalfPutDeleteHalfScan, covers
-SCAN_KEYS (32,768) consecutive keys. Threads count the OP_KINDS they
-run; the CSV has one row per counted kind, with the CSV_COLUMNS.
-Absolute numbers are machine-bound; the output exists for trend checks
-and CSV tooling.
+per-thread counters are summed after the stop. There is no warm-up run:
+CPython has no JIT to warm. With three or more iterations the most
+suspicious one (furthest from the mean) is dropped before averaging.
+Every scan, in ScanOnly32K and in HalfPutDeleteHalfScan, covers SCAN_KEYS
+(32,768) consecutive keys. Threads count the OP_KINDS they run; the CSV
+has one row per counted kind, with the CSV_COLUMNS. Absolute numbers are
+machine-bound; the output exists for trend checks and CSV tooling.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import random
 import statistics
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from . import workers
@@ -59,7 +57,6 @@ class WorkloadConfig:
     name: str
     threads: int
     key_range_max: int = 2_000_000
-    warmup_seconds: float = 20.0
     run_seconds: float = 5.0
     iterations: int = 10
     seed: int = 0
@@ -78,8 +75,6 @@ class WorkloadConfig:
             raise ValueError("key_range_max must be >= 1")
         if not 0 < self.run_seconds < math.inf:  # NaN fails too
             raise ValueError("run_seconds must be finite and > 0")
-        if not 0 <= self.warmup_seconds < math.inf:
-            raise ValueError("warmup_seconds must be finite and >= 0")
         if self.ops_budget is not None and self.ops_budget < 1:
             raise ValueError("ops_budget must be >= 1 when given")
 
@@ -224,10 +219,6 @@ def run_iteration(cfg: WorkloadConfig, impl: str, iteration: int, bounds_debug: 
 
 
 def run_workload(cfg: WorkloadConfig, impl: str, bounds_debug: bool = False) -> MeasurementResult:
-    if cfg.warmup_seconds > 0:
-        small = min(cfg.key_range_max, 4096)
-        warmup = replace(cfg, key_range_max=small, run_seconds=cfg.warmup_seconds, ops_budget=None)
-        run_iteration(warmup, impl, -1)
     per_iteration: list[dict] = [
         run_iteration(cfg, impl, i, bounds_debug=bounds_debug) for i in range(cfg.iterations)
     ]

@@ -1,17 +1,20 @@
 """Command-line interface: benchmark runs, fuzzed histories, checking.
 
 Exit codes: 0 success, 1 a checked history is not linearizable, 2 usage
-errors (argparse's convention), unusable files and stuck workers.
+errors (argparse's convention), unusable files and stuck workers. A
+reader that closes stdout early loses the report, not the outcome: the
+exit code is the one the command would have given.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import Optional
 
-from .bench import IMPLS, WORKLOADS, MeasurementResult, WorkloadConfig, emit_results, run_workload
+from .bench import IMPLS, WORKLOADS, WorkloadConfig, emit_results, run_workload
 from .checker import EXHAUSTED, NOT_LINEARIZABLE, check_linearizable
 from .fuzz import FuzzConfig, record_run
 from .history import load_history, save_history
@@ -27,7 +30,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--threads", type=int, default=1)
     bench.add_argument("--key-range", type=int, default=2_000_000)
     bench.add_argument("--seconds", type=float, default=5.0, help="measured window per iteration")
-    bench.add_argument("--warmup-seconds", type=float, default=20.0)
     bench.add_argument("--iterations", type=int, default=10)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--debug-bounds", action="store_true",
@@ -54,33 +56,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
+def cmd_bench(args: argparse.Namespace) -> tuple[int, list[str]]:
     cfg = WorkloadConfig(
         name=args.workload,
         threads=args.threads,
         key_range_max=args.key_range,
-        warmup_seconds=args.warmup_seconds,
         run_seconds=args.seconds,
         iterations=args.iterations,
         seed=args.seed,
     )
     result = run_workload(cfg, args.impl, bounds_debug=args.debug_bounds)
     emit_results([result], args.out)
-    _print_result(result)
-    print(f"wrote {args.out}")
-    return 0
+    report = [
+        f"{row['workload']} impl={row['impl']} threads={row['threads']} {row['op_kind']}: "
+        f"{row['mean_ops_per_sec']} ops/s (stddev {row['stddev']}, n={row['iterations']})"
+        for row in result.rows()
+    ]
+    return 0, [*report, f"wrote {args.out}"]
 
 
-def _print_result(result: MeasurementResult) -> None:
-    for row in result.rows():
-        print(
-            f"{row['workload']} impl={row['impl']} threads={row['threads']} "
-            f"{row['op_kind']}: {row['mean_ops_per_sec']} ops/s "
-            f"(stddev {row['stddev']}, n={row['iterations']})"
-        )
-
-
-def cmd_fuzz(args: argparse.Namespace) -> int:
+def cmd_fuzz(args: argparse.Namespace) -> tuple[int, list[str]]:
     config = FuzzConfig(
         threads=args.threads,
         ops_per_thread=args.ops // args.threads,
@@ -89,30 +84,28 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     )
     history = record_run(config)
     save_history(history, args.out)
-    print(f"recorded {len(history.records)} operations across {args.threads} threads -> {args.out}")
-    if args.check:
-        return _report_check(history, args.budget)
-    return 0
+    recorded = f"recorded {len(history.records)} operations across {args.threads} threads -> {args.out}"
+    if not args.check:
+        return 0, [recorded]
+    code, verdict = _report_check(history, args.budget)
+    return code, [recorded, *verdict]
 
 
-def cmd_check(args: argparse.Namespace) -> int:
-    history = load_history(args.input)
-    return _report_check(history, args.budget)
+def cmd_check(args: argparse.Namespace) -> tuple[int, list[str]]:
+    return _report_check(load_history(args.input), args.budget)
 
 
-def _report_check(history, budget: int) -> int:
+def _report_check(history, budget: int) -> tuple[int, list[str]]:
     result = check_linearizable(history, node_budget=budget)
     if result.status == NOT_LINEARIZABLE:
-        print(f"NOT LINEARIZABLE ({result.nodes_used} nodes searched)")
-        print("longest serializable prefix:")
-        for rec in result.witness:
-            print(f"  {rec.to_json()}")
-        return 1
+        return 1, [
+            f"NOT LINEARIZABLE ({result.nodes_used} nodes searched)",
+            "longest serializable prefix:",
+            *(f"  {rec.to_json()}" for rec in result.witness),
+        ]
     if result.status == EXHAUSTED:
-        print(f"UNDECIDED: node budget {budget} exhausted")
-        return 1
-    print(f"linearizable ({result.nodes_used} nodes searched)")
-    return 0
+        return 1, [f"UNDECIDED: node budget {budget} exhausted"]
+    return 0, [f"linearizable ({result.nodes_used} nodes searched)"]
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -123,15 +116,23 @@ def main(argv: Optional[list[str]] = None) -> int:
             parser.error(f"--{name.replace('_', '-')} must be above 0")
     if not 0 < getattr(args, "seconds", 1) < math.inf:
         parser.error("--seconds must be finite and above 0")
-    if not 0 <= getattr(args, "warmup_seconds", 0) < math.inf:
-        parser.error("--warmup-seconds must be finite and at least 0")
     if args.command == "fuzz" and args.ops % args.threads:
         parser.error("--ops must be a multiple of --threads")
     try:
-        return args.run(args)
+        code, report = args.run(args)
+        try:
+            print(*report, sep="\n")
+            sys.stdout.flush()  # a closed pipe fails here, not at exit
+        except BrokenPipeError:
+            # The reader left early: the report is lost, the outcome stands,
+            # and what is still buffered drains into devnull at exit.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -251,8 +251,6 @@ def test_c09_benchmark_trend_check():
             name=name,
             threads=threads,
             key_range_max=16_384,
-            scan_span=256,
-            warmup_seconds=1.0,
             run_seconds=1.0,
             iterations=3,
             seed=7,

@@ -4,6 +4,7 @@ and the CLI surface."""
 
 import csv
 import math
+import os
 import random
 import subprocess
 import sys
@@ -34,7 +35,6 @@ from interleave import run_threads
 def smoke_cfg(name, threads=1, **kw):
     defaults = dict(
         key_range_max=2048,
-        warmup_seconds=0.0,
         run_seconds=0.15,
         iterations=2,
         seed=42,
@@ -71,17 +71,14 @@ def test_workload_config_validation():
     """A config that cannot mean a run is refused when built. A NaN
     window would never end: the worker loop's deadline test against NaN
     is always false, and an infinite one overflows the join timeout."""
-    nan_window = dict(key_range_max=64, warmup_seconds=0, run_seconds=float("nan"), iterations=1)
+    nan_window = dict(key_range_max=64, run_seconds=float("nan"), iterations=1)
     for name, threads, kw in [
         ("NoSuchWorkload", 1, {}),
         ("GetOnly", 0, {}),
         ("GetOnly", 1, nan_window),
         ("GetOnly", 1, dict(run_seconds=0)),
         ("GetOnly", 1, dict(run_seconds=-1)),
-        ("GetOnly", 1, dict(warmup_seconds=-5)),
-        ("GetOnly", 1, dict(warmup_seconds=float("nan"))),
         ("GetOnly", 1, dict(run_seconds=float("inf"))),
-        ("GetOnly", 1, dict(warmup_seconds=float("inf"))),
         ("GetOnly", 1, dict(key_range_max=0)),
         ("GetOnly", 1, dict(iterations=0)),
     ]:
@@ -222,27 +219,20 @@ def test_locked_reference_runs_all_workloads():
         assert total_mean(result) > 0
 
 
-def test_warmup_is_iteration_minus_one_of_the_measured_workload(monkeypatch):
-    """The warm-up runs the workload's own loop on at most 4096 keys for
-    warmup_seconds, timed even when the measured runs have an op budget."""
+def test_run_workload_runs_the_measured_iterations_and_nothing_else(monkeypatch):
+    """No warm-up, also under the default config: run_workload runs
+    iterations 0 .. n-1 of the config it is handed, each once, in order."""
     calls = []
 
     def spy(cfg, impl, iteration, bounds_debug=False):
         calls.append((cfg, iteration))
-        return real(cfg, impl, iteration, bounds_debug=bounds_debug)
+        return {"get": 1.0}
 
-    real = bench.run_iteration
     monkeypatch.setattr(bench, "run_iteration", spy)
-    cfg = smoke_cfg("HalfPutDeleteHalfScan", threads=2, key_range_max=8192,
-                    warmup_seconds=0.05, iterations=2, ops_budget=50)
+    cfg = WorkloadConfig(name="GetOnly", threads=1, iterations=3)
     run_workload(cfg, "kiwi")
-    assert [iteration for _, iteration in calls] == [-1, 0, 1]
-    warmup, _ = calls[0]
-    assert warmup.key_range_max == 4096
-    assert warmup.ops_budget is None
-    assert warmup.run_seconds == 0.05
-    assert (warmup.name, warmup.threads) == (cfg.name, cfg.threads)
-    assert all(measured is cfg for measured, _ in calls[1:])
+    assert [iteration for _, iteration in calls] == [0, 1, 2]
+    assert all(measured is cfg for measured, _ in calls)
 
 
 def test_worker_failing_before_the_start_line_raises(monkeypatch):
@@ -322,7 +312,7 @@ def test_cli_bench_writes_csv(tmp_path):
     out = str(tmp_path / "r.csv")
     code = main([
         "bench", "--workload", "GetOnly", "--impl", "kiwi", "--threads", "1",
-        "--key-range", "512", "--seconds", "0.1", "--warmup-seconds", "0",
+        "--key-range", "512", "--seconds", "0.1",
         "--iterations", "1", "--seed", "1", "--out", out,
     ])
     assert code == 0
@@ -367,7 +357,7 @@ def test_cli_usage_error_exits_2():
 
 _SMALL_RUNS = {
     "bench": ["bench", "--workload", "GetOnly", "--impl", "kiwi", "--key-range", "64",
-              "--seconds", "0.05", "--warmup-seconds", "0", "--iterations", "1"],
+              "--seconds", "0.05", "--iterations", "1"],
     "fuzz": ["fuzz", "--ops", "4"],
 }
 
@@ -379,8 +369,6 @@ _SMALL_RUNS = {
         ["bench", "--seconds", "-1"],
         ["bench", "--seconds", "nan"],
         ["bench", "--seconds", "inf"],
-        ["bench", "--warmup-seconds", "-5"],
-        ["bench", "--warmup-seconds", "inf"],
         ["bench", "--key-range", "0"],
         ["bench", "--threads", "0"],
         ["fuzz", "--ops", "0"],
@@ -424,9 +412,6 @@ def test_cli_refuses_out_of_range_numbers_as_usage_errors(tmp_path, capsys, args
         ("bench", "--seconds", "0", "run_seconds"),
         ("bench", "--seconds", "nan", "run_seconds"),
         ("bench", "--seconds", "inf", "run_seconds"),
-        ("bench", "--warmup-seconds", "-5", "warmup_seconds"),
-        ("bench", "--warmup-seconds", "nan", "warmup_seconds"),
-        ("bench", "--warmup-seconds", "inf", "warmup_seconds"),
         ("bench", "--iterations", "0", "iterations"),
         ("fuzz", "--threads", "0", "threads"),
         ("fuzz", "--key-range", "0", "key_range"),
@@ -458,3 +443,48 @@ def test_cli_entrypoint_runs_as_module():
     )
     assert proc.returncode == 2  # missing input is a usage error
     assert "error:" in proc.stderr
+
+
+def _run_with_stdout_closed(args, buffered):
+    """Run python -m kiwi with args, its stdout a pipe whose read end is
+    closed before the command can print. Returns (exit code, stderr)."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with subprocess.Popen(
+        [sys.executable, "-m", "kiwi", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    ) as proc:
+        proc.stdout.close()
+        try:
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()  # nothing to do once it has exited
+    return proc.returncode, err
+
+
+def test_a_closed_stdout_keeps_the_bench_outcome(tmp_path):
+    """A reader that leaves before the report loses the report only: the
+    CSV holds every row, exit 0, and nothing is said on stderr, not even
+    by the flush at interpreter exit (stdout block-buffered here)."""
+    out = tmp_path / "r.csv"
+    code, err = _run_with_stdout_closed(
+        ["bench", "--workload", "HalfPutDeleteHalfScan", "--impl", "kiwi", "--threads", "2",
+         "--key-range", "256", "--seconds", "0.2", "--iterations", "1", "--out", str(out)],
+        buffered=True,
+    )
+    assert (code, err) == (0, "")
+    assert [row[3] for row in read_csv(out)[1:]] == ["delete", "put", "scan"]
+
+
+def test_a_closed_stdout_keeps_the_check_verdict(tmp_path):
+    """check of a history that is not linearizable exits 1, the verdict's
+    code, when its first print already fails (stdout unbuffered here)."""
+    path = tmp_path / "bad.jsonl"
+    path.write_text(
+        '{"meta":{}}\n'
+        '{"thread":0,"kind":"put","args":[1,5],"result":null,"invoke":0,"response":10}\n'
+        '{"thread":1,"kind":"get","args":[1],"result":null,"invoke":20,"response":30}\n'
+    )
+    assert _run_with_stdout_closed(["check", "--in", str(path)], buffered=False) == (1, "")

@@ -3,8 +3,11 @@ enough to rebalance within a few steps, against the coarse-lock
 LockedSortedMap under random sequences of put, delete, get and scan, one
 state machine per key type: ints, strs, bytes, floats with the
 infinities and both zeros, and bools mixed with the ints they equal.
-After every step both maps hold the same items, the size bounds are
-exact and the map's structural invariants hold. Hypothesis shrinks a failing
+Input either map refuses (strictly reversed scan bounds, a None value, a
+None or (nan,) key, an unhashable key) raises the same exception class
+from both, and re-registering the thread keeps both maps' contents.
+After every step both maps hold the same items, the size bounds, size()
+and is_empty() are exact and the map's structural invariants hold. Hypothesis shrinks a failing
 sequence to a short one. The profile is derandomized, so every run tries
 the same examples."""
 
@@ -23,7 +26,7 @@ from hypothesis.stateful import (  # noqa: E402
     run_state_machine_as_test,
 )
 
-from kiwi import TOMBSTONE, KiwiMap, LockedSortedMap  # noqa: E402
+from kiwi import TOMBSTONE, KiwiMap, LockedSortedMap, RegistrationError  # noqa: E402
 
 from helpers import assert_map_invariants  # noqa: E402
 
@@ -38,12 +41,21 @@ KEYS = {
 }
 
 
+def raised(call, *args):
+    """The class of the exception call(*args) raises, or None."""
+    try:
+        call(*args)
+    except Exception as exc:
+        return type(exc)
+    return None
+
+
 def contract_machine(keys):
     class Contract(RuleBasedStateMachine):
         @initialize(max_items=st.integers(2, 8))
         def build(self, max_items):
             self.kiwi = KiwiMap(max_threads=1, max_items=max_items, bounds_enabled=True)
-            self.locked = LockedSortedMap(max_threads=1)
+            self.locked = LockedSortedMap(max_threads=1, bounds_enabled=True)
             self.kiwi.register_thread()
             self.locked.register_thread()
 
@@ -65,11 +77,40 @@ def contract_machine(keys):
         def scan(self, ends):
             assert self.kiwi.scan(*ends) == self.locked.scan(*ends)
 
+        @rule(ends=st.lists(keys, min_size=2, max_size=2, unique=True).map(sorted))
+        def reversed_scan(self, ends):
+            lo, hi = ends
+            assert raised(self.kiwi.scan, hi, lo) is raised(self.locked.scan, hi, lo) is ValueError
+
+        @rule(key=keys, refused=st.sampled_from(("None value", "None key", "NaN key", "unhashable key")))
+        def refused_put(self, key, refused):
+            args = {
+                "None value": (key, None),
+                "None key": (None, 1),
+                "NaN key": ((math.nan,), 1),
+                "unhashable key": ([key], 1),
+            }[refused]
+            assert raised(self.kiwi.put, *args) is raised(self.locked.put, *args) is not None
+            if refused == "unhashable key":
+                assert raised(self.kiwi.get, [key]) is raised(self.locked.get, [key]) is not None
+
+        @rule()
+        def reregister(self):
+            for target in (self.kiwi, self.locked):
+                before = target.items()
+                target.unregister_thread()
+                target.register_thread()
+                assert target.items() == before
+                assert raised(target.register_thread) is RegistrationError
+
         @invariant()
         def same_items_and_exact_bounds(self):
             items = self.kiwi.items()
             assert items == self.locked.items()
             assert self.kiwi.size_lower_bound() == self.kiwi.size_upper_bound() == len(items)
+            for target in (self.kiwi, self.locked):
+                assert target.size() == len(items)
+                assert target.is_empty() == (not items)
             assert_map_invariants(self.kiwi)
 
     return Contract

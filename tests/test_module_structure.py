@@ -7,12 +7,13 @@ which fences first. A budget test pins the map's construction knobs, a chunk's
 slots, the size bounds' parameters and slots, the list insert's,
 compaction's and the bench map factory's parameters, the atomic
 counter's and the thread registry's methods, the fuzz recipe's and the
-bench config's fields and the package exports, so adding one has to edit
-it openly. The fuzzer calls the method each history kind names, so every
+bench config's fields, each CLI subcommand's options and the package
+exports, so adding one has to edit it openly. The fuzzer calls the method each history kind names, so every
 kind is a method of both maps. The package and its tests start threads
 only through kiwi.workers, whose harness fails its caller with what a
 worker raised, or at a deadline with the workers still running."""
 
+import argparse
 import ast
 import dataclasses
 import graphlib
@@ -25,7 +26,7 @@ import textwrap
 import pytest
 
 import kiwi
-from kiwi import atomics, bench, bounds, chunk, core, fuzz, history, rebalance
+from kiwi import atomics, bench, bounds, chunk, cli, core, fuzz, history, rebalance
 
 
 @pytest.mark.parametrize("module", [chunk, core, rebalance], ids=lambda m: m.__name__)
@@ -161,9 +162,22 @@ def test_knob_and_export_budget():
     ]
     # init_size is derived from the key range, not a knob.
     assert [field.name for field in dataclasses.fields(kiwi.WorkloadConfig)] == [
-        "name", "threads", "key_range_max", "warmup_seconds",
-        "run_seconds", "iterations", "seed", "ops_budget",
+        "name", "threads", "key_range_max", "run_seconds", "iterations", "seed", "ops_budget",
     ]
+    commands = next(
+        action for action in cli.build_parser()._actions if isinstance(action, argparse._SubParsersAction)
+    ).choices
+    assert {
+        name: [option for action in parser._actions for option in action.option_strings]
+        for name, parser in commands.items()
+    } == {
+        "bench": [
+            "-h", "--help", "--workload", "--impl", "--threads", "--key-range", "--seconds",
+            "--iterations", "--seed", "--debug-bounds", "--out",
+        ],
+        "fuzz": ["-h", "--help", "--threads", "--ops", "--key-range", "--seed", "--out", "--check", "--budget"],
+        "check": ["-h", "--help", "--in", "--budget"],
+    }
     assert kiwi.__all__ == [
         "BoundsDisabledError", "CheckResult", "EXHAUSTED",
         "FuzzConfig", "History", "HistoryFormatError", "IMPLS", "KiwiMap",
