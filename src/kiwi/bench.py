@@ -1,5 +1,11 @@
 """Benchmark runner: workload suite, sizing rule, measurement protocol.
 
+ROLES is the workload suite, the one statement of what each workload's
+threads run. The roles are dealt in order: thread tid of n takes
+roles[tid * len(roles) // n], so in HalfPutDeleteHalfScan the first
+ceil(n/2) threads put and delete and the rest scan. WorkloadConfig
+refuses fewer threads than its workload has roles.
+
 Each iteration builds a fresh map prefilled to half the key range and
 hammers it for a fixed, finite wall-clock window from seeded per-thread
 operation streams; a start barrier and a deadline frame the window,
@@ -28,16 +34,18 @@ from . import workers
 from .core import TOMBSTONE, KiwiMap
 from .reference import LockedSortedMap
 
-GET_ONLY = "GetOnly"
-PUT_DELETE_5050 = "PutDelete5050"
-SCAN_ONLY_32K = "ScanOnly32K"
+# A putdelete op is a coin flip between a put and a delete (a tombstone put).
+ROLES = {
+    "GetOnly": ("get",),
+    "PutDelete5050": ("putdelete",),
+    "ScanOnly32K": ("scan",),
+    "HalfPutDeleteHalfScan": ("putdelete", "scan"),
+}
+WORKLOADS = tuple(ROLES)
 SCAN_KEYS = 32_768
-HALF_PUT_DELETE_HALF_SCAN = "HalfPutDeleteHalfScan"
-WORKLOADS = (GET_ONLY, PUT_DELETE_5050, SCAN_ONLY_32K, HALF_PUT_DELETE_HALF_SCAN)
 
-IMPL_KIWI = "kiwi"
-IMPL_LOCKED = "locked"
-IMPLS = (IMPL_KIWI, IMPL_LOCKED)
+MAPS = {"kiwi": KiwiMap, "locked": LockedSortedMap}
+IMPLS = tuple(MAPS)
 
 OP_KINDS = ("put", "delete", "get", "scan")
 CSV_COLUMNS = ("workload", "impl", "threads", "op_kind", "mean_ops_per_sec", "stddev", "iterations")
@@ -65,10 +73,10 @@ class WorkloadConfig:
     ops_budget: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.name not in WORKLOADS:
+        if self.name not in ROLES:
             raise ValueError(f"unknown workload {self.name!r}; choose from {WORKLOADS}")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+        if self.threads < len(ROLES[self.name]):
+            raise ValueError(f"{self.name} needs threads >= {len(ROLES[self.name])}, one per role")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.key_range_max < 1:
@@ -119,11 +127,9 @@ def most_suspicious(values: list[float]) -> Optional[int]:
 
 
 def make_map(impl: str, threads: int, bounds_enabled: bool = False) -> Any:
-    if impl == IMPL_KIWI:
-        return KiwiMap(max_threads=threads + 1, bounds_enabled=bounds_enabled)
-    if impl == IMPL_LOCKED:
-        return LockedSortedMap(max_threads=threads + 1, bounds_enabled=bounds_enabled)
-    raise ValueError(f"unknown impl {impl!r}; choose from {IMPLS}")
+    if impl not in MAPS:
+        raise ValueError(f"unknown impl {impl!r}; choose from {IMPLS}")
+    return MAPS[impl](max_threads=threads + 1, bounds_enabled=bounds_enabled)
 
 
 def prefill(target: Any, cfg: WorkloadConfig, rng: random.Random) -> dict:
@@ -139,43 +145,30 @@ def prefill(target: Any, cfg: WorkloadConfig, rng: random.Random) -> dict:
     return inserted
 
 
-def _thread_role(cfg: WorkloadConfig, tid: int) -> str:
-    if cfg.name == HALF_PUT_DELETE_HALF_SCAN:
-        # half the threads mutate, half scan (odd counts favor mutators)
-        return "scan" if tid >= (cfg.threads + 1) // 2 else "putdelete"
-    if cfg.name == GET_ONLY:
-        return "get"
-    if cfg.name == PUT_DELETE_5050:
-        return "putdelete"
-    return "scan"
-
-
 def _worker_loop(target: Any, cfg: WorkloadConfig, role: str, rng: random.Random, deadline: float, counts: dict) -> None:
+    """Run role's ops until the deadline or, under an ops_budget, exactly
+    that many whatever the clock says. Each op draws its key first. The
+    clock is read before every scan, which takes milliseconds, and before
+    every 32nd get or put, which take microseconds."""
     key_range = cfg.key_range_max
-    budget = cfg.ops_budget
+    budget, deadline = (math.inf, deadline) if cfg.ops_budget is None else (cfg.ops_budget, math.inf)
+    check_every = 1 if role == "scan" else 32
     n = 0
-    check_every = 32
-    while True:
-        if budget is not None:
-            if n >= budget:
-                break
-        elif n % check_every == 0 and time.monotonic() >= deadline:
-            break
+    while n < budget and (n % check_every or time.monotonic() < deadline):
+        key = rng.randrange(key_range)
         if role == "get":
-            target.get(rng.randrange(key_range))
-            counts["get"] += 1
-        elif role == "putdelete":
-            key = rng.randrange(key_range)
-            if rng.random() < 0.5:
-                target.put(key, rng.randrange(1 << 30))
-                counts["put"] += 1
-            else:
-                target.put(key, TOMBSTONE)
-                counts["delete"] += 1
+            target.get(key)
+            kind = "get"
+        elif role == "scan":
+            target.scan(key, key + SCAN_KEYS - 1)
+            kind = "scan"
+        elif rng.random() < 0.5:
+            target.put(key, rng.randrange(1 << 30))
+            kind = "put"
         else:
-            lo = rng.randrange(key_range)
-            target.scan(lo, lo + SCAN_KEYS - 1)
-            counts["scan"] += 1
+            target.put(key, TOMBSTONE)
+            kind = "delete"
+        counts[kind] += 1
         n += 1
 
 
@@ -189,12 +182,13 @@ def run_iteration(cfg: WorkloadConfig, impl: str, iteration: int, bounds_debug: 
     rng = random.Random(cfg.seed * 1009 + iteration)
     prefill(target, cfg, rng)
 
+    roles = ROLES[cfg.name]
     barrier = threading.Barrier(cfg.threads)
     counts = [dict.fromkeys(OP_KINDS, 0) for _ in range(cfg.threads)]
 
     def worker(tid: int) -> None:
         worker_rng = random.Random(cfg.seed * 31337 + iteration * 97 + tid)
-        role = _thread_role(cfg, tid)
+        role = roles[tid * len(roles) // cfg.threads]
         barrier.wait()  # before registering, which may fail: the others still start
         target.register_thread()
         deadline = time.monotonic() + cfg.run_seconds

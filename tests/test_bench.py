@@ -2,7 +2,9 @@
 emission, desk-scale smoke runs, the deadline that fails a stuck worker,
 and the CLI surface."""
 
+import collections
 import csv
+import hashlib
 import math
 import os
 import random
@@ -18,6 +20,7 @@ from kiwi import (
     LockedSortedMap,
     MeasurementResult,
     RegistrationError,
+    TOMBSTONE,
     WorkloadConfig,
     emit_results,
     load_history,
@@ -84,6 +87,9 @@ def test_workload_config_validation():
     ]:
         with pytest.raises(ValueError):
             WorkloadConfig(name=name, threads=threads, **kw)
+    # One thread per role: a 1-thread Half would have no scanner.
+    with pytest.raises(ValueError, match=r"HalfPutDeleteHalfScan needs threads >= 2"):
+        WorkloadConfig(name="HalfPutDeleteHalfScan", threads=1)
     # A budget below one op would measure nothing: no rows, a bare CSV header.
     for budget in (0, -3):
         with pytest.raises(ValueError, match="ops_budget"):
@@ -207,10 +213,100 @@ def test_every_scan_covers_the_32k_keys_the_workload_names():
     assert calls == [bench.SCAN_KEYS] * 5 and bench.SCAN_KEYS == 32_768
 
 
-def test_half_put_delete_half_scan_roles():
-    cfg = smoke_cfg("HalfPutDeleteHalfScan", threads=2, run_seconds=0.3)
-    result = run_workload(cfg, "kiwi")
-    assert {"put", "delete", "scan"} <= set(result.per_kind_raw)
+def test_half_put_delete_half_scan_roles(monkeypatch):
+    """Roles are dealt in order: of n threads, tids from ceil(n/2) up
+    scan and the rest put and delete, so an odd count favours mutators."""
+    methods = collections.defaultdict(set)
+
+    class RecordingByThread(LockedSortedMap):
+        def put(self, key, value):
+            methods[threading.current_thread().name].add("put")
+            return super().put(key, value)
+
+        def scan(self, min_key, max_key):
+            methods[threading.current_thread().name].add("scan")
+            return super().scan(min_key, max_key)
+
+    monkeypatch.setattr(
+        bench, "make_map", lambda impl, threads, bounds_enabled=False: RecordingByThread(max_threads=threads + 1)
+    )
+    for n in range(2, 6):
+        methods.clear()
+        run_iteration(smoke_cfg("HalfPutDeleteHalfScan", threads=n, key_range_max=256, ops_budget=4), "locked", 0)
+        assert {name: kinds for name, kinds in methods.items() if name.startswith("worker-")} == {
+            f"worker-{tid}": {"scan" if tid >= (n + 1) // 2 else "put"} for tid in range(n)
+        }
+
+
+@pytest.mark.parametrize("impl", ["kiwi", "locked"])
+@pytest.mark.parametrize(
+    "name, threads, kinds",
+    [
+        ("GetOnly", 1, {"get"}),
+        ("PutDelete5050", 1, {"put", "delete"}),
+        ("ScanOnly32K", 1, {"scan"}),
+        ("HalfPutDeleteHalfScan", 2, {"put", "delete", "scan"}),
+    ],
+)
+def test_each_workload_counts_the_kinds_its_roles_name(name, threads, kinds, impl):
+    """At its minimum thread count each workload counts exactly its kinds."""
+    rates = run_iteration(smoke_cfg(name, threads=threads, key_range_max=256, ops_budget=64), impl, 0)
+    assert set(rates) == kinds
+
+
+# The (method, args) calls of a single-thread _worker_loop, 300 ops from
+# Random(5) over 2048 keys, hashed. Computed from the loop that drew each
+# role's key in its own branch; the one-draw loop must match bit for bit.
+_OP_STREAM_DIGESTS = {
+    "get": "5d7ffe62ee30e036",
+    "putdelete": "346ab334a974b501",
+    "scan": "d64aeb5976397ac5",
+}
+
+
+@pytest.mark.parametrize("impl", ["kiwi", "locked"])
+@pytest.mark.parametrize("role", sorted(_OP_STREAM_DIGESTS))
+def test_a_seeded_op_stream_is_unchanged(role, impl):
+    """Each role's seeded stream of calls is pinned, bit for bit."""
+    calls = []
+
+    class Recording(bench.MAPS[impl]):
+        def get(self, key):
+            calls.append(("get", key))
+            return super().get(key)
+
+        def put(self, key, value):
+            calls.append(("put", key, "TOMBSTONE" if value is TOMBSTONE else value))
+            return super().put(key, value)
+
+        def scan(self, min_key, max_key):
+            calls.append(("scan", min_key, max_key))
+            return super().scan(min_key, max_key)
+
+    target = Recording(max_threads=2)
+    target.register_thread()
+    counts = dict.fromkeys(bench.OP_KINDS, 0)
+    cfg = smoke_cfg("GetOnly", ops_budget=300)
+    _worker_loop(target, cfg, role, random.Random(5), math.inf, counts)
+    assert len(calls) == sum(counts.values()) == 300
+    assert hashlib.sha256(repr(calls).encode()).hexdigest()[:16] == _OP_STREAM_DIGESTS[role]
+
+
+def test_a_scan_thread_reads_the_clock_before_every_scan():
+    """A scan takes milliseconds, so a scan thread stops within one scan
+    of its deadline: a 20 ms window of 5 ms scans runs about four, not
+    the 32 a clock read every 32nd op would let through."""
+
+    class SlowScans(LockedSortedMap):
+        def scan(self, min_key, max_key):
+            time.sleep(0.005)
+            return []
+
+    target = SlowScans(max_threads=1)
+    target.register_thread()
+    counts = dict.fromkeys(bench.OP_KINDS, 0)
+    _worker_loop(target, smoke_cfg("ScanOnly32K"), "scan", random.Random(1), time.monotonic() + 0.02, counts)
+    assert 1 <= counts["scan"] <= 6
 
 
 def test_locked_reference_runs_all_workloads():
@@ -318,6 +414,19 @@ def test_cli_bench_writes_csv(tmp_path):
     assert code == 0
     rows = read_csv(out)
     assert rows[1][0] == "GetOnly"
+
+
+def test_cli_refuses_fewer_threads_than_roles(tmp_path, capsys):
+    """--threads defaults to 1, which HalfPutDeleteHalfScan refuses: exit
+    2 and no CSV, where it once ran PutDelete5050 unannounced."""
+    out = tmp_path / "r.csv"
+    argv = ["bench", "--workload", "HalfPutDeleteHalfScan", "--impl", "kiwi", "--key-range", "256",
+            "--seconds", "0.05", "--iterations", "1", "--out", str(out)]
+    assert main(argv) == 2
+    assert "HalfPutDeleteHalfScan needs threads >= 2" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*argv, "--threads", "2"]) == 0
+    assert [row[3] for row in read_csv(out)[1:]] == ["delete", "put", "scan"]
 
 
 def test_cli_fuzz_check_roundtrip(tmp_path):
