@@ -5,9 +5,10 @@ key space the index gives it. A chunk holds an order array (versioned
 key slots forming a sorted linked list with a presorted prefix), a key
 array parallel to it (the prefix search bisects it directly), a data
 array of immutable value cells, and a pending-puts array (PPA) with one
-slot per registered thread. The order, key and data arrays grow by one
-append per allocated slot, so a chunk pays for the slots it uses, not
-its capacity.
+slot per registered thread. Chunk.alloc, the only writer of a new slot,
+builds its entry and appends it, its key and its value, so the three
+arrays grow by one append per slot: a chunk pays for the slots it uses,
+not its capacity.
 
 Version word, changed only by a CAS that expects NONE:
     0    NONE     allocated, not yet visible
@@ -51,7 +52,7 @@ import threading
 from bisect import bisect_left
 from typing import Any, Optional
 
-from .atomics import _WORD_LOCKS, AtomicInt, cas
+from .atomics import AtomicInt, cas, word_lock
 
 
 VERSION_NONE = 0
@@ -131,14 +132,15 @@ def cover_slots(bound: int) -> None:
 
 
 class OrderEntry:
-    """One versioned key slot. key is immutable; the rest change by CAS."""
+    """One versioned key slot. key is immutable; the rest change by CAS.
+    A put's entry is built by Chunk.alloc, with its slot as dataIndex."""
 
     __slots__ = ("key", "version", "data_index", "next")
 
     def __init__(self, key: Any, version: Any = VERSION_NONE, data_index: int = 0) -> None:
         self.key = key
         self.version = version
-        self.data_index = data_index  # a put's entry gets its own in Chunk.alloc
+        self.data_index = data_index
         self.next = END
 
     def cas_version(self, expected: Any, new: Any) -> bool:
@@ -205,14 +207,14 @@ class Chunk:
     def is_full(self) -> bool:
         return self.frozen or len(self.order) > self.capacity
 
-    def alloc(self, entry: OrderEntry, value: Any) -> Optional[int]:
-        """Claim one slot and write it whole: entry, key and value (None
-        for a TOMBSTONE), with the slot as the entry's dataIndex, and set
-        the key's value bit for a value. None when full or frozen.
+    def alloc(self, key: Any, value: Any) -> Optional[int]:
+        """Claim one slot and write it whole: a new OrderEntry(key, NONE,
+        slot), the key and the value (None for a TOMBSTONE), and set the
+        key's value bit for a value. None when full or frozen.
 
-        Freezing is one flag, set under this chunk's word lock, and alloc
-        reads it under the same lock, so no slot is handed out once it is
-        set. The appends and the bit happen under the lock too, before the
+        Freezing is one flag, set under word_lock(self), and alloc reads
+        it under the same lock, so no slot is handed out once it is set.
+        The appends and the bit happen under the lock too, before the
         caller can publish idx, so the freeze pass and every reader of a
         published index see an initialized entry, key and value, and no
         bit is set once the chunk is frozen. The key is hashed before the
@@ -223,8 +225,8 @@ class Chunk:
         The index and dataIndex are the shared slot ints.
         """
         if value is not TOMBSTONE:
-            h = hash(entry.key) % (self.capacity << 3)  # the value bit; may raise TypeError
-        lock = _WORD_LOCKS[(id(self) >> 6) & 63]  # word_lock(self), inline; a test pins the match
+            h = hash(key) % (self.capacity << 3)  # the value bit; may raise TypeError
+        lock = word_lock(self)
         lock.acquire()
         try:
             idx = len(self.order)
@@ -232,13 +234,13 @@ class Chunk:
                 return None
             if idx >= len(_SLOTS):
                 cover_slots(idx + 1)
-            idx = entry.data_index = _SLOTS[idx]
+            idx = _SLOTS[idx]
             if value is TOMBSTONE:
                 value = None
             else:
                 self.bits[h >> 3] |= 1 << (h & 7)
-            self.order.append(entry)
-            self.keys.append(entry.key)
+            self.order.append(OrderEntry(key, VERSION_NONE, idx))
+            self.keys.append(key)
             self.data.append(value)
             return idx
         except BaseException:  # a MemoryError from an append, say; idx may be unbound

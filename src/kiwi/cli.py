@@ -133,7 +133,3 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -71,7 +71,8 @@ def nan_inside(key: tuple) -> bool:
 
 
 class InsertOutcome:
-    """What add_to_linked_list did; rebalance and tests inspect these."""
+    """What add_to_linked_list did. help_frozen_chunk_puts discards it;
+    tests and perfbench's traced run read it."""
 
     INSERTED = "inserted"
     OVERWROTE = "overwrote"
@@ -231,11 +232,11 @@ class KiwiMap(ThreadRegistry):
                 h = hash(key) % (chunk.capacity << 3)  # the value bit
                 if not chunk.bits[h >> 3] & (1 << (h & 7)):
                     return  # the chunk holds no value of key: nothing to delete
-            entry = OrderEntry(key)
-            idx = chunk.alloc(entry, value)
+            idx = chunk.alloc(key, value)
             if idx is None:
                 self._rebalance_chunk(chunk)
                 continue
+            entry = chunk.order[idx]
             bounds.on_put_published(is_tomb)
             chunk.ppa[slot] = idx
             store_fence()

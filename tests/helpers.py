@@ -81,8 +81,8 @@ def raw_chunk(
     chunk = Chunk(max(capacity, len(listed) + len(pending)), max_threads)
 
     def alloc(key, version, value):
-        entry = OrderEntry(key)
-        idx = chunk.alloc(entry, value)
+        idx = chunk.alloc(key, value)
+        entry = chunk.order[idx]
         entry.version = version
         return entry, idx
 

@@ -9,7 +9,7 @@ from functools import partial
 import pytest
 
 from kiwi import KiwiMap, TOMBSTONE, validate_put_only_final_state
-from kiwi.core import FROZEN, InsertOutcome, OrderEntry
+from kiwi.core import FROZEN, InsertOutcome
 from kiwi.fuzz import FuzzConfig, record_run
 
 from helpers import assert_map_invariants, force_rebalance, fuzz_map, global_version, quiescent_items, walk_list
@@ -83,8 +83,8 @@ def test_same_key_same_version_insert_and_overwrite_outcomes():
     def racer(name, value):
         slot = m.register_thread()
         chunk = m.find_chunk(5)
-        entry = OrderEntry(5)
-        idx = chunk.alloc(entry, value)
+        idx = chunk.alloc(5, value)
+        entry = chunk.order[idx]
         chunk.ppa[slot] = idx
         entry.cas_version(0, global_version(m))
         staged[name] = (idx, value)

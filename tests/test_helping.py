@@ -9,7 +9,7 @@ import pytest
 
 from kiwi import TOMBSTONE, KiwiMap, OpRecord, core
 from kiwi.atomics import AtomicInt
-from kiwi.core import FROZEN, VERSION_NONE, OrderEntry
+from kiwi.core import FROZEN, VERSION_NONE
 
 from helpers import assert_map_invariants, ppa_ranking
 from interleave import PutGate, pause_sites_met, run_threads
@@ -36,8 +36,8 @@ def test_help_assigns_requested_version():
     m = KiwiMap(max_threads=2)
     m.register_thread()
     chunk = m.find_chunk(5)
-    entry = OrderEntry(5)
-    idx = chunk.alloc(entry, 50)
+    idx = chunk.alloc(5, 50)
+    entry = chunk.order[idx]
     chunk.ppa[0] = idx
     assert help_at(m, chunk, 12) == {5: (12, idx)}
     assert entry.version == 12  # the helper's version
@@ -47,8 +47,8 @@ def test_help_ignores_out_of_range_keys():
     m = KiwiMap(max_threads=2)
     m.register_thread()
     chunk = m.find_chunk(50)
-    entry = OrderEntry(50)
-    chunk.ppa[0] = chunk.alloc(entry, 500)
+    chunk.ppa[0] = chunk.alloc(50, 500)
+    entry = chunk.order[chunk.ppa[0]]
     assert help_at(m, chunk, 12) == {}
     assert entry.version == VERSION_NONE  # untouched
 
@@ -57,8 +57,8 @@ def test_help_skips_frozen_entries():
     m = KiwiMap(max_threads=2)
     m.register_thread()
     chunk = m.find_chunk(5)
-    entry = OrderEntry(5)
-    idx = chunk.alloc(entry, 50)
+    idx = chunk.alloc(5, 50)
+    entry = chunk.order[idx]
     entry.version = FROZEN
     chunk.ppa[0] = idx
     assert help_at(m, chunk, 12) == {}
@@ -68,8 +68,8 @@ def test_help_returns_already_versioned_entries_unchanged():
     m = KiwiMap(max_threads=2)
     m.register_thread()
     chunk = m.find_chunk(5)
-    entry = OrderEntry(5)
-    idx = chunk.alloc(entry, 50)
+    idx = chunk.alloc(5, 50)
+    entry = chunk.order[idx]
     entry.version = 3
     chunk.ppa[0] = idx
     assert help_at(m, chunk, 12) == {5: (3, idx)}
@@ -95,8 +95,8 @@ def test_help_ranks_each_key_s_best_pending_put(bound, expected):
     table = [(5, 7), (5, 7), (3, VERSION_NONE), (4, 11), (6, FROZEN), (50, VERSION_NONE)]
     entries = []
     for cell, (key, version) in enumerate(table):
-        entry = OrderEntry(key)
-        chunk.ppa[cell] = chunk.alloc(entry, key * 10)
+        chunk.ppa[cell] = chunk.alloc(key, key * 10)
+        entry = chunk.order[chunk.ppa[cell]]
         entry.version = version
         entries.append(entry)
     got = help_at(m, chunk, 12, bound)
@@ -134,7 +134,7 @@ def test_get_fences_once_with_or_without_pending_puts():
     m.put(5, 50)
     assert fences_during(lambda: m.get(5)) == 1
     chunk = m.find_chunk(5)
-    chunk.ppa[1] = chunk.alloc(OrderEntry(5), 51)  # another thread's put, parked
+    chunk.ppa[1] = chunk.alloc(5, 51)  # another thread's put, parked
     assert fences_during(lambda: m.get(5)) == 1
     assert m.get(5) == 51
 

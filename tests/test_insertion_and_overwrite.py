@@ -80,7 +80,7 @@ def test_overwrite_tombstone_beats_older_data_by_magnitude():
     # wins, and the data cell it names holds None.
     chunk, _ = raw_chunk([(5, 1, 50)], capacity=8)
     (entry,) = walk_list(chunk)
-    tomb = chunk.alloc(OrderEntry(5), TOMBSTONE)
+    tomb = chunk.alloc(5, TOMBSTONE)
     assert overwrite_data_index(entry, tomb) == 1
     assert entry.data_index == tomb == 2 and chunk.data[entry.data_index] is None
     assert overwrite_data_index(entry, 1) is None

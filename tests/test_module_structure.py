@@ -3,7 +3,8 @@ their tops only, and with no cycle (the map's layers stack as atomics <-
 chunk <- rebalance <- core), so no function pays for an import statement
 on each call, and each module still imports first in a fresh
 interpreter. Readers reach a chunk's PPA only through help_pending_puts,
-which fences first. A budget test pins the map's construction knobs, a chunk's
+which fences first. Chunk.alloc alone builds a put's entry, under the
+stripe freezing takes. A budget test pins the map's construction knobs, a chunk's
 slots, the size bounds' parameters and slots, the list insert's,
 compaction's and the bench map factory's parameters, the atomic
 counter's and the thread registry's methods, the fuzz recipe's and the
@@ -83,6 +84,30 @@ def test_readers_reach_the_ppa_only_through_help_pending_puts_fence_first():
         and isinstance(first.value.func, ast.Name)
         and first.value.func.id == "full_fence"
     ), f"help_pending_puts starts with {ast.unparse(first)!r}, not full_fence()"
+
+
+def test_alloc_alone_writes_a_slot_under_the_stripe_freezing_takes():
+    """Chunk.alloc builds a put's entry, so KiwiMap.put constructs none.
+    alloc and freeze_chunk each take word_lock of the chunk, the one
+    lookup of a stripe that kiwi.chunk may use: it imports no underscore
+    name from kiwi.atomics, so no copy of the stripe hash can drift."""
+    tree = ast.parse(inspect.getsource(chunk))
+    private = [
+        alias.name for node in tree.body if isinstance(node, ast.ImportFrom) and node.module == "atomics"
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert not private, f"kiwi.chunk imports {private} from kiwi.atomics"
+    for fn, owner in ((core.Chunk.alloc, "self"), (rebalance.freeze_chunk, "chunk")):
+        nodes = list(ast.walk(function_tree(fn)))
+        tables = [ast.unparse(n) for n in nodes if isinstance(n, ast.Subscript) and "LOCK" in ast.unparse(n.value)]
+        assert not tables, f"{fn.__qualname__} indexes a stripe table: {tables}"
+        calls = [ast.unparse(n) for n in nodes if isinstance(n, ast.Call) and ast.unparse(n.func) == "word_lock"]
+        assert calls == [f"word_lock({owner})"], f"{fn.__qualname__} takes {calls}"
+    built = [
+        node.lineno for node in ast.walk(function_tree(core.KiwiMap.put))
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "OrderEntry"
+    ]
+    assert not built, f"KiwiMap.put constructs an OrderEntry on line {built[0]}"
 
 
 def test_only_the_harness_constructs_threads():

@@ -13,7 +13,8 @@ import pytest
 
 from kiwi import KiwiMap, TOMBSTONE, core
 from kiwi.atomics import word_lock
-from kiwi.core import FROZEN, KEY_MIN, VERSION_NONE, Chunk, OrderEntry
+from kiwi.chunk import _SLOTS
+from kiwi.core import END, FROZEN, KEY_MIN, VERSION_NONE, Chunk
 from kiwi.rebalance import (
     check_rebalance,
     copy_compact,
@@ -74,19 +75,25 @@ def test_freeze_without_pending_sets_flag_only():
 
 def test_alloc_writes_the_whole_slot():
     # Before any put publishes its index, a reader of the slot already
-    # finds the entry, its key and its value: the dataIndex is the slot,
-    # and a tombstone's data cell holds None.
+    # finds the entry alloc built, its key and its value: the dataIndex is
+    # the slot, and a tombstone's data cell holds None.
     chunk, _ = raw_chunk([(1, 1, 10)], capacity=8)
-    from kiwi.core import OrderEntry
-
-    value, tomb = OrderEntry(5), OrderEntry(6)
-    assert chunk.alloc(value, 50) == 2
-    assert chunk.alloc(tomb, TOMBSTONE) == 3
+    assert chunk.alloc(5, 50) == 2
+    assert chunk.alloc(6, TOMBSTONE) == 3
     assert chunk.ppa == [None] * 4
-    assert (value.version, value.data_index) == (VERSION_NONE, 2)
-    assert (tomb.version, tomb.data_index) == (VERSION_NONE, 3)
-    assert chunk.order[2:] == [value, tomb] and chunk.keys[2:] == [5, 6]
+    value, tomb = chunk.order[2:]
+    assert (value.key, value.version, value.data_index, value.next) == (5, VERSION_NONE, 2, END)
+    assert (tomb.key, tomb.version, tomb.data_index, tomb.next) == (6, VERSION_NONE, 3, END)
+    assert chunk.keys[2:] == [5, 6]
     assert chunk.data[2:] == [50, None]
+    # Past CPython's small-int cache (256) a fresh int would be a distinct
+    # object: the slot alloc returns and the dataIndex it writes are both
+    # the shared table's.
+    chunk = Chunk(300, 1)
+    for key in range(280):
+        idx = chunk.alloc(key, key)
+        assert idx is _SLOTS[idx] and chunk.order[idx].data_index is idx
+    assert idx == 280
 
 
 class AppendFailsOnce(list):
@@ -102,16 +109,21 @@ class AppendFailsOnce(list):
 
 
 def test_alloc_cuts_a_partial_slot_when_an_append_raises():
+    # An unhashable key raises before the stripe is taken: nothing is
+    # appended and the stripe is free.
+    chunk, _ = raw_chunk([(1, 1, 10)], capacity=8)
+    with pytest.raises(TypeError):
+        chunk.alloc([5], 50)
+    assert len(chunk.order) == len(chunk.keys) == len(chunk.data) == 2
+    assert not word_lock(chunk).locked()
     # The entry is appended, the key append raises: alloc cuts the entry
     # again, so the three arrays stay in step and the slot is free.
-    chunk, _ = raw_chunk([(1, 1, 10)], capacity=8)
     chunk.keys = AppendFailsOnce(chunk.keys)
     with pytest.raises(MemoryError):
-        chunk.alloc(OrderEntry(5), 50)
+        chunk.alloc(5, 50)
     assert len(chunk.order) == len(chunk.keys) == len(chunk.data) == 2
-    entry = OrderEntry(5)
-    assert chunk.alloc(entry, 51) == 2
-    assert chunk.order[2] is entry and chunk.data[2] == 51
+    assert chunk.alloc(5, 51) == 2
+    assert chunk.order[2].key == 5 and chunk.data[2] == 51
     assert_chunk_invariants(chunk)
 
 
@@ -126,8 +138,8 @@ def alloc_try_lines():
     return {first - 1 + line for stmt in tried.body for line in range(stmt.lineno, stmt.end_lineno + 1)}
 
 
-def traced_alloc(chunk, entry, value, lines, raise_at=None):
-    """chunk.alloc(entry, value), raising Injected at its raise_at-th
+def traced_alloc(chunk, key, value, lines, raise_at=None):
+    """chunk.alloc(key, value), raising Injected at its raise_at-th
     opcode boundary on lines; returns the number of those boundaries."""
     seen = 0
 
@@ -148,7 +160,7 @@ def traced_alloc(chunk, entry, value, lines, raise_at=None):
     previous = sys.gettrace()
     sys.settrace(on_call)
     try:
-        chunk.alloc(entry, value)
+        chunk.alloc(key, value)
     finally:
         sys.settrace(previous)
     return seen
@@ -163,31 +175,28 @@ def test_alloc_interrupted_at_any_boundary_of_its_try_body_leaves_a_whole_chunk(
 
     def warm_chunk():
         chunk = Chunk(8, 2)
-        chunk.alloc(OrderEntry(1), 10)
+        chunk.alloc(1, 10)
         return chunk
 
     # On 3.12 the first traced run of a code object meets no opcode
     # boundary, and on 3.13.0 none does (ROADMAP item 5).
-    traced_alloc(warm_chunk(), OrderEntry(2), value, lines)
-    boundaries = traced_alloc(warm_chunk(), OrderEntry(2), value, lines)
+    traced_alloc(warm_chunk(), 2, value, lines)
+    boundaries = traced_alloc(warm_chunk(), 2, value, lines)
     assert boundaries > len(lines)
     for raise_at in range(boundaries):
         chunk = warm_chunk()
         with pytest.raises(Injected):
-            traced_alloc(chunk, OrderEntry(2), value, lines, raise_at)
+            traced_alloc(chunk, 2, value, lines, raise_at)
         assert not word_lock(chunk).locked(), f"boundary {raise_at}: stripe held"
         assert len(chunk.order) == len(chunk.keys) == len(chunk.data), f"boundary {raise_at}"
         assert_chunk_invariants(chunk)
-        assert chunk.alloc(OrderEntry(3), 30) == len(chunk.order) - 1
+        assert chunk.alloc(3, 30) == len(chunk.order) - 1
         assert_chunk_invariants(chunk)
 
 
 def test_freeze_seals_unversioned_entries():
     chunk, _ = raw_chunk([])
-    from kiwi.core import OrderEntry
-
-    entry = OrderEntry(5)
-    chunk.alloc(entry, 50)
+    entry = chunk.order[chunk.alloc(5, 50)]
     assert entry.version == VERSION_NONE
     freeze_chunk(chunk)
     assert entry.version is FROZEN
@@ -196,18 +205,24 @@ def test_freeze_seals_unversioned_entries():
 
 
 def test_frozen_chunk_rejects_allocation():
+    # A full chunk refuses a value and a tombstone alike and appends
+    # nothing.
+    chunk = Chunk(2, 1)
+    assert [chunk.alloc(k, k) for k in (1, 2)] == [1, 2]
+    assert chunk.is_full()
+    assert chunk.alloc(3, 30) is None and chunk.alloc(4, TOMBSTONE) is None
+    assert chunk.keys == [None, 1, 2] and chunk.data == [None, 1, 2] and len(chunk.order) == 3
     # The flag is the whole cut-off: with free slots left and no seal pass
     # run, alloc refuses, and the bound of handed-out slots stays put.
     chunk, _ = raw_chunk([(1, 1, 10)], capacity=8)
-    from kiwi.core import OrderEntry
-
     chunk.frozen = True
     assert chunk.is_full()
-    assert chunk.alloc(OrderEntry(5), 50) is None
+    assert chunk.alloc(5, 50) is None
     assert chunk.allocated_bound() == 2
     freeze_chunk(chunk)
-    assert chunk.alloc(OrderEntry(6), TOMBSTONE) is None
+    assert chunk.alloc(6, TOMBSTONE) is None
     assert chunk.allocated_bound() == 2
+    assert chunk.keys == [None, 1] and chunk.data == [None, 10]
 
 
 # ---------------- helping ----------------

@@ -8,7 +8,6 @@ import threading
 
 import pytest
 
-import kiwi.chunk
 from kiwi import atomics
 from kiwi.atomics import AtomicInt, cas, word_lock
 from kiwi.core import TOMBSTONE, Chunk, KiwiMap, OrderEntry
@@ -73,16 +72,16 @@ def test_a_fetch_add_that_raises_frees_its_stripe():
 
 def test_alloc_takes_the_stripe_that_freezing_takes():
     """freeze_chunk sets the frozen flag under word_lock(chunk), and alloc
-    reads it under the stripe it indexes inline; were they two locks, a
-    slot could be handed out after the freeze. So while the test holds
-    word_lock(chunk), alloc must wait."""
+    reads it under word_lock(self); were they two locks, a slot could be
+    handed out after the freeze. So while the test holds word_lock(chunk),
+    alloc must wait."""
     for _ in range(3):
         chunk = Chunk(4, 2)
         got = []
         lock = word_lock(chunk)
         lock.acquire()
         try:
-            t = start_thread(lambda: got.append(chunk.alloc(OrderEntry(1), 10)))
+            t = start_thread(lambda: got.append(chunk.alloc(1, 10)))
             t.join(timeout=0.1)
             assert t.is_alive() and got == []
         finally:
@@ -116,18 +115,18 @@ class CountingLock:
 
 @pytest.fixture
 def sections():
-    """Count every word-lock section and fence from here on: the stripes
-    and the fence lock are swapped for counting proxies of the same locks
-    in each module that names them, and put back afterwards."""
+    """Count every word-lock section and fence from here on: the stripe
+    table and the fence lock in kiwi.atomics, the one module that names
+    them, are swapped for counting proxies of the same locks, and put back
+    afterwards."""
     counter = [0]
-    stripes = tuple(CountingLock(lock, counter) for lock in atomics._WORD_LOCKS)
-    saved = atomics._WORD_LOCKS, kiwi.chunk._WORD_LOCKS, atomics._FENCE_LOCK
-    atomics._WORD_LOCKS = kiwi.chunk._WORD_LOCKS = stripes
-    atomics._FENCE_LOCK = CountingLock(saved[2], counter)
+    saved = atomics._WORD_LOCKS, atomics._FENCE_LOCK
+    atomics._WORD_LOCKS = tuple(CountingLock(lock, counter) for lock in saved[0])
+    atomics._FENCE_LOCK = CountingLock(saved[1], counter)
     try:
         yield counter
     finally:
-        atomics._WORD_LOCKS, kiwi.chunk._WORD_LOCKS, atomics._FENCE_LOCK = saved
+        atomics._WORD_LOCKS, atomics._FENCE_LOCK = saved
 
 
 @pytest.mark.parametrize("bounds", [True, False], ids=["bounds-on", "bounds-off"])
