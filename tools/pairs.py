@@ -1,11 +1,11 @@
 """Paired before/after runs of the benchmark, written as one BENCH file.
 
-    python3 tools/pairs.py --parent DIR --change DIR --pairs 10 --out BENCH_<n>.json
+    python3 tools/pairs.py --parent DIR --change DIR --out BENCH_<n>.json
 
 DIR is a checkout (a git clone or an exported tree) holding perfbench/
 and src/. For every workload that the change checkout's BENCHMARK.json
-declares, each pair runs that file's command in both checkouts, each
-with its own perfbench/ and sources:
+declares, each of PAIRS (10) pairs runs that file's command in both
+checkouts, each with its own perfbench/ and sources:
 
     <command> --workload W --seed S --seconds <run_seconds> --trace 0
 
@@ -17,18 +17,22 @@ the host spreads over both sides.
 The file holds each side's stamps and, per workload and end-to-end
 metric, every run (null where the run failed), each side's median,
 quartiles and IQR/median, the per-pair change/parent ratios, the pairs
-the change won in the metric's better direction (ties count for
-neither), and a verdict against the metric's bound:
+in which both runs completed, the pairs the change won in the metric's
+better direction (ties count for neither), and a verdict against the
+metric's bound, the first of these that holds:
 
+    no_runs       a side has no completed run
     unresolved    the parent's IQR/median exceeds the bound: the spread
-                  of its own runs is too wide to tell the change apart
+                  of its own runs is too wide to tell the change apart,
+                  unless every run of the change beats every run of the
+                  parent and no run failed
     worse         the change's median is worse than the parent's by more
                   than the bound
-    better        the change won at least nine tenths of the pairs, and
-                  its median beats the parent's by more than the parent's
-                  IQR
+    better        the change won at least nine tenths of all pairs run,
+                  its median beats the parent's by more than the
+                  parent's IQR, and no larger share of its operations
+                  failed than of the parent's
     within_bound  none of these
-    no_runs       a side has no completed run
 
 Per workload and side it also holds the runs failed and attempted, and
 the benchmark's own count of failed and attempted operations.
@@ -47,6 +51,7 @@ import sys
 from typing import Any, Optional
 
 SIDES = ("parent", "change")
+PAIRS = 10
 RUN_TIMEOUT_S = 900
 # Stamp fields that differ from run to run of one checkout.
 PER_RUN_STAMP = ("workload", "seed", "params", "pinned_cpu")
@@ -73,8 +78,13 @@ def relative(delta: float, base: float) -> float:
     return 0.0 if delta == 0 else math.inf
 
 
-def compare(parent: list[Optional[float]], change: list[Optional[float]], better: str, bound: float) -> dict[str, Any]:
-    """The statistics of one metric's paired runs, and its verdict."""
+def compare(
+    parent: list[Optional[float]], change: list[Optional[float]], better: str, bound: float, fails_more: bool
+) -> dict[str, Any]:
+    """The statistics of one metric's paired runs, and its verdict.
+    parent[i] and change[i] are pair i's runs (None where a run failed);
+    fails_more says that a larger share of the change's operations
+    failed than of the parent's."""
     sign = 1 if better == "higher" else -1
     p, c = summarize(parent), summarize(change)
     pairs = [(a, b) for a, b in zip(parent, change) if a is not None and b is not None]
@@ -85,15 +95,17 @@ def compare(parent: list[Optional[float]], change: list[Optional[float]], better
         "change": c,
         "ratio": {"median": statistics.median(ratios), "min": min(ratios), "max": max(ratios)} if ratios else None,
         "wins": wins,
-        "pairs": len(pairs),
+        "pairs_completed": len(pairs),
     }
     if p["median"] is None or c["median"] is None:
         verdict = "no_runs"
-    elif p["iqr_over_median"] > bound:
+    elif p["iqr_over_median"] > bound and not (
+        len(pairs) == len(parent) and min(sign * b for b in change) > max(sign * a for a in parent)
+    ):
         verdict = "unresolved"
     elif relative(sign * (p["median"] - c["median"]), p["median"]) > bound:
         verdict = "worse"
-    elif pairs and wins >= 0.9 * len(pairs) and sign * (c["median"] - p["median"]) > p["q3"] - p["q1"]:
+    elif wins >= 0.9 * len(parent) and sign * (c["median"] - p["median"]) > p["q3"] - p["q1"] and not fails_more:
         verdict = "better"
     else:
         verdict = "within_bound"
@@ -119,7 +131,7 @@ def run_side(checkout: str, command: list[str], workload: str, seed: int, second
     return {"stamp": report["stamp"], "result": result}
 
 
-def run_pairs(dirs: dict[str, str], bench: dict, pairs: int) -> dict[str, Any]:
+def run_pairs(dirs: dict[str, str], bench: dict, pairs: int = PAIRS) -> dict[str, Any]:
     """Run the pairs and build the BENCH record."""
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
@@ -149,8 +161,9 @@ def run_pairs(dirs: dict[str, str], bench: dict, pairs: int) -> dict[str, Any]:
                 "runs_failed": pairs - len(done),
                 "ops_attempted": sum(r["result"]["attempted"] for r in done),
                 "ops_failed": sum(r["result"]["failed"] for r in done),
-                "errors": [r["error"] for r in runs[workload][side] if "error" in r][:5],
+                "errors": [r["error"] for r in runs[workload][side] if "error" in r],
             }
+        share = {side: relative(sides[side]["ops_failed"], sides[side]["ops_attempted"]) for side in SIDES}
         metrics = {}
         for metric in bench["end_to_end"]:
             name = metric["name"]
@@ -162,7 +175,9 @@ def run_pairs(dirs: dict[str, str], bench: dict, pairs: int) -> dict[str, Any]:
                 "unit": metric["unit"],
                 "better": metric["better"],
                 "bound": metric["bound"],
-                **compare(values["parent"], values["change"], metric["better"], metric["bound"]),
+                **compare(
+                    values["parent"], values["change"], metric["better"], metric["bound"], share["change"] > share["parent"]
+                ),
             }
         out_workloads[workload] = {"sides": sides, "metrics": metrics}
     return {
@@ -181,18 +196,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
-    parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
     dirs = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     for side, path in dirs.items():
         if not os.path.isfile(os.path.join(path, "perfbench", "run.py")):
             parser.error(f"--{side} {path}: no perfbench/run.py")
     with open(os.path.join(dirs["change"], "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    record = run_pairs(dirs, bench, args.pairs)
+    record = run_pairs(dirs, bench)
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
